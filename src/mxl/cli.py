@@ -232,12 +232,15 @@ def _build_noise(cfg: dict) -> NoiseModel:
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def build_solver_config(resolved: dict, game, seed_override: int | None = None) -> SolverConfig:
+def build_solver_config(resolved: dict, game, seed_override: int | None = None,
+                        oracle=None) -> SolverConfig:
+    """Solver config from the resolved sections; `oracle`, when given, is the
+    already computed `brute_force_ne(game, tol=1e-6)` for `reference: "oracle"`."""
     solver = resolved["solver"]
     seed = int(solver["seed"] if seed_override is None else seed_override)
     reference = None
     if solver["reference"] == "oracle":
-        reference = brute_force_ne(game, tol=1e-6)
+        reference = oracle if oracle is not None else brute_force_ne(game, tol=1e-6)
     elif solver["reference"] not in (None, "none"):
         raise ConfigError("solver.reference must be null or 'oracle'")
     return SolverConfig(
@@ -338,7 +341,7 @@ def _verify_rate(game, resolved: dict) -> tuple[dict, bool]:
     xstar = brute_force_ne(game, tol=1e-6)
     seed = int(resolved["solver"]["seed"])
     stability = estimate_strong_stability(game, xstar, 2000, seed=seed + 10)
-    config = build_solver_config(resolved, game)
+    config = build_solver_config(resolved, game, oracle=xstar)
     v_hat = max_sampled_gradient_norm(game, config, 500, seed=seed + 11)
     fit = rate_experiment(
         game,

@@ -52,10 +52,14 @@ class MacGame(GameModel):
             return self.b - self.c * x
         return self.a / (1.0 + x)
 
+    @staticmethod
+    def _contention_of(i: int, x: np.ndarray):
+        """1 - prod_{j != i}(1 - x_j) along the last axis of the access levels."""
+        others = [j for j in range(x.shape[-1]) if j != i]
+        return 1.0 - np.prod(1.0 - x[..., others], axis=-1)
+
     def contention(self, i: int, actions) -> float:
-        x = self._levels(actions)
-        others = np.delete(x, i)
-        return 1.0 - float(np.prod(1.0 - others))
+        return float(self._contention_of(i, self._levels(actions)))
 
     def utility(self, i, actions) -> float:
         x = self._levels(actions)
@@ -65,6 +69,13 @@ class MacGame(GameModel):
         x = self._levels(actions)
         g = self._base_slope(x[i]) - self.contention(i, actions)
         return np.array([[g]], dtype=complex)
+
+    def gradient_stack(self, i, actions, rngs) -> np.ndarray:
+        if not self._exact_oracle_of(MacGame):
+            return super().gradient_stack(i, actions, rngs)
+        x = np.stack([a[:, 0, 0].real for a in actions], axis=-1)
+        g = self._base_slope(x[:, i]) - self._contention_of(i, x)
+        return g.astype(complex)[:, None, None]
 
     def symmetric_equilibrium(self) -> float:
         """Symmetric first-order point U'(x) = q(x) solved by bisection."""

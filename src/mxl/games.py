@@ -63,6 +63,30 @@ class GameModel(ABC):
     def stochastic_gradient(self, i: int, actions, rng: np.random.Generator) -> np.ndarray:
         return self.payoff_gradient(i, actions)
 
+    def gradient_stack(self, i: int, actions, rngs) -> np.ndarray:
+        """Stochastic gradients of player i for a stack of independent profiles.
+
+        `actions[j]` stacks player j's actions as an (S, d, d) array and
+        `rngs[s]` is profile s's own Generator. Entry s equals
+        `stochastic_gradient(i, profile s, rngs[s])` bit for bit, including
+        what it draws from `rngs[s]`; families with array formulas override
+        this, everything else is looped here.
+        """
+        return np.stack([
+            self.stochastic_gradient(i, [a[s] for a in actions], rng)
+            for s, rng in enumerate(rngs)
+        ])
+
+    def _exact_oracle_of(self, cls) -> bool:
+        """True when this game's gradient oracle is `cls.payoff_gradient`, unmodified.
+
+        Array overrides of `gradient_stack` reproduce that oracle only; a
+        subclass that redefines either gradient method takes the looped path.
+        """
+        kind = type(self)
+        return (kind.payoff_gradient is cls.payoff_gradient
+                and kind.stochastic_gradient is GameModel.stochastic_gradient)
+
     def gradient_profile(self, actions) -> list[np.ndarray]:
         return [self.payoff_gradient(i, actions) for i in range(self.n_players)]
 
@@ -297,6 +321,11 @@ class LinearGame(GameModel):
     def payoff_gradient(self, i, actions) -> np.ndarray:
         return self._c[i].copy()
 
+    def gradient_stack(self, i, actions, rngs) -> np.ndarray:
+        if not self._exact_oracle_of(LinearGame):
+            return super().gradient_stack(i, actions, rngs)
+        return np.repeat(self._c[i][None], len(rngs), axis=0)
+
 
 class BilinearGame(GameModel):
     """Two scalar players with u_i = x_i (x_j - threshold).
@@ -318,3 +347,8 @@ class BilinearGame(GameModel):
     def payoff_gradient(self, i, actions) -> np.ndarray:
         xj = float(actions[1 - i][0, 0].real)
         return np.array([[xj - self.threshold]], dtype=complex)
+
+    def gradient_stack(self, i, actions, rngs) -> np.ndarray:
+        if not self._exact_oracle_of(BilinearGame):
+            return super().gradient_stack(i, actions, rngs)
+        return (actions[1 - i].real - self.threshold).astype(complex)

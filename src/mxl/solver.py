@@ -11,17 +11,27 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .games import GameModel, nash_residual
 from .spectral import (
+    OFF_BLOCK_TOL,
+    DomainError,
     dual_norm,
+    exp_projection,
     hermitize,
     mirror_map,
     quantum_kl,
     random_hermitian,
 )
+
+# Stacked runs draw each seed's standard normals for up to CHUNK_STEPS steps at
+# once, capped so one chunk of all seeds holds at most CHUNK_FLOATS floats
+# (256 KiB); the chunk buffer is the only memory that grows with the seed count.
+CHUNK_STEPS = 1000
+CHUNK_FLOATS = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -368,6 +378,124 @@ def mxl_step(
         new_scores.append(state.scores[i] + gamma * vhat)
     new_actions = [mirror_map(y, p.domain) for y, p in zip(new_scores, game.players)]
     return SolverState(new_scores, new_actions, state.n + 1), StepInfo(gamma, noise_mats)
+
+
+class SeedNoise:
+    """Gradient noise for a stack of trajectories, each drawn from its own Generator.
+
+    When every step draws the same number of standard normals (noise `gaussian`
+    or `relative`, and a game that keeps the default `stochastic_gradient`, so
+    the gradient draws nothing), each seed's normals are drawn up to
+    CHUNK_STEPS steps at a time. A Generator yields the same stream however its
+    draws are grouped, so every perturbation equals the one `inject_noise`
+    would draw, bit for bit. Otherwise `inject_noise` runs seed by seed, after
+    the gradient, in the order of `mxl_step`.
+    """
+
+    def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
+        self.game, self.model, self.rngs = game, model, list(rngs)
+        self.chunked = (model.kind in ("gaussian", "relative")
+                        and type(game).stochastic_gradient is GameModel.stochastic_gradient)
+        self.layouts = [p.domain.blocks or (p.domain.dim,) for p in game.players]
+        self.offsets = [0, *accumulate(sum(2 * b * b for b in bs) for bs in self.layouts)]
+        width = self.offsets[-1]
+        chunk = max(1, min(CHUNK_STEPS, steps, CHUNK_FLOATS // max(len(self.rngs) * width, 1)))
+        self.buffer = np.empty((len(self.rngs), chunk if self.chunked else 0, width))
+        self.draws = self.buffer[:, :0]
+        self.remaining = steps
+        self.row = 0
+
+    def next_step(self) -> None:
+        """Move to the next step's draws, drawing a new chunk when one is used up."""
+        if not self.chunked:
+            return
+        self.row += 1
+        if self.row >= self.draws.shape[1]:
+            steps = min(self.buffer.shape[1], max(self.remaining, 1))
+            self.remaining -= steps
+            self.draws = self.buffer[:, :steps]
+            for rng, out in zip(self.rngs, self.draws):
+                rng.standard_normal(out=out)
+            self.row = 0
+
+    def perturb(self, i: int, v: np.ndarray) -> np.ndarray:
+        """Hermitian part of V + Z for player i's gradient stack V, one Z per seed."""
+        model = self.model
+        if model.kind == "none":
+            return hermitize(v)
+        blocks = self.game.players[i].domain.blocks
+        if not self.chunked:
+            return hermitize(np.stack([
+                inject_noise(vs, model, rng, blocks=blocks) for vs, rng in zip(v, self.rngs)
+            ]))
+        dim = v.shape[-1]
+        sigma = model.sigma
+        if model.kind == "relative":
+            if dim == 1:  # what np.linalg.norm computes for one entry, bit for bit
+                g = v[:, 0, 0]
+                norms = np.sqrt(g.real * g.real + g.imag * g.imag)
+            else:
+                norms = np.array([np.linalg.norm(vs) for vs in v])
+            sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
+        draws = self.draws[:, self.row, self.offsets[i]:self.offsets[i + 1]]
+        z = np.zeros_like(v) if blocks is not None else None
+        pos = start = 0
+        for b in self.layouts[i]:
+            re = draws[:, pos : pos + b * b].reshape(-1, b, b)
+            im = draws[:, pos + b * b : pos + 2 * b * b].reshape(-1, b, b)
+            pos += 2 * b * b
+            if model.hermitian:
+                a = re + 1j * im
+                zb = (a + a.conj().swapaxes(-1, -2)) * (sigma / (2.0 * np.sqrt(b)))
+            else:
+                zb = (sigma / np.sqrt(2.0 * b)) * (re + 1j * im)
+            if z is None:
+                z = zb
+            else:
+                z[:, start : start + b, start : start + b] = zb
+            start += b
+        return hermitize(v + z)
+
+
+def initial_stack(game: GameModel, y0, seeds: int) -> SolverState:
+    """`initial_state` repeated along a leading axis of `seeds` trajectories."""
+    state = initial_state(game, y0)
+    return SolverState([np.repeat(y[None], seeds, axis=0) for y in state.scores],
+                       [np.repeat(x[None], seeds, axis=0) for x in state.actions])
+
+
+def mxl_step_stack(game: GameModel, state: SolverState, schedule: StepSchedule,
+                   noise: SeedNoise) -> SolverState:
+    """`mxl_step` for every trajectory of a stacked state at once.
+
+    Scores and actions are (seeds, d, d) stacks per player; trajectory s uses
+    only `noise.rngs[s]`, so it equals a sequential run on that Generator.
+    A non-finite gradient raises at the earliest step any trajectory reaches it.
+    """
+    gamma = schedule.at(state.n)
+    noise.next_step()
+    new_scores = []
+    for i in range(game.n_players):
+        v = game.gradient_stack(i, state.actions, noise.rngs)
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteGradientError(i, state.n)
+        new_scores.append(state.scores[i] + gamma * noise.perturb(i, v))
+    new_actions = [exp_projection(_check_scores(y, p.domain), p.domain)
+                   for y, p in zip(new_scores, game.players)]
+    return SolverState(new_scores, new_actions, state.n + 1)
+
+
+def _check_scores(y: np.ndarray, domain) -> np.ndarray:
+    """The shape and block checks of `mirror_map`, for a stack of scores."""
+    if y.shape[1:] != (domain.dim, domain.dim):
+        raise DomainError(f"score shape {y.shape[1:]} does not match domain dim {domain.dim}")
+    if domain.blocks is not None:
+        off = np.ones((domain.dim, domain.dim), dtype=bool)
+        for sl in domain.block_slices():
+            off[sl, sl] = False
+        if np.max(np.linalg.norm(y[:, off], axis=-1)) > OFF_BLOCK_TOL:
+            raise DomainError("score must be block-diagonal for a block-structured domain")
+    return y
 
 
 def profile_kl(game: GameModel, reference, actions) -> float:

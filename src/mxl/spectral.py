@@ -20,12 +20,17 @@ class DomainError(ValueError):
     """Raised when an input lies outside an operation's domain."""
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack (`.T` is the cheaper view)."""
+    return a.conj().T if a.ndim == 2 else a.conj().swapaxes(-1, -2)
+
+
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Return the Hermitian part (A + A^dag)/2 of a square matrix."""
+    """Return the Hermitian part (A + A^dag)/2 of a square matrix or a stack of them."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return (a + a.conj().T) / 2
+    return (a + _dagger(a)) / 2
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -222,7 +227,12 @@ def von_neumann_entropy(x: np.ndarray, domain: Spectrahedron) -> float:
     General trace bounds are handled by rescaling X by the bound; 0 log 0 = 0.
     """
     domain.require_member(x, name="entropy argument")
-    w = np.linalg.eigvalsh(hermitize(np.asarray(x, dtype=complex))) / domain.trace_bound
+    return _entropy_of(x, domain.trace_bound)
+
+
+def _entropy_of(x: np.ndarray, bound: float) -> float:
+    """Unchecked body of :func:`von_neumann_entropy` for a member with trace bound `bound`."""
+    w = np.linalg.eigvalsh(hermitize(np.asarray(x, dtype=complex))) / bound
     w = np.clip(w, 0.0, None)
     slack = max(0.0, 1.0 - float(w.sum()))
     parts = w[w > 0.0]
@@ -260,24 +270,40 @@ def mirror_map(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
         raise DomainError(f"score shape {y.shape} does not match domain dim {domain.dim}")
     if domain.blocks is not None and domain.off_block_mass(y) > OFF_BLOCK_TOL:
         raise DomainError("score must be block-diagonal for a block-structured domain")
+    return exp_projection(y, domain)
 
+
+def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
+    """Unchecked core of :func:`mirror_map` for a stack (..., d, d) of scores.
+
+    Scores must already be Hermitian, block-diagonal and of the domain's size.
+    A 1x1 score is mapped in closed form with the same float operations as the
+    general path; larger scores use one batched eigendecomposition per block.
+    """
     if domain.dim == 1:
-        lam = float(y[0, 0].real)
-        val = np.exp(lam - _log_conjugate_from_eigs(np.array([lam])))
-        return np.array([[domain.trace_bound * val]], dtype=complex)
+        lam = y[..., 0, 0].real
+        m = np.maximum(lam, 0.0)
+        val = np.exp(lam - (m + np.log(np.exp(-m) + np.exp(lam - m))))
+        out = np.zeros(y.shape, dtype=complex)
+        out[..., 0, 0] = domain.trace_bound * val
+        return out
 
     slices = domain.block_slices()
     eigs, bases = [], []
     for sl in slices:
-        w, u = np.linalg.eigh(y[sl, sl])
+        w, u = np.linalg.eigh(y[..., sl, sl])
         eigs.append(w)
         bases.append(u)
-    all_w = np.sort(np.concatenate(eigs))
-    lse = _log_conjugate_from_eigs(all_w)
-    out = np.zeros((domain.dim, domain.dim), dtype=complex)
+    all_w = np.sort(np.concatenate(eigs, axis=-1))
+    if y.ndim == 2:
+        lse = _log_conjugate_from_eigs(all_w)
+    else:
+        m = np.maximum(all_w[..., -1:], 0.0)
+        lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
+    out = np.zeros(y.shape, dtype=complex)
     for sl, w, u in zip(slices, eigs, bases):
         vals = np.exp(w - lse)
-        out[sl, sl] = (u * vals) @ u.conj().T
+        out[..., sl, sl] = (u * vals[..., None, :]) @ _dagger(u)
     return hermitize(out) * domain.trace_bound
 
 
@@ -325,6 +351,7 @@ def fenchel_coupling(x: np.ndarray, y: np.ndarray, domain: Spectrahedron) -> flo
     """
     domain.require_member(x, name="primal argument")
     y = require_hermitian(y, name="score")
+    # X passed the membership check, so X/A is in the unit set: no second check
     xs = hermitize(np.asarray(x, dtype=complex)) / domain.trace_bound
-    unit = Spectrahedron(domain.dim, 1.0, domain.blocks)
-    return von_neumann_entropy(xs, unit) + entropy_conjugate(y) - trace_inner(y, xs)
+    entropy = _entropy_of(xs, 1.0)
+    return entropy + _log_conjugate_from_eigs(np.linalg.eigvalsh(y)) - trace_inner(y, xs)

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import GameModel, nash_residual
-from .solver import SolverConfig, initial_state, mxl_step, profile_kl
+from .solver import SeedNoise, SolverConfig, initial_stack, mxl_step_stack, profile_kl
 from .spectral import nuclear_norm, trace_inner
 
 
@@ -213,36 +213,10 @@ def _profile_metric(game: GameModel, xstar, actions, metric: str) -> float:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds: int,
-                    checkpoints, metric: str = "nuclear_distance",
-                    b_hat: float | None = None, v_bound: float | None = None) -> RateFit:
-    """Average `metric` over independent trajectories at the checkpoints and fit a slope.
-
-    With b_hat and v_bound supplied and a gamma/n step sequence, the explicit
-    divergence bound gamma^2 V^2 / ((B gamma - 1) n) is evaluated pointwise;
-    gamma*B <= 1 is flagged rather than silently accepted.
-    """
-    checkpoints = tuple(int(c) for c in checkpoints)
-    if len(checkpoints) < 4 or sorted(checkpoints) != list(checkpoints):
-        raise ValueError("need >= 4 increasing checkpoints")
-    if checkpoints[-1] < 100 * checkpoints[0]:
-        raise ValueError("checkpoints must span at least two decades")
-    if seeds < 2:
-        raise ValueError("need >= 2 seeds")
-
-    table = np.zeros((seeds, len(checkpoints)))
-    children = np.random.SeedSequence(config_template.seed).spawn(seeds)
-    for s, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        state = initial_state(game, config_template.y0)
-        marks = dict((c, idx) for idx, c in enumerate(checkpoints))
-        for n in range(1, checkpoints[-1] + 1):
-            state, _ = mxl_step(game, state, config_template.schedule, config_template.noise, rng)
-            if n in marks:
-                table[s, marks[n]] = _profile_metric(game, xstar, state.actions, metric)
-
+def _fit_table(table: np.ndarray, checkpoints):
+    """Seed means and standard errors per checkpoint, and their log-log slope with its stderr."""
     means = table.mean(axis=0)
-    stderrs = table.std(axis=0, ddof=1) / np.sqrt(seeds)
+    stderrs = table.std(axis=0, ddof=1) / np.sqrt(table.shape[0])
     logs_n = np.log(np.asarray(checkpoints, dtype=float))
     logs_v = np.log(np.maximum(means, 1e-300))
     design = np.vstack([np.ones_like(logs_n), logs_n]).T
@@ -251,8 +225,46 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     dof = max(1, len(checkpoints) - 2)
     resid_var = float(np.sum((logs_v - fitted) ** 2)) / dof
     cov = resid_var * np.linalg.inv(design.T @ design)
-    slope = float(coef[1])
-    slope_stderr = float(np.sqrt(max(cov[1, 1], 0.0)))
+    return means, stderrs, float(coef[1]), float(np.sqrt(max(cov[1, 1], 0.0)))
+
+
+def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds: int,
+                    checkpoints, metric: str = "nuclear_distance",
+                    b_hat: float | None = None, v_bound: float | None = None) -> RateFit:
+    """Average `metric` over independent trajectories at the checkpoints and fit a slope.
+
+    All trajectories advance together as (seeds, d, d) stacks, trajectory s on
+    its own Generator spawned from the config seed, so every value equals that
+    of running the seeds one after another with `mxl_step`.
+
+    With b_hat and v_bound supplied and a gamma/n step sequence, the explicit
+    divergence bound gamma^2 V^2 / ((B gamma - 1) n) is evaluated pointwise;
+    gamma*B <= 1 is flagged rather than silently accepted.
+    """
+    checkpoints = tuple(int(c) for c in checkpoints)
+    if (len(checkpoints) < 4 or checkpoints[0] < 1
+            or any(a >= b for a, b in zip(checkpoints, checkpoints[1:]))):
+        raise ValueError("need >= 4 strictly increasing checkpoints, all >= 1")
+    if checkpoints[-1] < 100 * checkpoints[0]:
+        raise ValueError("checkpoints must span at least two decades")
+    if seeds < 2:
+        raise ValueError("need >= 2 seeds")
+    game.require_feasible(xstar)
+
+    table = np.zeros((seeds, len(checkpoints)))
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config_template.seed).spawn(seeds)]
+    state = initial_stack(game, config_template.y0, seeds)
+    noise = SeedNoise(game, config_template.noise, rngs, checkpoints[-1])
+    marks = {c: idx for idx, c in enumerate(checkpoints)}
+    for n in range(1, checkpoints[-1] + 1):
+        state = mxl_step_stack(game, state, config_template.schedule, noise)
+        if n in marks:
+            for s in range(seeds):
+                actions = [a[s] for a in state.actions]
+                table[s, marks[n]] = _profile_metric(game, xstar, actions, metric)
+
+    means, stderrs, slope, slope_stderr = _fit_table(table, checkpoints)
 
     bound = None
     gamma_b = None

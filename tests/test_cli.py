@@ -197,6 +197,41 @@ class TestVerify:
         cfg = write_cfg(tmp_path, mac_payload())
         assert cmd_verify(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
 
+    @staticmethod
+    def rate_payload(checkpoints, reference=None):
+        return {
+            "game": {"kind": "mac", "players": 2, "b": 1.0, "c": 2.0},
+            "solver": {"schedule": {"kind": "optimized", "stability": 0.102089},
+                       "noise": {"kind": "gaussian", "sigma": 0.25},
+                       "seed": 21, "reference": reference},
+            "experiment": {"mode": "rate", "seeds": 3, "checkpoints": checkpoints,
+                           "metric": "nuclear_distance",
+                           "slope_target": -0.5, "slope_tol": 0.15},
+        }
+
+    @pytest.mark.parametrize("checkpoints", [[10, 10, 50, 1000], [0, 10, 50, 1000]])
+    def test_rate_mode_bad_checkpoints_one_line_error(self, tmp_path, capsys, checkpoints):
+        cfg = write_cfg(tmp_path, self.rate_payload(checkpoints))
+        assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "strictly increasing" in err
+
+    def test_rate_mode_computes_the_oracle_once(self, tmp_path, monkeypatch):
+        import mxl.cli
+
+        calls = []
+        real = mxl.cli.brute_force_ne
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mxl.cli, "brute_force_ne", counting)
+        cfg = write_cfg(tmp_path, self.rate_payload([1, 10, 30, 100], reference="oracle"))
+        assert cmd_verify(cfg, str(tmp_path / "out"), quiet=True) in (EXIT_OK, EXIT_VERIFY_FAILED)
+        assert len(calls) == 1
+
 
 class TestSweep:
     def test_noise_level_sweep(self, tmp_path):

@@ -1,12 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
-from mxl.families import EeGame, MacGame, scalar_profile, synth_channels
-from mxl.games import BilinearGame, ZeroGame, nash_residual
-from mxl.solver import NoiseModel, SolverConfig, StepSchedule
-from mxl.spectral import Spectrahedron
+from mxl.families import (
+    EeGame,
+    MacGame,
+    MetricLearningProblem,
+    make_cluster_dataset,
+    scalar_profile,
+    synth_channels,
+    uniform_baseline,
+)
+from mxl.games import BilinearGame, GameModel, LinearGame, ZeroGame, nash_residual
+from mxl.solver import (
+    NoiseModel,
+    NonFiniteGradientError,
+    SolverConfig,
+    StepSchedule,
+    initial_state,
+    mxl_step,
+)
+from mxl.spectral import Spectrahedron, hermitize
 from mxl.verify import (
     ConvergenceError,
+    _fit_table,
+    _profile_metric,
     brute_force_ne,
     estimate_strong_stability,
     max_sampled_gradient_norm,
@@ -95,6 +114,10 @@ class TestRateExperiment:
             rate_experiment(game, xstar, cfg, 4, [10, 20, 40, 80, 160])  # < 2 decades
         with pytest.raises(ValueError):
             rate_experiment(game, xstar, cfg, 1, [10, 100, 500, 1000])  # too few seeds
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rate_experiment(game, xstar, cfg, 4, [10, 10, 50, 1000])  # duplicate
+        with pytest.raises(ValueError, match=">= 1"):
+            rate_experiment(game, xstar, cfg, 4, [0, 10, 50, 1000])  # step 0 never happens
 
     def test_noiseless_metric_decreases(self):
         game = MacGame(2, "quadratic", b=1.0, c=2.0)
@@ -125,6 +148,109 @@ class TestRateExperiment:
         a = rate_experiment(game, xstar, cfg, 3, [10, 50, 200, 1000])
         b = rate_experiment(game, xstar, cfg, 3, [10, 50, 200, 1000])
         assert a.values == b.values and a.slope == b.slope
+
+
+def sequential_rate(game, xstar, cfg, seeds, checkpoints, metric):
+    """Reference: each seed run alone with initial_state + mxl_step on its own Generator."""
+    table = np.zeros((seeds, len(checkpoints)))
+    for s, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(seeds)):
+        rng = np.random.default_rng(child)
+        state = initial_state(game, cfg.y0)
+        for n in range(1, checkpoints[-1] + 1):
+            state, _ = mxl_step(game, state, cfg.schedule, cfg.noise, rng)
+            if n in checkpoints:
+                table[s, checkpoints.index(n)] = _profile_metric(game, xstar, state.actions, metric)
+    means, stderrs, slope, _ = _fit_table(table, checkpoints)
+    return tuple(float(v) for v in means), tuple(float(v) for v in stderrs), slope
+
+
+class Stubborn(BilinearGame):
+    """Redefines the gradient oracle, so BilinearGame's array formula must not apply."""
+
+    def payoff_gradient(self, i, actions):
+        xj = float(actions[1 - i][0, 0].real)
+        return np.array([[(1.0 if i == 0 else -1.0) * (xj - 0.5)]], dtype=complex)
+
+
+def _mac3():
+    game = MacGame(3, "quadratic", b=1.0, c=2.0)
+    return game, scalar_profile([game.symmetric_equilibrium()] * 3)
+
+
+def _linear2():
+    payoff = np.array([[1.0, 0.2j], [-0.2j, 0.8]])
+    top = np.linalg.eigh(payoff)[1][:, -1]
+    return LinearGame([payoff]), (hermitize(np.outer(top, top.conj())),)
+
+
+def _ee():
+    game = EeGame(synth_channels(2, 2, 2, 2, pathloss_spread=1.0, seed=9), pmax=2.0, pc=0.1)
+    return game, uniform_baseline(game)
+
+
+def _metric():
+    points, labels = make_cluster_dataset(3, 8, seed=2)
+    game = MetricLearningProblem(points, labels, batch_size=4)
+    return game, (game.players[0].domain.center(),)
+
+
+LOGIT_085 = math.log(0.85 / 0.15)
+LONG, SHORT = (10, 30, 100, 300, 1000), (1, 3, 10, 30, 100)
+# name: (game and reference point, noise, rate_experiment keywords, y0, checkpoints).
+# MAC, linear and bilinear games take array gradients; the Stubborn subclass,
+# EE and metric learning loop their oracle per seed; pareto noise and the
+# minibatch oracle (which draws) make the noise per seed too.
+CASES = {
+    "mac_gaussian": (_mac3, NoiseModel.gaussian_hermitian(0.25), {}, None, LONG),
+    "linear_kl_bound": (_linear2, NoiseModel.gaussian_hermitian(0.3),
+                        {"metric": "kl", "b_hat": 0.5, "v_bound": 3.0}, None, LONG),
+    "mac_relative_raw": (_mac3, NoiseModel.relative(0.5, hermitian=False), {}, None, LONG),
+    "bilinear_y0": (lambda: (BilinearGame(0.5), scalar_profile([1.0, 1.0])),
+                    NoiseModel.gaussian_hermitian(0.1), {}, scalar_profile([LOGIT_085] * 2),
+                    LONG),
+    "stubborn_subclass": (lambda: (Stubborn(), scalar_profile([0.5, 0.5])),
+                          NoiseModel.gaussian_hermitian(0.1), {}, None, LONG),
+    "mac_pareto": (_mac3, NoiseModel.pareto_tail(1.5, 0.1), {}, None, LONG),
+    "ee_relative_blocks": (_ee, NoiseModel.relative(0.5), {}, None, SHORT),
+    "ee_raw_blocks": (_ee, NoiseModel.gaussian_hermitian(0.2, hermitian=False), {}, None, SHORT),
+    "metric_minibatch": (_metric, NoiseModel.gaussian_hermitian(0.1), {"metric": "kl"}, None,
+                         SHORT),
+}
+
+
+class TestBatchedEqualsSequential:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_bit_identical_to_per_seed_loop(self, name):
+        make, noise, kwargs, y0, checkpoints = CASES[name]
+        game, xstar = make()
+        cfg = SolverConfig(StepSchedule.optimized(0.5), noise, seed=21, y0=y0)
+        fit = rate_experiment(game, xstar, cfg, 3, checkpoints, **kwargs)
+        values, stderrs, slope = sequential_rate(
+            game, xstar, cfg, 3, list(checkpoints), kwargs.get("metric", "nuclear_distance"))
+        assert fit.values == values
+        assert fit.stderrs == stderrs
+        assert fit.slope == slope
+        if name == "linear_kl_bound":
+            assert fit.bound is not None and fit.gamma_b == 2.0
+
+    def test_non_finite_gradient_same_player_and_step(self):
+        class Blowup(GameModel):
+            def utility(self, i, actions):
+                return 0.0
+
+            def payoff_gradient(self, i, actions):
+                x = float(actions[i][0, 0].real)
+                return np.array([[math.nan if i == 1 and x > 0.9 else 1.0]], dtype=complex)
+
+        game = Blowup([Spectrahedron(1, 1.0), Spectrahedron(1, 1.0)])
+        xstar = scalar_profile([1.0, 1.0])
+        cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.none(), seed=1)
+        with pytest.raises(NonFiniteGradientError) as seq:
+            sequential_rate(game, xstar, cfg, 3, [1, 10, 100, 1000], "nuclear_distance")
+        with pytest.raises(NonFiniteGradientError) as batched:
+            rate_experiment(game, xstar, cfg, 3, [1, 10, 100, 1000])
+        assert seq.value.player == batched.value.player == 1
+        assert batched.value.iteration == seq.value.iteration > 1
 
 
 def test_max_sampled_gradient_norm():
