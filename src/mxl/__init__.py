@@ -38,7 +38,6 @@ from .solver import (
     SolverConfig,
     StepSchedule,
     inject_noise,
-    mxl_step,
     profile_kl,
     relative_sigma,
     run,

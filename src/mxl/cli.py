@@ -37,6 +37,7 @@ from .solver import (
     NoiseModel,
     SolverConfig,
     StepSchedule,
+    _fmt,
     run,
     run_async,
 )
@@ -208,30 +209,6 @@ def build_game(game_cfg: dict):
     )
 
 
-def _build_schedule(cfg: dict) -> StepSchedule:
-    kind = cfg["kind"]
-    if kind == "power_law":
-        return StepSchedule.power_law(cfg["gamma0"], cfg["exponent"])
-    if kind == "optimized":
-        return StepSchedule.optimized(cfg["stability"])
-    if kind == "constant":
-        return StepSchedule.constant(cfg["gamma0"])
-    raise ConfigError(f"unknown schedule kind {kind!r}")
-
-
-def _build_noise(cfg: dict) -> NoiseModel:
-    kind = cfg["kind"]
-    if kind == "none":
-        return NoiseModel.none()
-    if kind == "gaussian":
-        return NoiseModel.gaussian_hermitian(cfg["sigma"], hermitian=bool(cfg["hermitian"]))
-    if kind == "relative":
-        return NoiseModel.relative(cfg["level"], hermitian=bool(cfg["hermitian"]))
-    if kind == "pareto":
-        return NoiseModel.pareto_tail(cfg["tail_index"], cfg["scale"])
-    raise ConfigError(f"unknown noise kind {kind!r}")
-
-
 def build_solver_config(resolved: dict, game, seed_override: int | None = None,
                         oracle=None) -> SolverConfig:
     """Solver config from the resolved sections; `oracle`, when given, is the
@@ -244,8 +221,8 @@ def build_solver_config(resolved: dict, game, seed_override: int | None = None,
     elif solver["reference"] not in (None, "none"):
         raise ConfigError("solver.reference must be null or 'oracle'")
     return SolverConfig(
-        schedule=_build_schedule(solver["schedule"]),
-        noise=_build_noise(solver["noise"]),
+        schedule=StepSchedule(**solver["schedule"]),
+        noise=NoiseModel(**solver["noise"]),
         max_iters=int(solver["max_iters"]),
         stop_residual=float(solver["stop_residual"]),
         seed=seed,
@@ -254,10 +231,9 @@ def build_solver_config(resolved: dict, game, seed_override: int | None = None,
     )
 
 
-def _build_async(resolved: dict, game) -> AsyncSchedule | None:
-    if "async" not in resolved:
-        return None
-    cfg = resolved["async"]
+def _build_async(resolved: dict, game) -> AsyncSchedule:
+    """The config's async schedule; without an `async` section, the trivial one (sync play)."""
+    cfg = resolved.get("async", _ASYNC_DEFAULTS)
     probs = cfg["probabilities"]
     if probs is None:
         probs = [1.0] * game.n_players
@@ -265,10 +241,6 @@ def _build_async(resolved: dict, game) -> AsyncSchedule | None:
         raise ConfigError("async.probabilities must list one entry per player")
     return AsyncSchedule(tuple(float(p) for p in probs), delay_max=int(cfg["delay_max"]),
                          mode=cfg["mode"])
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _write_plot_data(trace, out_dir: Path) -> None:
@@ -297,8 +269,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None, quiet: bool
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    trace = (run_async(game, config, async_schedule) if async_schedule is not None
-             else run(game, config))
+    trace = run_async(game, config, async_schedule)
     if seed is not None:
         resolved = copy.deepcopy(resolved)
         resolved["solver"]["seed"] = int(seed)
@@ -387,7 +358,7 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None = None,
             report, ok = _verify_stability(game, resolved)
         else:
             report, ok = _verify_rate(game, resolved)
-    except (ConvergenceError, ValueError) as err:
+    except (ConvergenceError, ConfigurationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     report["mode"] = mode

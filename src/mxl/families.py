@@ -235,24 +235,6 @@ class MetricLearningProblem(GameModel):
         return -grad
 
 
-def dataset_to_json(points, labels, seed: int | None = None) -> str:
-    payload = {
-        "version": FIXTURE_VERSION,
-        "kind": "dataset",
-        "points": np.asarray(points, dtype=float).tolist(),
-        "labels": np.asarray(labels).astype(int).tolist(),
-        "seed": seed,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def dataset_from_json(text: str):
-    payload = json.loads(text)
-    if payload.get("version") != FIXTURE_VERSION or payload.get("kind") != "dataset":
-        raise ValueError("not a recognised dataset fixture")
-    return np.array(payload["points"], dtype=float), np.array(payload["labels"], dtype=int)
-
-
 # ---------------------------------------------------------------------------
 # Energy efficiency in multi-carrier MIMO interference networks
 # ---------------------------------------------------------------------------
@@ -303,18 +285,11 @@ class ChannelSet:
         payload = json.loads(text)
         if payload.get("version") != FIXTURE_VERSION or payload.get("kind") != "channels":
             raise ValueError("not a recognised channel fixture")
-        links = np.array(payload["entries_re"], dtype=float) + 1j * np.array(
-            payload["entries_im"], dtype=float
-        )
-        return cls(links=links, gains=np.array(payload["gains"], dtype=float),
-                   seed=int(payload["seed"]))
-
-    def refade(self, seed: int) -> "ChannelSet":
-        """Fresh fast-fading draw with the same dimensions and pathloss gains."""
-        rng = np.random.default_rng(seed)
-        n, _, s, nrx, ntx = self.links.shape
-        fresh = _fading(rng, (n, n, s, nrx, ntx)) * np.sqrt(self.gains)[:, :, None, None, None]
-        return ChannelSet(links=fresh, gains=self.gains, seed=seed)
+        re, im, gains = (np.array(payload[key], dtype=float)
+                         for key in ("entries_re", "entries_im", "gains"))
+        if not all(np.isfinite(a).all() for a in (re, im, gains)):
+            raise ValueError("channel fixture has non-finite entries or gains")
+        return cls(links=re + 1j * im, gains=gains, seed=int(payload["seed"]))
 
 
 def _fading(rng: np.random.Generator, shape) -> np.ndarray:
@@ -428,7 +403,8 @@ class EeGame(GameModel):
             a = w + psi * (h @ xs @ h.conj().T)
             sign_a, logdet_a = np.linalg.slogdet(a)
             sign_w, logdet_w = np.linalg.slogdet(w)
-            assert sign_a.real > 0 and sign_w.real > 0, "received covariance lost definiteness"
+            if not (sign_a.real > 0 and sign_w.real > 0):
+                raise DomainError("received covariance lost definiteness")
             total += float(logdet_a.real - logdet_w.real)
         return phi * total
 
@@ -451,7 +427,8 @@ class EeGame(GameModel):
             a = w + psi * k
             sign_a, logdet_a = np.linalg.slogdet(a)
             sign_w, logdet_w = np.linalg.slogdet(w)
-            assert sign_a.real > 0 and sign_w.real > 0, "received covariance lost definiteness"
+            if not (sign_a.real > 0 and sign_w.real > 0):
+                raise DomainError("received covariance lost definiteness")
             log_sum += float(logdet_a.real - logdet_w.real)
             a_inv_h = np.linalg.solve(a, h)
             trace_sum += float(np.trace(np.linalg.solve(a, k)).real)

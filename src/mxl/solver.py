@@ -2,8 +2,12 @@
 
 Each iteration adds a (possibly noisy) payoff gradient to a per-player score
 matrix and maps scores back to the feasible set through the stable exponential
-projection. A single run is inherently sequential; concurrency across runs is
-achieved with independent RNG streams spawned from the master seed
+projection. There is one per-trajectory loop, `run_async`, for gradients that
+may be imperfect or obsolete; synchronous play (`run`) is its trivial schedule,
+where every player updates every epoch without delay. `mxl_step_stack` advances
+a stack of independent trajectories at once for the rate experiments. A single
+run is inherently sequential; concurrency across runs is achieved with
+independent RNG streams spawned from the master seed
 (SeedSequence(seed).spawn -> [noise stream, scheduling stream]).
 """
 
@@ -19,7 +23,6 @@ from .games import GameModel, nash_residual
 from .spectral import (
     OFF_BLOCK_TOL,
     DomainError,
-    dual_norm,
     exp_projection,
     hermitize,
     mirror_map,
@@ -94,16 +97,6 @@ class StepSchedule:
             return 2.0 / (self.stability * n)
         return self.gamma0
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "power_law":
-            out.update(gamma0=self.gamma0, exponent=self.exponent)
-        elif self.kind == "optimized":
-            out.update(stability=self.stability)
-        else:
-            out.update(gamma0=self.gamma0)
-        return out
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -152,16 +145,6 @@ class NoiseModel:
     @classmethod
     def pareto_tail(cls, tail_index: float, scale: float = 1.0) -> "NoiseModel":
         return cls("pareto", tail_index=tail_index, scale=scale)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.kind == "gaussian":
-            out.update(sigma=self.sigma, hermitian=self.hermitian)
-        elif self.kind == "relative":
-            out.update(level=self.level, hermitian=self.hermitian)
-        elif self.kind == "pareto":
-            out.update(tail_index=self.tail_index, scale=self.scale)
-        return out
 
 
 def relative_sigma(v: np.ndarray, level: float) -> float:
@@ -231,13 +214,6 @@ class AsyncSchedule:
         if self.mode not in ("bernoulli", "single"):
             raise ConfigurationError(f"unknown async mode {self.mode!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "probabilities": list(self.probabilities),
-            "delay_max": self.delay_max,
-            "mode": self.mode,
-        }
-
 
 @dataclass
 class SolverConfig:
@@ -249,7 +225,6 @@ class SolverConfig:
     log_every: int = 100
     reference_point: tuple | None = None
     y0: tuple | None = None
-    log_actions: bool = False
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -258,18 +233,6 @@ class SolverConfig:
             raise ConfigurationError("stop_residual must be >= 0")
         if self.log_every < 1:
             raise ConfigurationError("log_every must be >= 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.to_dict(),
-            "noise": self.noise.to_dict(),
-            "max_iters": self.max_iters,
-            "stop_residual": self.stop_residual,
-            "seed": self.seed,
-            "log_every": self.log_every,
-            "tracks_reference": self.reference_point is not None,
-            "log_actions": self.log_actions,
-        }
 
 
 @dataclass
@@ -282,20 +245,12 @@ class SolverState:
 
 
 @dataclass
-class StepInfo:
-    gamma: float
-    noise_matrices: list
-
-
-@dataclass
 class TraceRecord:
     n: int
     step_size: float
     utilities: tuple
     nash_residual: float
     kl_to_reference: float | None
-    noise_dual_norm: float
-    actions: tuple | None = None
 
 
 @dataclass
@@ -358,28 +313,6 @@ def initial_state(game: GameModel, y0=None) -> SolverState:
     return SolverState(scores=scores, actions=actions, n=1)
 
 
-def mxl_step(
-    game: GameModel,
-    state: SolverState,
-    schedule: StepSchedule,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-) -> tuple[SolverState, StepInfo]:
-    """One synchronous update of every player's score and action."""
-    gamma = schedule.at(state.n)
-    new_scores = []
-    noise_mats = []
-    for i, spec in enumerate(game.players):
-        v = game.stochastic_gradient(i, state.actions, rng)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteGradientError(i, state.n)
-        vhat = hermitize(inject_noise(v, noise, rng, blocks=spec.domain.blocks))
-        noise_mats.append(vhat - v)
-        new_scores.append(state.scores[i] + gamma * vhat)
-    new_actions = [mirror_map(y, p.domain) for y, p in zip(new_scores, game.players)]
-    return SolverState(new_scores, new_actions, state.n + 1), StepInfo(gamma, noise_mats)
-
-
 class SeedNoise:
     """Gradient noise for a stack of trajectories, each drawn from its own Generator.
 
@@ -389,7 +322,7 @@ class SeedNoise:
     CHUNK_STEPS steps at a time. A Generator yields the same stream however its
     draws are grouped, so every perturbation equals the one `inject_noise`
     would draw, bit for bit. Otherwise `inject_noise` runs seed by seed, after
-    the gradient, in the order of `mxl_step`.
+    each player's gradient, in the order of `run`.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
@@ -466,7 +399,7 @@ def initial_stack(game: GameModel, y0, seeds: int) -> SolverState:
 
 def mxl_step_stack(game: GameModel, state: SolverState, schedule: StepSchedule,
                    noise: SeedNoise) -> SolverState:
-    """`mxl_step` for every trajectory of a stacked state at once.
+    """One synchronous update of every trajectory of a stacked state at once.
 
     Scores and actions are (seeds, d, d) stacks per player; trajectory s uses
     only `noise.rngs[s]`, so it equals a sequential run on that Generator.
@@ -507,7 +440,7 @@ def profile_kl(game: GameModel, reference, actions) -> float:
     return total
 
 
-def _log_record(game, config, state, info, n):
+def _log_record(game, config, state, gamma, n):
     residual = nash_residual(game, state.actions)
     for spec, x in zip(game.players, state.actions):
         spec.domain.require_member(x, name=f"logged action of player {spec.pid}")
@@ -515,56 +448,29 @@ def _log_record(game, config, state, info, n):
     kl = None
     if config.reference_point is not None:
         kl = profile_kl(game, config.reference_point, state.actions)
-    noise_norm = max((dual_norm(z) for z in info.noise_matrices), default=0.0)
-    actions = tuple(np.array(x) for x in state.actions) if config.log_actions else None
-    return TraceRecord(n, info.gamma, utilities, residual, kl, noise_norm, actions)
+    return TraceRecord(n, gamma, utilities, residual, kl)
 
 
 def run(game: GameModel, config: SolverConfig) -> RunTrace:
-    """Iterate the synchronous recursion until the residual target or max_iters.
+    """Synchronous play: `run_async` on the trivial schedule.
 
-    The stopping residual is evaluated on noiseless gradients at every logging
-    checkpoint. Deterministic for a fixed config and seed.
+    Every player updates every epoch on current feedback (all probabilities 1,
+    no delay), so each player's update count is the epoch index.
     """
-    noise_rng, _ = _spawn_streams(config.seed)
-    state = initial_state(game, config.y0)
-    records: list[TraceRecord] = []
-    status = "max_iters"
-    iterations = config.max_iters
-    diagnostic = None
-    try:
-        for n in range(1, config.max_iters + 1):
-            state, info = mxl_step(game, state, config.schedule, config.noise, noise_rng)
-            if n % config.log_every == 0 or n == config.max_iters:
-                rec = _log_record(game, config, state, info, n)
-                records.append(rec)
-                if rec.nash_residual <= config.stop_residual:
-                    status = "converged"
-                    iterations = n
-                    break
-    except NonFiniteGradientError as err:
-        status = "diverged"
-        iterations = state.n - 1
-        diagnostic = str(err)
-    updates = tuple([iterations] * game.n_players)
-    return RunTrace(
-        records,
-        status,
-        iterations,
-        config.seed,
-        tuple(np.array(x) for x in state.actions),
-        updates,
-        diagnostic=diagnostic,
-    )
+    return run_async(game, config, AsyncSchedule((1.0,) * game.n_players))
 
 
 def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedule) -> RunTrace:
-    """Asynchronous variant: random update sets, per-player step counts, delayed feedback.
+    """Iterate the recursion until the residual target or max_iters.
 
-    Gradients are evaluated at a profile whose per-player components are
-    delayed by independent uniform lags from {0..delay_max}; each updating
-    player uses the step size indexed by their own update count. With
-    delay_max = 0 and all probabilities 1 the trace is bit-identical to run().
+    Each epoch a random set of players updates. Gradients are evaluated at a
+    profile whose per-player components are delayed by independent uniform
+    lags from {0..delay_max}; each updating player uses the step size indexed
+    by their own update count. An epoch counts for its players only once every
+    gradient in it is finite. The stopping residual is evaluated on noiseless
+    gradients at every logging checkpoint. A non-finite gradient, or a game or
+    domain error, ends the run with status "diverged" and a diagnostic.
+    Deterministic for a fixed config and seed.
     """
     if len(async_schedule.probabilities) != game.n_players:
         raise ConfigurationError("async schedule must list one probability per player")
@@ -591,8 +497,7 @@ def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedu
                 update_set = list(range(game.n_players))
             else:
                 update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
-            gamma = float("nan")
-            noise_mats = [np.zeros_like(s) for s in state.scores]
+            estimates = []
             for i in update_set:
                 if d_max == 0:
                     delayed = history[0]
@@ -605,27 +510,26 @@ def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedu
                 v = game.stochastic_gradient(i, delayed, noise_rng)
                 if not np.all(np.isfinite(v)):
                     raise NonFiniteGradientError(i, n)
-                vhat = hermitize(
+                estimates.append(hermitize(
                     inject_noise(v, config.noise, noise_rng, blocks=game.players[i].domain.blocks)
-                )
-                noise_mats[i] = vhat - v
+                ))
+            gamma = float("nan")
+            for i, vhat in zip(update_set, estimates):
                 counts[i] += 1
                 gamma = config.schedule.at(counts[i])
                 state.scores[i] = state.scores[i] + gamma * vhat
-            for i in update_set:
                 state.actions[i] = mirror_map(state.scores[i], game.players[i].domain)
             state.n = n + 1
             history.insert(0, tuple(state.actions))
             del history[d_max + 1 :]
             if n % config.log_every == 0 or n == config.max_iters:
-                info = StepInfo(gamma if update_set else float("nan"), noise_mats)
-                rec = _log_record(game, config, state, info, n)
+                rec = _log_record(game, config, state, gamma, n)
                 records.append(rec)
                 if rec.nash_residual <= config.stop_residual:
                     status = "converged"
                     iterations = n
                     break
-    except NonFiniteGradientError as err:
+    except (NonFiniteGradientError, DomainError) as err:
         status = "diverged"
         iterations = state.n - 1
         diagnostic = str(err)

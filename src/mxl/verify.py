@@ -7,8 +7,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .games import GameModel, nash_residual
-from .solver import SeedNoise, SolverConfig, initial_stack, mxl_step_stack, profile_kl
-from .spectral import nuclear_norm, trace_inner
+from .solver import (
+    SeedNoise,
+    SolverConfig,
+    initial_stack,
+    inject_noise,
+    mxl_step_stack,
+    profile_kl,
+)
+from .spectral import dual_norm, hermitize, nuclear_norm, trace_inner
 
 
 class ConvergenceError(RuntimeError):
@@ -235,7 +242,7 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
 
     All trajectories advance together as (seeds, d, d) stacks, trajectory s on
     its own Generator spawned from the config seed, so every value equals that
-    of running the seeds one after another with `mxl_step`.
+    of a per-seed loop of the same update.
 
     With b_hat and v_bound supplied and a gamma/n step sequence, the explicit
     divergence bound gamma^2 V^2 / ((B gamma - 1) n) is evaluated pointwise;
@@ -295,9 +302,6 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
 def max_sampled_gradient_norm(game: GameModel, config: SolverConfig, probes: int,
                               seed: int = 0) -> float:
     """Empirical gradient bound: max dual norm of noisy estimates over sampled profiles."""
-    from .solver import inject_noise
-    from .spectral import dual_norm, hermitize
-
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(probes):

@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import mxl
 from mxl.cli import (
     EXIT_ERROR,
     EXIT_NO_CONVERGENCE,
@@ -15,6 +19,7 @@ from mxl.cli import (
     load_config,
     main,
 )
+from mxl.families import synth_channels
 
 MAC_CFG = str(resources.files("mxl") / "configs" / "mac_quadratic.cfg")
 EE_CFG = str(resources.files("mxl") / "configs" / "ee_2user_noise100.cfg")
@@ -40,6 +45,18 @@ def mac_payload(**solver_overrides):
     solver.update(solver_overrides)
     return {"game": {"kind": "mac", "players": 2, "b": 1.0, "c": 2.0}, "solver": solver,
             "experiment": {"mode": "run"}}
+
+
+def ee_fixture_cfg(tmp_path, entry):
+    """EE run config on a channel fixture whose first cross-link entry is `entry`."""
+    fixture = json.loads(synth_channels(2, 2, 2, 2, seed=7).to_json())
+    fixture["entries_re"][1][0][0][0][0] = entry
+    (tmp_path / "channels.json").write_text(json.dumps(fixture))
+    return write_cfg(tmp_path, {
+        "game": {"kind": "ee", "fixture": str(tmp_path / "channels.json")},
+        "solver": {"max_iters": 50},
+        "experiment": {"mode": "run"},
+    })
 
 
 class TestRun:
@@ -109,6 +126,45 @@ class TestRun:
         payload["experiment"] = {"mode": "stability"}
         cfg = write_cfg(tmp_path, payload)
         assert cmd_run(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
+
+    @pytest.mark.parametrize("section, value, message", [
+        ("schedule", {"kind": "cosine"}, "unknown schedule kind 'cosine'"),
+        ("noise", {"kind": "laplace"}, "unknown noise kind 'laplace'"),
+        ("schedule", {"kind": "power_law", "exponent": 1.5},
+         "power_law exponent must lie in (0, 1]"),
+    ])
+    def test_bad_schedule_or_noise_one_line_error(self, tmp_path, capsys, section, value,
+                                                  message):
+        cfg = write_cfg(tmp_path, mac_payload(**{section: value}))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_finite_channel_fixture_one_line_error(self, tmp_path, capsys):
+        cfg = ee_fixture_cfg(tmp_path, float("nan"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_overflowing_channel_fixture_diverges_without_traceback(self, tmp_path, flags):
+        cfg = ee_fixture_cfg(tmp_path, 1e200)
+        out = tmp_path / "out"
+        src = str(Path(mxl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "mxl.cli", "run", cfg, "--out", str(out), "--quiet"],
+            capture_output=True, text=True, env=env, timeout=120, check=False)
+        assert proc.returncode == EXIT_ERROR
+        assert "Traceback" not in proc.stderr
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "diverged"
+        assert "definiteness" in summary["diagnostic"]
 
     def test_async_section_drives_partial_updates(self, tmp_path):
         payload = mac_payload(max_iters=2000, stop_residual=1e-3)
@@ -216,6 +272,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "strictly increasing" in err
+
+    def test_rate_mode_bad_schedule_one_line_error(self, tmp_path, capsys):
+        payload = self.rate_payload([10, 100, 316, 1000])
+        payload["solver"]["schedule"] = {"kind": "power_law", "exponent": 1.5}
+        cfg = write_cfg(tmp_path, payload)
+        assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
 
     def test_rate_mode_computes_the_oracle_once(self, tmp_path, monkeypatch):
         import mxl.cli

@@ -9,12 +9,10 @@ from mxl.solver import (
     AsyncSchedule,
     ConfigurationError,
     NoiseModel,
-    NonFiniteGradientError,
     SolverConfig,
     StepSchedule,
     initial_state,
     inject_noise,
-    mxl_step,
     profile_kl,
     relative_sigma,
     run,
@@ -123,14 +121,14 @@ class TestInjectNoise:
             NoiseModel.gaussian_hermitian(-1.0)
 
 
-def test_zero_game_is_stationary(rng):
+def test_zero_game_is_stationary():
     doms = [Spectrahedron(2, 1.0)] * 2
     game = ZeroGame(doms)
-    state = initial_state(game)
-    sched = StepSchedule.power_law(1.0, 0.5)
-    for _ in range(10):
-        state, _ = mxl_step(game, state, sched, NoiseModel.none(), rng)
-    for x, d in zip(state.actions, doms):
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.none(),
+                       max_iters=10, log_every=10)
+    trace = run(game, cfg)
+    assert trace.iterations == 10 and trace.updates_per_player == (10, 10)
+    for x, d in zip(trace.final_actions, doms):
         assert np.allclose(x, d.center(), atol=1e-14)
 
 
@@ -235,9 +233,29 @@ def test_diverged_status_on_non_finite_gradient():
     trace = run(game, cfg)
     assert trace.status == "diverged"
     assert "non-finite" in trace.diagnostic
-    state = initial_state(game)
-    with pytest.raises(NonFiniteGradientError):
-        mxl_step(game, state, cfg.schedule, cfg.noise, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("schedule", [None, AsyncSchedule((1.0, 1.0))])
+def test_aborted_epoch_counts_for_no_player(schedule):
+    class LateNaN(LinearGame):
+        """Player 2's gradient turns NaN at iteration 4; player 1's stays finite."""
+
+        def __init__(self):
+            super().__init__([np.array([[1.0]]), np.array([[1.0]])])
+            self.calls = [0, 0]
+
+        def payoff_gradient(self, i, actions):
+            self.calls[i] += 1
+            bad = i == 1 and self.calls[i] == 4
+            return np.array([[np.nan if bad else 1.0]], dtype=complex)
+
+    cfg = SolverConfig(StepSchedule.constant(0.1), max_iters=10, log_every=5)
+    game = LateNaN()
+    trace = run(game, cfg) if schedule is None else run_async(game, cfg, schedule)
+    assert trace.status == "diverged"
+    assert trace.diagnostic == "non-finite gradient for player 2 at iteration 4"
+    assert trace.iterations == 3
+    assert trace.updates_per_player == (3, 3)
 
 
 def test_profile_kl_rescales_by_trace_bound():

@@ -19,9 +19,9 @@ from mxl.solver import (
     SolverConfig,
     StepSchedule,
     initial_state,
-    mxl_step,
+    inject_noise,
 )
-from mxl.spectral import Spectrahedron, hermitize
+from mxl.spectral import Spectrahedron, hermitize, mirror_map
 from mxl.verify import (
     ConvergenceError,
     _fit_table,
@@ -150,14 +150,27 @@ class TestRateExperiment:
         assert a.values == b.values and a.slope == b.slope
 
 
+def sequential_step(game, scores, actions, gamma, n, noise, rng):
+    """One synchronous update of a single trajectory, in the solver's order of draws."""
+    new_scores = []
+    for i, spec in enumerate(game.players):
+        v = game.stochastic_gradient(i, actions, rng)
+        if not np.all(np.isfinite(v)):
+            raise NonFiniteGradientError(i, n)
+        vhat = hermitize(inject_noise(v, noise, rng, blocks=spec.domain.blocks))
+        new_scores.append(scores[i] + gamma * vhat)
+    return new_scores, [mirror_map(y, p.domain) for y, p in zip(new_scores, game.players)]
+
+
 def sequential_rate(game, xstar, cfg, seeds, checkpoints, metric):
-    """Reference: each seed run alone with initial_state + mxl_step on its own Generator."""
+    """Reference: each seed run alone from initial_state on its own Generator."""
     table = np.zeros((seeds, len(checkpoints)))
     for s, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(seeds)):
         rng = np.random.default_rng(child)
         state = initial_state(game, cfg.y0)
         for n in range(1, checkpoints[-1] + 1):
-            state, _ = mxl_step(game, state, cfg.schedule, cfg.noise, rng)
+            state.scores, state.actions = sequential_step(
+                game, state.scores, state.actions, cfg.schedule.at(n), n, cfg.noise, rng)
             if n in checkpoints:
                 table[s, checkpoints.index(n)] = _profile_metric(game, xstar, state.actions, metric)
     means, stderrs, slope, _ = _fit_table(table, checkpoints)
