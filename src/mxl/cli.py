@@ -262,14 +262,13 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None, quiet: bool
             raise ConfigError("cmd_run requires experiment.mode == 'run'")
         game = build_game(resolved["game"])
         config = build_solver_config(resolved, game, seed_override=seed)
+        trace = run_async(game, config, _build_async(resolved, game))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        async_schedule = _build_async(resolved, game)
     except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    trace = run_async(game, config, async_schedule)
     if seed is not None:
         resolved = copy.deepcopy(resolved)
         resolved["solver"]["seed"] = int(seed)
@@ -384,15 +383,19 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-def _run_sweep_cell(args):
-    resolved, overrides, seed, threshold = args
+def _sweep_cell(resolved: dict, overrides, threshold: float, seed: int | None = None):
+    """The game and solver config of one sweep cell."""
     cell = copy.deepcopy(resolved)
     for path, value in overrides:
         _set_path(cell, path, value)
     cell["solver"]["stop_residual"] = threshold
     game = build_game(cell["game"])
-    config = build_solver_config(cell, game, seed_override=seed)
-    trace = run(game, config)
+    return game, build_solver_config(cell, game, seed_override=seed)
+
+
+def _run_sweep_cell(args):
+    resolved, overrides, seed, threshold = args
+    trace = run(*_sweep_cell(resolved, overrides, threshold, seed))
     return {
         "converged": trace.status == "converged",
         "iterations": trace.iterations,
@@ -417,13 +420,12 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
         threshold = float(exp["threshold"])
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))
-        # fail fast on bad grid paths before spawning workers
-        probe = copy.deepcopy(resolved)
-        for path, value in cells[0]:
-            _set_path(probe, path, value)
+        # fail fast: build every cell's game and solver config before any cell runs
+        for overrides in cells:
+            _sweep_cell(resolved, overrides, threshold)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ConfigurationError, ValueError, OSError) as err:
+    except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -392,44 +392,44 @@ class EeGame(GameModel):
 
     # -- GameModel interface --------------------------------------------------
 
+    def _received(self, i: int, actions, psi: float):
+        """Per subcarrier at receiver i: (H, K = H X_s H^dag, A = W + psi K), and the
+        sum of log det A - log det W over subcarriers.
+
+        A channel large enough to overflow leaves W or A non-finite, which fails
+        the definiteness check with DomainError; numpy's warnings about that
+        overflow are silenced here only.
+        """
+        out, total = [], 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, (w, xs) in enumerate(zip(self._mui(i, actions), self._blocks(actions[i]))):
+                h = self.channels.links[i, i, s]
+                k = h @ xs @ h.conj().T
+                a = w + psi * k
+                sign_a, logdet_a = np.linalg.slogdet(a)
+                sign_w, logdet_w = np.linalg.slogdet(w)
+                if not (sign_a.real > 0 and sign_w.real > 0):
+                    raise DomainError("received covariance lost definiteness")
+                total += float(logdet_a.real - logdet_w.real)
+                out.append((h, k, a))
+        return out, total
+
     def utility(self, i, actions) -> float:
-        x = np.asarray(actions[i])
-        tau = float(np.trace(x).real)
-        phi, psi = self._prefactors(tau)
-        mui = self._mui(i, actions)
-        total = 0.0
-        for s, (w, xs) in enumerate(zip(mui, self._blocks(x))):
-            h = self.channels.links[i, i, s]
-            a = w + psi * (h @ xs @ h.conj().T)
-            sign_a, logdet_a = np.linalg.slogdet(a)
-            sign_w, logdet_w = np.linalg.slogdet(w)
-            if not (sign_a.real > 0 and sign_w.real > 0):
-                raise DomainError("received covariance lost definiteness")
-            total += float(logdet_a.real - logdet_w.real)
-        return phi * total
+        phi, psi = self._prefactors(float(np.trace(np.asarray(actions[i])).real))
+        return phi * self._received(i, actions, psi)[1]
 
     def payoff_gradient(self, i, actions) -> np.ndarray:
-        x = np.asarray(actions[i])
-        tau = float(np.trace(x).real)
+        tau = float(np.trace(np.asarray(actions[i])).real)
         phi, psi = self._prefactors(tau)
         d = self.pc + (1.0 - tau) * self.pmax
         phi_slope = -self.pmax / (self.pc * (self.pc + self.pmax))
         psi_slope = self.pc * self.pmax * self.pmax / (d * d)
 
-        mui = self._mui(i, actions)
+        received, log_sum = self._received(i, actions, psi)
         m = self._m
         grad = np.zeros((m * self._s, m * self._s), dtype=complex)
-        log_sum = 0.0
         trace_sum = 0.0
-        for s, (w, xs) in enumerate(zip(mui, self._blocks(x))):
-            h = self.channels.links[i, i, s]
-            k = h @ xs @ h.conj().T
-            a = w + psi * k
-            sign_a, logdet_a = np.linalg.slogdet(a)
-            sign_w, logdet_w = np.linalg.slogdet(w)
-            if not (sign_a.real > 0 and sign_w.real > 0):
-                raise DomainError("received covariance lost definiteness")
-            log_sum += float(logdet_a.real - logdet_w.real)
+        for s, (h, k, a) in enumerate(received):
             a_inv_h = np.linalg.solve(a, h)
             trace_sum += float(np.trace(np.linalg.solve(a, k)).real)
             grad[s * m : (s + 1) * m, s * m : (s + 1) * m] = phi * psi * (h.conj().T @ a_inv_h)

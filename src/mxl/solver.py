@@ -1,13 +1,14 @@
 """Dual-score learning loop: gradient tracking, exponential projection, noise, traces.
 
-Each iteration adds a (possibly noisy) payoff gradient to a per-player score
-matrix and maps scores back to the feasible set through the stable exponential
-projection. There is one per-trajectory loop, `run_async`, for gradients that
-may be imperfect or obsolete; synchronous play (`run`) is its trivial schedule,
-where every player updates every epoch without delay. `mxl_step_stack` advances
-a stack of independent trajectories at once for the rate experiments. A single
-run is inherently sequential; concurrency across runs is achieved with
-independent RNG streams spawned from the master seed
+Each epoch adds a (possibly noisy, possibly obsolete) payoff gradient to a
+per-player score matrix and maps scores back to the feasible set through the
+stable exponential projection. One engine, `advance`, does this for a stack of
+trajectories that share one update schedule: `run_async` drives it with a
+stack of one, on random update sets and delays; synchronous play (`run`) is its
+trivial schedule, where every player updates every epoch without delay; the
+rate experiments drive it with one trajectory per seed. A single run is
+inherently sequential; concurrency across runs is achieved with independent RNG
+streams spawned from the master seed
 (SeedSequence(seed).spawn -> [noise stream, scheduling stream]).
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .spectral import (
     random_hermitian,
 )
 
-# Stacked runs draw each seed's standard normals for up to CHUNK_STEPS steps at
-# once, capped so one chunk of all seeds holds at most CHUNK_FLOATS floats
+# Stacked runs draw each seed's standard normals up to CHUNK_STEPS steps' worth
+# at once, capped so one chunk of all seeds holds at most CHUNK_FLOATS floats
 # (256 KiB); the chunk buffer is the only memory that grows with the seed count.
 CHUNK_STEPS = 1000
 CHUNK_FLOATS = 1 << 15
@@ -237,10 +237,15 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """Scores, their projected actions, and the index of the next step (1-based)."""
+    """A stack of trajectories sharing one update schedule.
+
+    Per player, `scores` and `actions` are (S, d, d) stacks; `counts` holds
+    each player's update count and `n` the index of the next epoch (1-based).
+    """
 
     scores: list
     actions: list
+    counts: list
     n: int = 1
 
 
@@ -302,7 +307,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def initial_state(game: GameModel, y0=None) -> SolverState:
+def initial_state(game: GameModel, y0=None, seeds: int = 1) -> SolverState:
+    """Scores y0 (zero by default) and their projections, stacked for `seeds` trajectories."""
     if y0 is None:
         scores = [np.zeros((p.domain.dim, p.domain.dim), dtype=complex) for p in game.players]
     else:
@@ -310,19 +316,23 @@ def initial_state(game: GameModel, y0=None) -> SolverState:
             raise ConfigurationError("y0 must provide one score matrix per player")
         scores = [hermitize(np.asarray(y, dtype=complex)) for y in y0]
     actions = [mirror_map(y, p.domain) for y, p in zip(scores, game.players)]
-    return SolverState(scores=scores, actions=actions, n=1)
+    return SolverState([np.repeat(y[None], seeds, axis=0) for y in scores],
+                       [np.repeat(x[None], seeds, axis=0) for x in actions],
+                       [0] * game.n_players)
 
 
 class SeedNoise:
     """Gradient noise for a stack of trajectories, each drawn from its own Generator.
 
-    When every step draws the same number of standard normals (noise `gaussian`
-    or `relative`, and a game that keeps the default `stochastic_gradient`, so
-    the gradient draws nothing), each seed's normals are drawn up to
-    CHUNK_STEPS steps at a time. A Generator yields the same stream however its
-    draws are grouped, so every perturbation equals the one `inject_noise`
-    would draw, bit for bit. Otherwise `inject_noise` runs seed by seed, after
-    each player's gradient, in the order of `run`.
+    When every update of a player draws the same number of standard normals
+    (noise `gaussian` or `relative`, and a game that keeps the default
+    `stochastic_gradient`, so the gradient draws nothing), each seed's normals
+    are drawn ahead, up to CHUNK_STEPS steps' worth at a time, and handed out
+    from a flat cursor in the order the players update. A Generator yields the
+    same stream however its draws are grouped, so every perturbation equals the
+    one `inject_noise` would draw, bit for bit, whichever players update.
+    Otherwise `inject_noise` runs seed by seed, right after each player's
+    gradient.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
@@ -330,26 +340,27 @@ class SeedNoise:
         self.chunked = (model.kind in ("gaussian", "relative")
                         and type(game).stochastic_gradient is GameModel.stochastic_gradient)
         self.layouts = [p.domain.blocks or (p.domain.dim,) for p in game.players]
-        self.offsets = [0, *accumulate(sum(2 * b * b for b in bs) for bs in self.layouts)]
-        width = self.offsets[-1]
+        self.widths = [sum(2 * b * b for b in bs) for bs in self.layouts]
+        width = sum(self.widths)
         chunk = max(1, min(CHUNK_STEPS, steps, CHUNK_FLOATS // max(len(self.rngs) * width, 1)))
-        self.buffer = np.empty((len(self.rngs), chunk if self.chunked else 0, width))
+        self.buffer = np.empty((len(self.rngs), chunk * width if self.chunked else 0))
         self.draws = self.buffer[:, :0]
-        self.remaining = steps
-        self.row = 0
+        self.pos = 0
+        self.remaining = steps * width  # no run of `steps` epochs uses more
 
-    def next_step(self) -> None:
-        """Move to the next step's draws, drawing a new chunk when one is used up."""
-        if not self.chunked:
-            return
-        self.row += 1
-        if self.row >= self.draws.shape[1]:
-            steps = min(self.buffer.shape[1], max(self.remaining, 1))
-            self.remaining -= steps
-            self.draws = self.buffer[:, :steps]
-            for rng, out in zip(self.rngs, self.draws):
+    def _next(self, count: int) -> np.ndarray:
+        """Every seed's next `count` normals, drawing ahead when the buffer runs short."""
+        if self.pos + count > self.draws.shape[1]:
+            left = self.draws.shape[1] - self.pos
+            self.buffer[:, :left] = self.draws[:, self.pos:]
+            fresh = min(self.buffer.shape[1] - left, self.remaining)
+            self.remaining -= fresh
+            self.draws = self.buffer[:, : left + fresh]
+            for rng, out in zip(self.rngs, self.draws[:, left:]):
                 rng.standard_normal(out=out)
-            self.row = 0
+            self.pos = 0
+        self.pos += count
+        return self.draws[:, self.pos - count : self.pos]
 
     def perturb(self, i: int, v: np.ndarray) -> np.ndarray:
         """Hermitian part of V + Z for player i's gradient stack V, one Z per seed."""
@@ -370,7 +381,7 @@ class SeedNoise:
             else:
                 norms = np.array([np.linalg.norm(vs) for vs in v])
             sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
-        draws = self.draws[:, self.row, self.offsets[i]:self.offsets[i + 1]]
+        draws = self._next(self.widths[i])
         z = np.zeros_like(v) if blocks is not None else None
         pos = start = 0
         for b in self.layouts[i]:
@@ -390,44 +401,83 @@ class SeedNoise:
         return hermitize(v + z)
 
 
-def initial_stack(game: GameModel, y0, seeds: int) -> SolverState:
-    """`initial_state` repeated along a leading axis of `seeds` trajectories."""
-    state = initial_state(game, y0)
-    return SolverState([np.repeat(y[None], seeds, axis=0) for y in state.scores],
-                       [np.repeat(x[None], seeds, axis=0) for x in state.actions])
+def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
+            noise: SeedNoise, steps: int, async_schedule: AsyncSchedule | None = None,
+            sched_rng: np.random.Generator | None = None):
+    """Advance every trajectory of `state` in place through epochs state.n..steps.
 
-
-def mxl_step_stack(game: GameModel, state: SolverState, schedule: StepSchedule,
-                   noise: SeedNoise) -> SolverState:
-    """One synchronous update of every trajectory of a stacked state at once.
-
-    Scores and actions are (seeds, d, d) stacks per player; trajectory s uses
-    only `noise.rngs[s]`, so it equals a sequential run on that Generator.
-    A non-finite gradient raises at the earliest step any trajectory reaches it.
+    Yields (n, gamma) after epoch n, gamma being the step size of the epoch's
+    last update (nan if nobody updated). Each epoch a set of players updates,
+    drawn from `sched_rng` unless the schedule is synchronous (the default).
+    Each updating player's gradient is evaluated at a profile whose per-player
+    components lag by independent uniform delays from {0..delay_max}, and
+    their step size is indexed by their own update count. All trajectories
+    share the update set, the delays and the counts; trajectory s draws only
+    from `noise.rngs[s]`. An epoch is committed, and counts for its players,
+    only once every updated score is finite: otherwise it raises
+    NonFiniteGradientError (for a non-finite gradient) or DomainError.
     """
-    gamma = schedule.at(state.n)
-    noise.next_step()
-    new_scores = []
-    for i in range(game.n_players):
-        v = game.gradient_stack(i, state.actions, noise.rngs)
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteGradientError(i, state.n)
-        new_scores.append(state.scores[i] + gamma * noise.perturb(i, v))
-    new_actions = [exp_projection(_check_scores(y, p.domain), p.domain)
-                   for y, p in zip(new_scores, game.players)]
-    return SolverState(new_scores, new_actions, state.n + 1)
+    schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
+    probs, d_max = schedule.probabilities, schedule.delay_max
+    weights = np.array(probs) / sum(probs)
+    everyone = range(game.n_players)
+    all_update = all(p == 1.0 for p in probs)
+    off_blocks = [_off_block_mask(p.domain) for p in game.players]
+    history = [tuple(state.actions)]  # history[k] is the profile k epochs ago
+    for n in range(state.n, steps + 1):
+        if schedule.mode == "single":
+            update_set = [int(sched_rng.choice(game.n_players, p=weights))]
+        elif all_update:
+            update_set = everyone
+        else:
+            update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
+        gamma = float("nan")
+        scores = []
+        for i in update_set:
+            if d_max == 0:
+                delayed = history[0]
+            else:
+                lags = sched_rng.integers(0, d_max + 1, size=game.n_players)
+                delayed = tuple(
+                    history[min(int(lag), len(history) - 1)][j] for j, lag in enumerate(lags)
+                )
+            v = game.gradient_stack(i, delayed, noise.rngs)
+            gamma = step_schedule.at(state.counts[i] + 1)
+            y = state.scores[i] + gamma * noise.perturb(i, v)
+            scores.append(_checked_score(y, v, off_blocks[i], i, n))
+        actions = [exp_projection(y, game.players[i].domain) for i, y in zip(update_set, scores)]
+        for i, y, x in zip(update_set, scores, actions):
+            state.scores[i], state.actions[i] = y, x
+            state.counts[i] += 1
+        state.n = n + 1
+        history.insert(0, tuple(state.actions))
+        del history[d_max + 1 :]
+        yield n, gamma
 
 
-def _check_scores(y: np.ndarray, domain) -> np.ndarray:
-    """The shape and block checks of `mirror_map`, for a stack of scores."""
-    if y.shape[1:] != (domain.dim, domain.dim):
-        raise DomainError(f"score shape {y.shape[1:]} does not match domain dim {domain.dim}")
-    if domain.blocks is not None:
-        off = np.ones((domain.dim, domain.dim), dtype=bool)
-        for sl in domain.block_slices():
-            off[sl, sl] = False
-        if np.max(np.linalg.norm(y[:, off], axis=-1)) > OFF_BLOCK_TOL:
-            raise DomainError("score must be block-diagonal for a block-structured domain")
+def _off_block_mask(domain) -> np.ndarray | None:
+    """The entries outside a block-structured domain's diagonal blocks (None without blocks)."""
+    if domain.blocks is None:
+        return None
+    off = np.ones((domain.dim, domain.dim), dtype=bool)
+    for sl in domain.block_slices():
+        off[sl, sl] = False
+    return off
+
+
+def _checked_score(y: np.ndarray, v: np.ndarray, off, i: int, n: int) -> np.ndarray:
+    """Player i's updated score stack at epoch n, once it is finite and block-diagonal.
+
+    A non-finite gradient V makes the score non-finite, so one check on the
+    score covers both; V is inspected only to name the cause. `off` is the
+    player's `_off_block_mask`.
+    """
+    if not np.isfinite(y).all():
+        if not np.isfinite(v).all():
+            raise NonFiniteGradientError(i, n)
+        raise DomainError("score has non-finite entries")
+    if off is not None and np.max(np.linalg.norm(y[:, off], axis=-1)) > OFF_BLOCK_TOL:
+        raise DomainError("score must be block-diagonal for a block-structured domain")
     return y
 
 
@@ -440,14 +490,12 @@ def profile_kl(game: GameModel, reference, actions) -> float:
     return total
 
 
-def _log_record(game, config, state, gamma, n):
-    residual = nash_residual(game, state.actions)
-    for spec, x in zip(game.players, state.actions):
-        spec.domain.require_member(x, name=f"logged action of player {spec.pid}")
-    utilities = tuple(game.utility(i, state.actions) for i in range(game.n_players))
+def _log_record(game, config, actions, gamma, n):
+    residual = nash_residual(game, actions)
+    utilities = tuple(game.utility(i, actions) for i in range(game.n_players))
     kl = None
     if config.reference_point is not None:
-        kl = profile_kl(game, config.reference_point, state.actions)
+        kl = profile_kl(game, config.reference_point, actions)
     return TraceRecord(n, gamma, utilities, residual, kl)
 
 
@@ -461,89 +509,33 @@ def run(game: GameModel, config: SolverConfig) -> RunTrace:
 
 
 def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedule) -> RunTrace:
-    """Iterate the recursion until the residual target or max_iters.
+    """One trajectory: `advance` on a stack of one, until the residual target or max_iters.
 
-    Each epoch a random set of players updates. Gradients are evaluated at a
-    profile whose per-player components are delayed by independent uniform
-    lags from {0..delay_max}; each updating player uses the step size indexed
-    by their own update count. An epoch counts for its players only once every
-    gradient in it is finite. The stopping residual is evaluated on noiseless
-    gradients at every logging checkpoint. A non-finite gradient, or a game or
-    domain error, ends the run with status "diverged" and a diagnostic.
+    The stopping residual is evaluated on noiseless gradients at every logging
+    checkpoint. A non-finite gradient or score, a game or domain error, or an
+    eigensolver failure ends the run with status "diverged" and the error's
+    message as diagnostic; the aborted epoch counts for no player.
     Deterministic for a fixed config and seed.
     """
     if len(async_schedule.probabilities) != game.n_players:
         raise ConfigurationError("async schedule must list one probability per player")
     if async_schedule.delay_max >= config.max_iters:
         raise ConfigurationError("delay_max must be smaller than max_iters")
-    probs = async_schedule.probabilities
-    d_max = async_schedule.delay_max
-    all_update = all(p == 1.0 for p in probs)
-
-    noise_rng, sched_rng = _spawn_streams(config.seed)
+    noise_rng, sched_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     state = initial_state(game, config.y0)
-    history = [tuple(state.actions)]  # history[k] is the profile k epochs ago
-    counts = [0] * game.n_players
+    noise = SeedNoise(game, config.noise, [noise_rng], config.max_iters)
     records: list[TraceRecord] = []
-    status = "max_iters"
-    iterations = config.max_iters
-    diagnostic = None
+    status, diagnostic = "max_iters", None
     try:
-        for n in range(1, config.max_iters + 1):
-            if async_schedule.mode == "single":
-                weights = np.array(probs) / sum(probs)
-                update_set = [int(sched_rng.choice(game.n_players, p=weights))]
-            elif all_update:
-                update_set = list(range(game.n_players))
-            else:
-                update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
-            estimates = []
-            for i in update_set:
-                if d_max == 0:
-                    delayed = history[0]
-                else:
-                    lags = sched_rng.integers(0, d_max + 1, size=game.n_players)
-                    delayed = tuple(
-                        history[min(int(lag), len(history) - 1)][j]
-                        for j, lag in enumerate(lags)
-                    )
-                v = game.stochastic_gradient(i, delayed, noise_rng)
-                if not np.all(np.isfinite(v)):
-                    raise NonFiniteGradientError(i, n)
-                estimates.append(hermitize(
-                    inject_noise(v, config.noise, noise_rng, blocks=game.players[i].domain.blocks)
-                ))
-            gamma = float("nan")
-            for i, vhat in zip(update_set, estimates):
-                counts[i] += 1
-                gamma = config.schedule.at(counts[i])
-                state.scores[i] = state.scores[i] + gamma * vhat
-                state.actions[i] = mirror_map(state.scores[i], game.players[i].domain)
-            state.n = n + 1
-            history.insert(0, tuple(state.actions))
-            del history[d_max + 1 :]
+        for n, gamma in advance(game, state, config.schedule, noise, config.max_iters,
+                                async_schedule, sched_rng):
             if n % config.log_every == 0 or n == config.max_iters:
-                rec = _log_record(game, config, state, gamma, n)
-                records.append(rec)
-                if rec.nash_residual <= config.stop_residual:
+                records.append(_log_record(game, config, [a[0] for a in state.actions], gamma, n))
+                if records[-1].nash_residual <= config.stop_residual:
                     status = "converged"
-                    iterations = n
                     break
-    except (NonFiniteGradientError, DomainError) as err:
-        status = "diverged"
-        iterations = state.n - 1
-        diagnostic = str(err)
-    return RunTrace(
-        records,
-        status,
-        iterations,
-        config.seed,
-        tuple(np.array(x) for x in state.actions),
-        tuple(counts),
-        diagnostic=diagnostic,
-    )
-
-
-def _spawn_streams(seed: int):
-    children = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(children[0]), np.random.default_rng(children[1])
+    except (NonFiniteGradientError, DomainError, np.linalg.LinAlgError) as err:
+        status, diagnostic = "diverged", str(err)
+    return RunTrace(records, status, state.n - 1, config.seed,
+                    tuple(a[0].copy() for a in state.actions), tuple(state.counts),
+                    diagnostic=diagnostic)

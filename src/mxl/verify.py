@@ -10,9 +10,9 @@ from .games import GameModel, nash_residual
 from .solver import (
     SeedNoise,
     SolverConfig,
-    initial_stack,
+    advance,
+    initial_state,
     inject_noise,
-    mxl_step_stack,
     profile_kl,
 )
 from .spectral import dual_norm, hermitize, nuclear_norm, trace_inner
@@ -240,9 +240,10 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
                     b_hat: float | None = None, v_bound: float | None = None) -> RateFit:
     """Average `metric` over independent trajectories at the checkpoints and fit a slope.
 
-    All trajectories advance together as (seeds, d, d) stacks, trajectory s on
-    its own Generator spawned from the config seed, so every value equals that
-    of a per-seed loop of the same update.
+    All trajectories advance together through the solver's engine as one stack
+    on the synchronous schedule, trajectory s on its own Generator spawned from
+    the config seed, so every value equals that of a per-seed loop of the same
+    update.
 
     With b_hat and v_bound supplied and a gamma/n step sequence, the explicit
     divergence bound gamma^2 V^2 / ((B gamma - 1) n) is evaluated pointwise;
@@ -261,11 +262,10 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     table = np.zeros((seeds, len(checkpoints)))
     rngs = [np.random.default_rng(child)
             for child in np.random.SeedSequence(config_template.seed).spawn(seeds)]
-    state = initial_stack(game, config_template.y0, seeds)
+    state = initial_state(game, config_template.y0, seeds)
     noise = SeedNoise(game, config_template.noise, rngs, checkpoints[-1])
     marks = {c: idx for idx, c in enumerate(checkpoints)}
-    for n in range(1, checkpoints[-1] + 1):
-        state = mxl_step_stack(game, state, config_template.schedule, noise)
+    for n, _ in advance(game, state, config_template.schedule, noise, checkpoints[-1]):
         if n in marks:
             for s in range(seeds):
                 actions = [a[s] for a in state.actions]

@@ -141,6 +141,15 @@ class TestRun:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_delay_not_below_horizon_one_line_error(self, tmp_path, capsys):
+        payload = mac_payload(max_iters=5)
+        payload["async"] = {"probabilities": [0.5, 0.5], "delay_max": 5}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: delay_max must be smaller than max_iters\n"
+
     def test_non_finite_channel_fixture_one_line_error(self, tmp_path, capsys):
         cfg = ee_fixture_cfg(tmp_path, float("nan"))
         out = tmp_path / "out"
@@ -161,7 +170,7 @@ class TestRun:
             [sys.executable, *flags, "-m", "mxl.cli", "run", cfg, "--out", str(out), "--quiet"],
             capture_output=True, text=True, env=env, timeout=120, check=False)
         assert proc.returncode == EXIT_ERROR
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "diverged"
         assert "definiteness" in summary["diagnostic"]
@@ -369,6 +378,18 @@ class TestSweep:
         payload["experiment"] = {"mode": "sweep", "grid": {}}
         cfg = write_cfg(tmp_path, payload)
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
+
+    def test_bad_grid_value_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch):
+        payload = mac_payload()
+        payload["experiment"] = {"mode": "sweep", "seeds": 2,
+                                 "grid": {"solver.schedule.exponent": [0.5, 1.5]}}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        monkeypatch.setattr(mxl.cli, "run", lambda *args: pytest.fail("a cell ran"))
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
 
     def test_bad_grid_path_rejected(self, tmp_path):
         payload = mac_payload()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mxl.families import MacGame, scalar_profile
+from mxl.families import EeGame, MacGame, scalar_profile, synth_channels
 from mxl.games import LinearGame, ZeroGame, nash_residual
 from mxl.solver import (
     AsyncSchedule,
@@ -18,7 +18,7 @@ from mxl.solver import (
     run,
     run_async,
 )
-from mxl.spectral import Spectrahedron, hermiticity_defect, nuclear_norm
+from mxl.spectral import Spectrahedron, hermiticity_defect, hermitize, mirror_map, nuclear_norm
 
 # frozen Monte-Carlo oracle values for E||Z||_*^2 of the Gaussian Hermitian
 # draw at sigma=1 (2e5 independent draws, seed 123456; see the noise tests)
@@ -235,10 +235,19 @@ def test_diverged_status_on_non_finite_gradient():
     assert "non-finite" in trace.diagnostic
 
 
-@pytest.mark.parametrize("schedule", [None, AsyncSchedule((1.0, 1.0))])
-def test_aborted_epoch_counts_for_no_player(schedule):
-    class LateNaN(LinearGame):
-        """Player 2's gradient turns NaN at iteration 4; player 1's stays finite."""
+NAN_AT_4 = "non-finite gradient for player 2 at iteration 4"
+EIG_FAILED = "Eigenvalues did not converge"
+
+
+@pytest.mark.parametrize("schedule, diagnostic", [
+    pytest.param(None, NAN_AT_4, id="None"),
+    pytest.param(AsyncSchedule((1.0, 1.0)), NAN_AT_4, id="schedule1"),
+    pytest.param(None, EIG_FAILED, id="eigensolver-run"),
+    pytest.param(AsyncSchedule((1.0, 1.0)), EIG_FAILED, id="eigensolver-run_async"),
+])
+def test_aborted_epoch_counts_for_no_player(schedule, diagnostic):
+    class LateFailure(LinearGame):
+        """Player 2's gradient fails at iteration 4 (NaN or LinAlgError); player 1's stays finite."""
 
         def __init__(self):
             super().__init__([np.array([[1.0]]), np.array([[1.0]])])
@@ -246,16 +255,108 @@ def test_aborted_epoch_counts_for_no_player(schedule):
 
         def payoff_gradient(self, i, actions):
             self.calls[i] += 1
-            bad = i == 1 and self.calls[i] == 4
-            return np.array([[np.nan if bad else 1.0]], dtype=complex)
+            if i == 1 and self.calls[i] == 4:
+                if diagnostic == EIG_FAILED:
+                    raise np.linalg.LinAlgError(EIG_FAILED)
+                return np.array([[np.nan]], dtype=complex)
+            return np.array([[1.0]], dtype=complex)
 
     cfg = SolverConfig(StepSchedule.constant(0.1), max_iters=10, log_every=5)
-    game = LateNaN()
+    game = LateFailure()
     trace = run(game, cfg) if schedule is None else run_async(game, cfg, schedule)
     assert trace.status == "diverged"
-    assert trace.diagnostic == "non-finite gradient for player 2 at iteration 4"
+    assert trace.diagnostic == diagnostic
     assert trace.iterations == 3
     assert trace.updates_per_player == (3, 3)
+
+
+def test_non_finite_score_diverges_with_finite_actions():
+    # the score grows by 1e307 per step and overflows at step 18
+    game = LinearGame([np.diag([1e307, 0.0])])
+    cfg = SolverConfig(StepSchedule.constant(1.0), max_iters=50, log_every=50)
+    with np.errstate(over="ignore"):
+        trace = run(game, cfg)
+    assert trace.status == "diverged"
+    assert trace.diagnostic == "score has non-finite entries"
+    assert trace.iterations == 17 and trace.updates_per_player == (17,)
+    x = trace.final_actions[0]
+    assert np.all(np.isfinite(x)) and game.players[0].domain.contains(x)
+
+
+def reference_run_async(game, cfg, schedule):
+    """One 2-D trajectory with per-player counts and delays, in the solver's order of draws.
+
+    Returns the logged (n, utilities, residual) rows, the final actions and the
+    update counts. Uses `stochastic_gradient`, `inject_noise`, `hermitize` and
+    `mirror_map` one player at a time, so no draw is batched or buffered.
+    """
+    noise_seq, sched_seq = np.random.SeedSequence(cfg.seed).spawn(2)
+    noise_rng, sched_rng = np.random.default_rng(noise_seq), np.random.default_rng(sched_seq)
+    probs, d_max = schedule.probabilities, schedule.delay_max
+    scores = [np.zeros((p.domain.dim, p.domain.dim), dtype=complex) for p in game.players]
+    actions = [mirror_map(y, p.domain) for y, p in zip(scores, game.players)]
+    history = [tuple(actions)]
+    counts = [0] * game.n_players
+    rows = []
+    for n in range(1, cfg.max_iters + 1):
+        if schedule.mode == "single":
+            weights = np.array(probs) / sum(probs)
+            update_set = [int(sched_rng.choice(game.n_players, p=weights))]
+        else:
+            update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
+        estimates = []
+        for i in update_set:
+            lags = (sched_rng.integers(0, d_max + 1, size=game.n_players) if d_max
+                    else [0] * game.n_players)
+            delayed = tuple(history[min(int(lag), len(history) - 1)][j]
+                            for j, lag in enumerate(lags))
+            v = game.stochastic_gradient(i, delayed, noise_rng)
+            blocks = game.players[i].domain.blocks
+            estimates.append(hermitize(inject_noise(v, cfg.noise, noise_rng, blocks=blocks)))
+        for i, vhat in zip(update_set, estimates):
+            counts[i] += 1
+            scores[i] = scores[i] + cfg.schedule.at(counts[i]) * vhat
+            actions[i] = mirror_map(scores[i], game.players[i].domain)
+        history.insert(0, tuple(actions))
+        del history[d_max + 1 :]
+        if n % cfg.log_every == 0:
+            utilities = tuple(game.utility(i, actions) for i in range(game.n_players))
+            rows.append((n, utilities, nash_residual(game, actions)))
+    return rows, actions, tuple(counts)
+
+
+def _ee_small():
+    return EeGame(synth_channels(2, 2, 2, 2, pathloss_spread=1.0, seed=9), pmax=2.0, pc=0.1)
+
+
+# name: (game, noise, async schedule, max_iters). Bernoulli update sets vary per
+# epoch, so the buffered noise must be handed out in update order to match.
+ASYNC_CASES = {
+    "bernoulli_hermitian": (mac_game, NoiseModel.gaussian_hermitian(0.3),
+                            AsyncSchedule((0.5, 0.7), delay_max=3), 2500),
+    "bernoulli_raw_no_delay": (mac_game, NoiseModel.gaussian_hermitian(0.3, hermitian=False),
+                               AsyncSchedule((0.5, 0.7)), 2500),
+    "single_hermitian": (mac_game, NoiseModel.gaussian_hermitian(0.3),
+                         AsyncSchedule((0.5, 0.9), delay_max=2, mode="single"), 2500),
+    "single_raw": (mac_game, NoiseModel.gaussian_hermitian(0.3, hermitian=False),
+                   AsyncSchedule((0.5, 0.9), delay_max=2, mode="single"), 2500),
+    "ee_bernoulli_relative_blocks": (_ee_small, NoiseModel.relative(0.5),
+                                     AsyncSchedule((0.6, 0.8), delay_max=2), 120),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASYNC_CASES))
+def test_run_async_equals_per_trajectory_reference(name):
+    make, noise, schedule, max_iters = ASYNC_CASES[name]
+    game = make()
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.6), noise, max_iters=max_iters,
+                       stop_residual=0.0, seed=17, log_every=max_iters // 5)
+    trace = run_async(game, cfg, schedule)
+    rows, actions, counts = reference_run_async(game, cfg, schedule)
+    assert trace.status == "max_iters"
+    assert [(r.n, r.utilities, r.nash_residual) for r in trace.records] == rows
+    assert all(np.array_equal(a, b) for a, b in zip(trace.final_actions, actions))
+    assert trace.updates_per_player == counts
 
 
 def test_profile_kl_rescales_by_trace_bound():
@@ -268,7 +369,7 @@ def test_y0_override():
     game = mac_game()
     y0 = scalar_profile([2.0, 2.0])
     state = initial_state(game, y0)
-    x = float(state.actions[0][0, 0].real)
+    x = float(state.actions[0][0, 0, 0].real)
     assert x == pytest.approx(math.exp(2) / (1 + math.exp(2)), rel=1e-12)
 
 

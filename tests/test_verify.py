@@ -168,11 +168,12 @@ def sequential_rate(game, xstar, cfg, seeds, checkpoints, metric):
     for s, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(seeds)):
         rng = np.random.default_rng(child)
         state = initial_state(game, cfg.y0)
+        scores, actions = [y[0] for y in state.scores], [x[0] for x in state.actions]
         for n in range(1, checkpoints[-1] + 1):
-            state.scores, state.actions = sequential_step(
-                game, state.scores, state.actions, cfg.schedule.at(n), n, cfg.noise, rng)
+            scores, actions = sequential_step(
+                game, scores, actions, cfg.schedule.at(n), n, cfg.noise, rng)
             if n in checkpoints:
-                table[s, checkpoints.index(n)] = _profile_metric(game, xstar, state.actions, metric)
+                table[s, checkpoints.index(n)] = _profile_metric(game, xstar, actions, metric)
     means, stderrs, slope, _ = _fit_table(table, checkpoints)
     return tuple(float(v) for v in means), tuple(float(v) for v in stderrs), slope
 
