@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from itertools import product
 from pathlib import Path
 
@@ -38,7 +39,6 @@ from .solver import (
     SolverConfig,
     StepSchedule,
     _fmt,
-    run,
     run_async,
 )
 from .verify import (
@@ -89,9 +89,8 @@ _GAME_DEFAULTS = {
 }
 
 _SOLVER_DEFAULTS = {
-    "schedule": {"kind": "power_law", "gamma0": 1.0, "exponent": 0.5, "stability": 1.0},
-    "noise": {"kind": "none", "sigma": 0.0, "level": 0.0, "tail_index": 1.5, "scale": 1.0,
-              "hermitian": True},
+    "schedule": asdict(StepSchedule()),
+    "noise": asdict(NoiseModel()),
     "max_iters": 5000,
     "stop_residual": 1e-6,
     "seed": 1,
@@ -231,16 +230,20 @@ def build_solver_config(resolved: dict, game, seed_override: int | None = None,
     )
 
 
-def _build_async(resolved: dict, game) -> AsyncSchedule:
-    """The config's async schedule; without an `async` section, the trivial one (sync play)."""
+def _build_run(resolved: dict, seed: int | None = None, oracle=None):
+    """The game, solver config and async schedule of one run, checked before it starts.
+
+    Without an `async` section the schedule is the trivial one (synchronous play).
+    """
+    game = build_game(resolved["game"])
+    config = build_solver_config(resolved, game, seed_override=seed, oracle=oracle)
     cfg = resolved.get("async", _ASYNC_DEFAULTS)
     probs = cfg["probabilities"]
     if probs is None:
         probs = [1.0] * game.n_players
-    if len(probs) != game.n_players:
-        raise ConfigError("async.probabilities must list one entry per player")
-    return AsyncSchedule(tuple(float(p) for p in probs), delay_max=int(cfg["delay_max"]),
-                         mode=cfg["mode"])
+    schedule = AsyncSchedule(tuple(float(p) for p in probs), delay_max=int(cfg["delay_max"]),
+                             mode=cfg["mode"])
+    return game, config, schedule.check(game.n_players, config.max_iters)
 
 
 def _write_plot_data(trace, out_dir: Path) -> None:
@@ -260,9 +263,7 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None, quiet: bool
         resolved = load_config(config_path)
         if resolved["experiment"]["mode"] != "run":
             raise ConfigError("cmd_run requires experiment.mode == 'run'")
-        game = build_game(resolved["game"])
-        config = build_solver_config(resolved, game, seed_override=seed)
-        trace = run_async(game, config, _build_async(resolved, game))
+        trace = run_async(*_build_run(resolved, seed))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
@@ -343,6 +344,8 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None = None,
         mode = resolved["experiment"]["mode"]
         if mode not in ("stability", "rate"):
             raise ConfigError("cmd_verify requires experiment.mode in {'stability', 'rate'}")
+        if "async" in resolved:
+            raise ConfigError("mxl verify runs synchronous play only; remove the async section")
         if seed is not None:
             resolved["solver"]["seed"] = int(seed)
         game = build_game(resolved["game"])
@@ -383,19 +386,18 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-def _sweep_cell(resolved: dict, overrides, threshold: float, seed: int | None = None):
-    """The game and solver config of one sweep cell."""
+def _sweep_cell(resolved: dict, overrides, threshold: float) -> dict:
+    """The resolved config of one sweep cell."""
     cell = copy.deepcopy(resolved)
     for path, value in overrides:
         _set_path(cell, path, value)
     cell["solver"]["stop_residual"] = threshold
-    game = build_game(cell["game"])
-    return game, build_solver_config(cell, game, seed_override=seed)
+    return cell
 
 
 def _run_sweep_cell(args):
-    resolved, overrides, seed, threshold = args
-    trace = run(*_sweep_cell(resolved, overrides, threshold, seed))
+    resolved, overrides, seed, threshold, oracle = args
+    trace = run_async(*_build_run(_sweep_cell(resolved, overrides, threshold), seed, oracle))
     return {
         "converged": trace.status == "converged",
         "iterations": trace.iterations,
@@ -420,9 +422,10 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
         threshold = float(exp["threshold"])
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))
-        # fail fast: build every cell's game and solver config before any cell runs
-        for overrides in cells:
-            _sweep_cell(resolved, overrides, threshold)
+        # fail fast: build every cell's run before any cell runs, keeping each
+        # cell's oracle reference point (None without one) for its seeds
+        oracles = [_build_run(_sweep_cell(resolved, overrides, threshold))[1].reference_point
+                   for overrides in cells]
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
@@ -432,7 +435,8 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
     tasks = []
     for cell_idx, overrides in enumerate(cells):
         for s in range(n_seeds):
-            tasks.append((resolved, list(overrides), base_seed + 1000 * cell_idx + s, threshold))
+            tasks.append((resolved, list(overrides), base_seed + 1000 * cell_idx + s, threshold,
+                          oracles[cell_idx]))
 
     workers = int(os.environ.get("MXL_WORKERS", "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:

@@ -352,15 +352,14 @@ class EeGame(GameModel):
         self.pmax = float(pmax)
         self.pc = float(pc)
         m, s = channels.n_tx, channels.n_subcarriers
-        self._m, self._s = m, s
-        dims = [Spectrahedron(m * s, 1.0, blocks=(m,) * s) for _ in range(channels.n_users)]
-        super().__init__(dims)
+        self._domain = Spectrahedron(m * s, 1.0, blocks=(m,) * s)
+        super().__init__([self._domain] * channels.n_users)
 
     # -- helpers ------------------------------------------------------------
 
     def _blocks(self, x) -> list[np.ndarray]:
-        m = self._m
-        return [np.asarray(x)[s * m : (s + 1) * m, s * m : (s + 1) * m] for s in range(self._s)]
+        x = np.asarray(x)
+        return [x[sl, sl] for sl in self._domain.slices]
 
     def _prefactors(self, tau: float) -> tuple[float, float]:
         d = self.pc + (1.0 - tau) * self.pmax
@@ -371,7 +370,7 @@ class EeGame(GameModel):
     def _mui(self, i: int, actions) -> list[np.ndarray]:
         """Interference-plus-noise covariance per subcarrier at receiver i."""
         n_rx = self.channels.n_rx
-        w = [np.eye(n_rx, dtype=complex) for _ in range(self._s)]
+        w = [np.eye(n_rx, dtype=complex) for _ in range(self.channels.n_subcarriers)]
         for j in range(self.n_players):
             if j == i:
                 continue
@@ -426,15 +425,15 @@ class EeGame(GameModel):
         psi_slope = self.pc * self.pmax * self.pmax / (d * d)
 
         received, log_sum = self._received(i, actions, psi)
-        m = self._m
-        grad = np.zeros((m * self._s, m * self._s), dtype=complex)
+        dim = self._domain.dim
+        grad = np.zeros((dim, dim), dtype=complex)
         trace_sum = 0.0
-        for s, (h, k, a) in enumerate(received):
+        for sl, (h, k, a) in zip(self._domain.slices, received):
             a_inv_h = np.linalg.solve(a, h)
             trace_sum += float(np.trace(np.linalg.solve(a, k)).real)
-            grad[s * m : (s + 1) * m, s * m : (s + 1) * m] = phi * psi * (h.conj().T @ a_inv_h)
+            grad[sl, sl] = phi * psi * (h.conj().T @ a_inv_h)
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
-        grad = grad + scalar * np.eye(m * self._s, dtype=complex)
+        grad = grad + scalar * np.eye(dim, dtype=complex)
         return hermitize(grad)
 
     # -- physical-coordinate oracles ------------------------------------------
@@ -460,7 +459,7 @@ class EeGame(GameModel):
 
 def uniform_baseline(game: EeGame):
     """Half-power covariances spread evenly over antennas and subcarriers."""
-    m, s = game._m, game._s
-    q = (game.pmax / 2.0) / (m * s) * np.eye(m * s, dtype=complex)
+    dim = game._domain.dim
+    q = (game.pmax / 2.0) / dim * np.eye(dim, dtype=complex)
     x = transform_q_to_x(q, game.pc, game.pmax)
     return tuple(x.copy() for _ in range(game.n_players))

@@ -8,7 +8,7 @@ is only a display label for traces and reports.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,7 +119,6 @@ class StabilityReport:
     worst_value: float = float("-inf")
     hessian_max_quadform: float | None = None
     radius: float | None = None
-    extras: dict = field(default_factory=dict)
 
     def passed(self) -> bool:
         return self.violations == 0
@@ -137,7 +136,6 @@ class StabilityReport:
             out["hessian_max_quadform"] = self.hessian_max_quadform
         if self.radius is not None:
             out["radius"] = self.radius
-        out.update(self.extras)
         return out
 
 

@@ -61,9 +61,9 @@ class StepSchedule:
     kinds: power_law gamma0/n^a with a in (0, 1]; optimized 2/(B n); constant.
     """
 
-    kind: str
+    kind: str = "power_law"
     gamma0: float = 1.0
-    exponent: float = 1.0
+    exponent: float = 0.5
     stability: float = 1.0
 
     def __post_init__(self):
@@ -214,6 +214,14 @@ class AsyncSchedule:
         if self.mode not in ("bernoulli", "single"):
             raise ConfigurationError(f"unknown async mode {self.mode!r}")
 
+    def check(self, n_players: int, max_iters: int) -> "AsyncSchedule":
+        """This schedule, once it lists one probability per player and delays below max_iters."""
+        if len(self.probabilities) != n_players:
+            raise ConfigurationError("async schedule must list one probability per player")
+        if self.delay_max >= max_iters:
+            raise ConfigurationError("delay_max must be smaller than max_iters")
+        return self
+
 
 @dataclass
 class SolverConfig:
@@ -339,8 +347,8 @@ class SeedNoise:
         self.game, self.model, self.rngs = game, model, list(rngs)
         self.chunked = (model.kind in ("gaussian", "relative")
                         and type(game).stochastic_gradient is GameModel.stochastic_gradient)
-        self.layouts = [p.domain.blocks or (p.domain.dim,) for p in game.players]
-        self.widths = [sum(2 * b * b for b in bs) for bs in self.layouts]
+        self.widths = [sum(2 * (sl.stop - sl.start) ** 2 for sl in p.domain.slices)
+                       for p in game.players]
         width = sum(self.widths)
         chunk = max(1, min(CHUNK_STEPS, steps, CHUNK_FLOATS // max(len(self.rngs) * width, 1)))
         self.buffer = np.empty((len(self.rngs), chunk * width if self.chunked else 0))
@@ -367,10 +375,10 @@ class SeedNoise:
         model = self.model
         if model.kind == "none":
             return hermitize(v)
-        blocks = self.game.players[i].domain.blocks
+        domain = self.game.players[i].domain
         if not self.chunked:
             return hermitize(np.stack([
-                inject_noise(vs, model, rng, blocks=blocks) for vs, rng in zip(v, self.rngs)
+                inject_noise(vs, model, rng, blocks=domain.blocks) for vs, rng in zip(v, self.rngs)
             ]))
         dim = v.shape[-1]
         sigma = model.sigma
@@ -382,9 +390,10 @@ class SeedNoise:
                 norms = np.array([np.linalg.norm(vs) for vs in v])
             sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
         draws = self._next(self.widths[i])
-        z = np.zeros_like(v) if blocks is not None else None
-        pos = start = 0
-        for b in self.layouts[i]:
+        z = np.zeros_like(v) if len(domain.slices) > 1 else None
+        pos = 0
+        for sl in domain.slices:
+            b = sl.stop - sl.start
             re = draws[:, pos : pos + b * b].reshape(-1, b, b)
             im = draws[:, pos + b * b : pos + 2 * b * b].reshape(-1, b, b)
             pos += 2 * b * b
@@ -396,8 +405,7 @@ class SeedNoise:
             if z is None:
                 z = zb
             else:
-                z[:, start : start + b, start : start + b] = zb
-            start += b
+                z[:, sl, sl] = zb
         return hermitize(v + z)
 
 
@@ -422,7 +430,6 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     weights = np.array(probs) / sum(probs)
     everyone = range(game.n_players)
     all_update = all(p == 1.0 for p in probs)
-    off_blocks = [_off_block_mask(p.domain) for p in game.players]
     history = [tuple(state.actions)]  # history[k] is the profile k epochs ago
     for n in range(state.n, steps + 1):
         if schedule.mode == "single":
@@ -443,8 +450,10 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
                 )
             v = game.gradient_stack(i, delayed, noise.rngs)
             gamma = step_schedule.at(state.counts[i] + 1)
-            y = state.scores[i] + gamma * noise.perturb(i, v)
-            scores.append(_checked_score(y, v, off_blocks[i], i, n))
+            # an overflow or NaN here leaves a non-finite score, which _checked_score reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = state.scores[i] + gamma * noise.perturb(i, v)
+            scores.append(_checked_score(y, v, game.players[i].domain, i, n))
         actions = [exp_projection(y, game.players[i].domain) for i, y in zip(update_set, scores)]
         for i, y, x in zip(update_set, scores, actions):
             state.scores[i], state.actions[i] = y, x
@@ -455,28 +464,17 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
         yield n, gamma
 
 
-def _off_block_mask(domain) -> np.ndarray | None:
-    """The entries outside a block-structured domain's diagonal blocks (None without blocks)."""
-    if domain.blocks is None:
-        return None
-    off = np.ones((domain.dim, domain.dim), dtype=bool)
-    for sl in domain.block_slices():
-        off[sl, sl] = False
-    return off
-
-
-def _checked_score(y: np.ndarray, v: np.ndarray, off, i: int, n: int) -> np.ndarray:
+def _checked_score(y: np.ndarray, v: np.ndarray, domain, i: int, n: int) -> np.ndarray:
     """Player i's updated score stack at epoch n, once it is finite and block-diagonal.
 
     A non-finite gradient V makes the score non-finite, so one check on the
-    score covers both; V is inspected only to name the cause. `off` is the
-    player's `_off_block_mask`.
+    score covers both; V is inspected only to name the cause.
     """
     if not np.isfinite(y).all():
         if not np.isfinite(v).all():
             raise NonFiniteGradientError(i, n)
         raise DomainError("score has non-finite entries")
-    if off is not None and np.max(np.linalg.norm(y[:, off], axis=-1)) > OFF_BLOCK_TOL:
+    if domain.off_block_mass(y) > OFF_BLOCK_TOL:
         raise DomainError("score must be block-diagonal for a block-structured domain")
     return y
 
@@ -517,10 +515,7 @@ def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedu
     message as diagnostic; the aborted epoch counts for no player.
     Deterministic for a fixed config and seed.
     """
-    if len(async_schedule.probabilities) != game.n_players:
-        raise ConfigurationError("async schedule must list one probability per player")
-    if async_schedule.delay_max >= config.max_iters:
-        raise ConfigurationError("delay_max must be smaller than max_iters")
+    async_schedule.check(game.n_players, config.max_iters)
     noise_rng, sched_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
     state = initial_state(game, config.y0)
     noise = SeedNoise(game, config.noise, [noise_rng], config.max_iters)

@@ -7,7 +7,7 @@ symmetrisation is never silent (call :func:`hermitize` explicitly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -122,40 +122,43 @@ class Spectrahedron:
     """Feasible set {X >= 0, nuclear norm <= trace_bound}, optionally block-diagonal.
 
     `blocks`, when given, lists block sizes that must sum to `dim`; members are
-    block-diagonal to within a tiny off-block mass.
+    block-diagonal to within a tiny off-block mass. Derived once: `slices`, the
+    diagonal blocks' index ranges, and `off_block`, the entries outside them.
     """
 
     dim: int
     trace_bound: float = 1.0
     blocks: tuple[int, ...] | None = None
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    off_block: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if not (self.trace_bound > 0):
             raise ValueError("trace_bound must be positive")
+        off = None
         if self.blocks is not None:
             blocks = tuple(int(b) for b in self.blocks)
             if any(b < 1 for b in blocks) or sum(blocks) != self.dim:
                 raise ValueError(f"blocks {blocks} must be positive and sum to dim={self.dim}")
             object.__setattr__(self, "blocks", blocks)
-
-    def block_slices(self) -> list[slice]:
-        sizes = self.blocks if self.blocks is not None else (self.dim,)
-        edges = np.concatenate([[0], np.cumsum(sizes)])
-        return [slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:])]
+            owner = np.repeat(np.arange(len(blocks)), blocks)  # the block of each index
+            off = owner[:, None] != owner
+            off.flags.writeable = False
+        edges = np.cumsum((0, *(self.blocks or (self.dim,)))).tolist()
+        object.__setattr__(self, "slices", tuple(map(slice, edges[:-1], edges[1:])))
+        object.__setattr__(self, "off_block", off)
 
     def center(self) -> np.ndarray:
         """The exponential-projection image of a zero score: A/(dim+1) * I."""
         return np.eye(self.dim, dtype=complex) * (self.trace_bound / (self.dim + 1))
 
     def off_block_mass(self, x: np.ndarray) -> float:
-        if self.blocks is None:
+        """Largest Frobenius mass outside the diagonal blocks over a stack (..., dim, dim)."""
+        if self.off_block is None:
             return 0.0
-        resid = np.array(x, dtype=complex, copy=True)
-        for sl in self.block_slices():
-            resid[sl, sl] = 0.0
-        return float(np.linalg.norm(resid))
+        return float(np.max(np.linalg.norm(np.asarray(x)[..., self.off_block], axis=-1)))
 
     def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x)
@@ -177,40 +180,32 @@ class Spectrahedron:
             raise DomainError(f"{name} is not a member of Spectrahedron(dim={self.dim}, A={self.trace_bound})")
         return np.asarray(x)
 
+    def _eigh_blocks(self, y: np.ndarray):
+        """Block-order eigenvalues of a block-diagonal stack and each block's eigenbasis."""
+        pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in self.slices]
+        return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
+
+    def _assemble(self, lam: np.ndarray, bases) -> np.ndarray:
+        """Hermitian block-diagonal stack whose block k is U_k diag(lam[..., slices[k]]) U_k^dag."""
+        out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
+        for sl, u in zip(self.slices, bases):
+            out[..., sl, sl] = (u * lam[..., None, sl]) @ _dagger(u)
+        return hermitize(out)
+
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection onto the set (blockwise eigenvalue projection)."""
-        x = hermitize(np.asarray(x, dtype=complex))
-        slices = self.block_slices()
-        eigs, bases = [], []
-        for sl in slices:
-            w, u = np.linalg.eigh(x[sl, sl])
-            eigs.append(w)
-            bases.append(u)
-        lam = _project_capped_simplex(np.concatenate(eigs), self.trace_bound)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        pos = 0
-        for sl, u in zip(slices, bases):
-            k = sl.stop - sl.start
-            out[sl, sl] = (u * lam[pos : pos + k]) @ u.conj().T
-            pos += k
-        return hermitize(out)
+        lam, bases = self._eigh_blocks(hermitize(np.asarray(x, dtype=complex)))
+        return self._assemble(_project_capped_simplex(lam, self.trace_bound), bases)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Random member: Dirichlet eigenvalues over the capped simplex, Haar basis per block."""
         lam = self.trace_bound * rng.dirichlet(np.ones(self.dim + 1))[: self.dim]
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        pos = 0
-        for sl in self.block_slices():
-            k = sl.stop - sl.start
-            u = haar_unitary(k, rng)
-            out[sl, sl] = (u * lam[pos : pos + k]) @ u.conj().T
-            pos += k
-        return hermitize(out)
+        return self._assemble(lam, [haar_unitary(sl.stop - sl.start, rng) for sl in self.slices])
 
     def sample_direction(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius Gaussian Hermitian direction respecting the block structure."""
         out = np.zeros((self.dim, self.dim), dtype=complex)
-        for sl in self.block_slices():
+        for sl in self.slices:
             out[sl, sl] = random_hermitian(sl.stop - sl.start, rng)
         return out / np.linalg.norm(out)
 
@@ -268,7 +263,7 @@ def mirror_map(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
     y = require_hermitian(y, name="score")
     if y.shape != (domain.dim, domain.dim):
         raise DomainError(f"score shape {y.shape} does not match domain dim {domain.dim}")
-    if domain.blocks is not None and domain.off_block_mass(y) > OFF_BLOCK_TOL:
+    if domain.off_block_mass(y) > OFF_BLOCK_TOL:
         raise DomainError("score must be block-diagonal for a block-structured domain")
     return exp_projection(y, domain)
 
@@ -288,23 +283,14 @@ def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
         out[..., 0, 0] = domain.trace_bound * val
         return out
 
-    slices = domain.block_slices()
-    eigs, bases = [], []
-    for sl in slices:
-        w, u = np.linalg.eigh(y[..., sl, sl])
-        eigs.append(w)
-        bases.append(u)
-    all_w = np.sort(np.concatenate(eigs, axis=-1))
+    lam, bases = domain._eigh_blocks(y)
+    all_w = np.sort(lam)
     if y.ndim == 2:
         lse = _log_conjugate_from_eigs(all_w)
     else:
         m = np.maximum(all_w[..., -1:], 0.0)
         lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
-    out = np.zeros(y.shape, dtype=complex)
-    for sl, w, u in zip(slices, eigs, bases):
-        vals = np.exp(w - lse)
-        out[..., sl, sl] = (u * vals[..., None, :]) @ _dagger(u)
-    return hermitize(out) * domain.trace_bound
+    return domain._assemble(np.exp(lam - lse), bases) * domain.trace_bound
 
 
 def quantum_kl(xref: np.ndarray, x: np.ndarray) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,7 +190,6 @@ class RateFit:
     bound: tuple | None = None
     gamma_b: float | None = None
     gamma_b_flag: bool = False
-    extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out = {
@@ -206,7 +205,6 @@ class RateFit:
             out["bound"] = list(self.bound)
             out["gamma_b"] = self.gamma_b
             out["gamma_b_flag"] = self.gamma_b_flag
-        out.update(self.extras)
         return out
 
 

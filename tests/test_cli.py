@@ -186,6 +186,14 @@ class TestRun:
         updates = summary["updates_per_player"]
         assert len(updates) == 2 and all(u < 2000 for u in updates)
 
+    def test_schedule_and_noise_defaults(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"game": {"kind": "mac"}, "solver": {"max_iters": 10}})
+        solver = load_config(cfg)["solver"]
+        assert solver["schedule"] == {"kind": "power_law", "gamma0": 1.0, "exponent": 0.5,
+                                      "stability": 1.0}
+        assert solver["noise"] == {"kind": "none", "sigma": 0.0, "level": 0.0, "tail_index": 1.5,
+                                   "scale": 1.0, "hermitian": True}
+
     def test_async_probability_count_mismatch_rejected(self, tmp_path):
         payload = mac_payload()
         payload["async"] = {"probabilities": [1.0, 1.0, 1.0]}
@@ -289,6 +297,17 @@ class TestVerify:
         assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
 
+    def test_async_section_rejected(self, tmp_path, capsys):
+        payload = mac_payload()
+        payload["async"] = {"probabilities": [0.5, 0.5]}
+        payload["experiment"] = {"mode": "stability", "samples": 10}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["verify", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: mxl verify runs synchronous play only; remove the async section\n")
+
     def test_rate_mode_computes_the_oracle_once(self, tmp_path, monkeypatch):
         import mxl.cli
 
@@ -386,10 +405,57 @@ class TestSweep:
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
         monkeypatch.setenv("MXL_WORKERS", "1")
-        monkeypatch.setattr(mxl.cli, "run", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
+
+    @staticmethod
+    def exponent_sweep(async_section=None, **solver):
+        payload = mac_payload(**solver)
+        payload["experiment"] = {"mode": "sweep", "seeds": 3, "threshold": 1e-2,
+                                 "grid": {"solver.schedule.exponent": [0.5, 1.0]}}
+        if async_section is not None:
+            payload["async"] = async_section
+        return payload
+
+    def test_async_section_applies_to_every_cell(self, tmp_path):
+        csv = {}
+        for name, section in (("sync", None), ("async", {"probabilities": [0.3, 0.3],
+                                                         "delay_max": 5})):
+            cfg = write_cfg(tmp_path, self.exponent_sweep(section, max_iters=2000), f"{name}.cfg")
+            assert cmd_sweep(cfg, str(tmp_path / name), quiet=True) == EXIT_OK
+            csv[name] = (tmp_path / name / "sweep.csv").read_text()
+        assert csv["sync"] != csv["async"]
+
+    @pytest.mark.parametrize("section, message", [
+        ({"probabilities": [0.3, 0.3, 0.3]}, "async schedule must list one probability per player"),
+        ({"probabilities": [0.3, 0.3], "delay_max": 99999},
+         "delay_max must be smaller than max_iters"),
+    ], ids=["probability_count", "delay_max"])
+    def test_bad_async_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                     section, message):
+        cfg = write_cfg(tmp_path, self.exponent_sweep(section))
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_oracle_computed_once_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        real = mxl.cli.brute_force_ne
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mxl.cli, "brute_force_ne", counting)
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        cfg = write_cfg(tmp_path, self.exponent_sweep(max_iters=500, reference="oracle"))
+        assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_OK
+        assert len(calls) == 2
 
     def test_bad_grid_path_rejected(self, tmp_path):
         payload = mac_payload()

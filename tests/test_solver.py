@@ -274,13 +274,26 @@ def test_non_finite_score_diverges_with_finite_actions():
     # the score grows by 1e307 per step and overflows at step 18
     game = LinearGame([np.diag([1e307, 0.0])])
     cfg = SolverConfig(StepSchedule.constant(1.0), max_iters=50, log_every=50)
-    with np.errstate(over="ignore"):
-        trace = run(game, cfg)
+    trace = run(game, cfg)  # the suite turns a RuntimeWarning into an error
     assert trace.status == "diverged"
     assert trace.diagnostic == "score has non-finite entries"
     assert trace.iterations == 17 and trace.updates_per_player == (17,)
     x = trace.final_actions[0]
     assert np.all(np.isfinite(x)) and game.players[0].domain.contains(x)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.none(), NoiseModel.gaussian_hermitian(0.1),
+                                   NoiseModel.relative(0.1)], ids=["none", "gaussian", "relative"])
+def test_infinite_gradient_diverges_without_warnings(noise):
+    class Infinite(LinearGame):
+        def payoff_gradient(self, i, actions):
+            return np.diag([np.inf, 1.0]).astype(complex)
+
+    cfg = SolverConfig(StepSchedule.constant(1.0), noise, max_iters=10, log_every=5)
+    trace = run(Infinite([np.eye(2)]), cfg)  # the suite turns a RuntimeWarning into an error
+    assert trace.status == "diverged"
+    assert trace.diagnostic == "non-finite gradient for player 1 at iteration 1"
+    assert trace.iterations == 0 and trace.updates_per_player == (0,)
 
 
 def reference_run_async(game, cfg, schedule):

@@ -262,6 +262,39 @@ class TestSpectrahedron:
         bad[0, 3] = bad[3, 0] = 0.05
         assert not dom.contains(bad)
 
+    def test_block_layout_derived_once_and_not_compared(self):
+        dom = Spectrahedron(6, 1.0, blocks=[2, 1, 3])
+        assert dom.slices == (slice(0, 2), slice(2, 3), slice(3, 6))
+        inside = np.zeros((6, 6), dtype=bool)
+        for sl in dom.slices:
+            inside[sl, sl] = True
+        assert np.array_equal(dom.off_block, ~inside)
+        assert Spectrahedron(3, 1.0).slices == (slice(0, 3),)
+        assert Spectrahedron(3, 1.0).off_block is None
+        twin = Spectrahedron(6, 1.0, blocks=(2, 1, 3))
+        assert dom == twin and hash(dom) == hash(twin)
+        assert repr(dom) == "Spectrahedron(dim=6, trace_bound=1.0, blocks=(2, 1, 3))"
+
+    def test_off_block_mass_of_a_stack_is_the_largest(self):
+        dom = Spectrahedron(4, 1.0, blocks=(2, 2))
+        stack = np.zeros((3, 4, 4), dtype=complex)
+        stack[:, :2, :2] = stack[:, 2:, 2:] = 5.0  # block entries carry no mass
+        stack[1, 0, 3] = stack[1, 3, 0] = 0.3
+        stack[2, 1, 2] = 0.4j
+        assert dom.off_block_mass(stack[0]) == 0.0
+        assert dom.off_block_mass(stack[1]) == pytest.approx(0.3 * math.sqrt(2))
+        assert dom.off_block_mass(stack) == pytest.approx(0.3 * math.sqrt(2))
+        assert dom.off_block_mass(stack[::2]) == pytest.approx(0.4)
+        assert Spectrahedron(4, 1.0).off_block_mass(stack) == 0.0
+
+    def test_block_domain_sample_and_projection(self, rng):
+        dom = Spectrahedron(5, 2.0, blocks=(2, 3))
+        for _ in range(20):
+            assert dom.contains(dom.sample(rng))
+            p = dom.project(random_hermitian(5, rng, scale=2.0))
+            assert dom.contains(p)
+            assert np.linalg.norm(dom.project(p) - p) < 1e-10
+
     def test_bad_blocks_rejected(self):
         with pytest.raises(ValueError):
             Spectrahedron(4, 1.0, blocks=(2, 3))
