@@ -241,6 +241,8 @@ def _build_run(resolved: dict, seed: int | None = None, oracle=None):
     probs = cfg["probabilities"]
     if probs is None:
         probs = [1.0] * game.n_players
+    if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+        raise ConfigError("async.probabilities must be a list of numbers, one per player")
     schedule = AsyncSchedule(tuple(float(p) for p in probs), delay_max=int(cfg["delay_max"]),
                              mode=cfg["mode"])
     return game, config, schedule.check(game.n_players, config.max_iters)

@@ -53,10 +53,13 @@ class MacGame(GameModel):
         return self.a / (1.0 + x)
 
     @staticmethod
-    def _contention_of(i: int, x: np.ndarray):
-        """1 - prod_{j != i}(1 - x_j) along the last axis of the access levels."""
-        others = [j for j in range(x.shape[-1]) if j != i]
-        return 1.0 - np.prod(1.0 - x[..., others], axis=-1)
+    def _contention_of(i: int, levels):
+        """1 - prod_{j != i}(1 - x_j), in player order, over per-player levels or level stacks."""
+        free = 1.0
+        for j, x in enumerate(levels):
+            if j != i:
+                free = free * (1.0 - x)
+        return 1.0 - free
 
     def contention(self, i: int, actions) -> float:
         return float(self._contention_of(i, self._levels(actions)))
@@ -65,16 +68,9 @@ class MacGame(GameModel):
         x = self._levels(actions)
         return self._base_utility(x[i]) - x[i] * self.contention(i, actions)
 
-    def payoff_gradient(self, i, actions) -> np.ndarray:
-        x = self._levels(actions)
-        g = self._base_slope(x[i]) - self.contention(i, actions)
-        return np.array([[g]], dtype=complex)
-
-    def gradient_stack(self, i, actions, rngs) -> np.ndarray:
-        if not self._exact_oracle_of(MacGame):
-            return super().gradient_stack(i, actions, rngs)
-        x = np.stack([a[:, 0, 0].real for a in actions], axis=-1)
-        g = self._base_slope(x[:, i]) - self._contention_of(i, x)
+    def gradient_stack(self, i, actions) -> np.ndarray:
+        x = [a[:, 0, 0].real for a in actions]
+        g = self._base_slope(x[i]) - self._contention_of(i, x)
         return g.astype(complex)[:, None, None]
 
     def symmetric_equilibrium(self) -> float:
@@ -218,21 +214,19 @@ class MetricLearningProblem(GameModel):
     def utility(self, i, actions) -> float:
         return -self.expected_objective(actions[0])
 
-    def payoff_gradient(self, i, actions) -> np.ndarray:
-        x = actions[0]
+    def _gradient(self, x) -> np.ndarray:
         full = metric_gradient(x, self.points, self.triples, self.margin, self.delta)
         reg = 2.0 * (np.asarray(x).real - np.eye(x.shape[0])).astype(complex)
         return -(self._scale() * (full - reg) + reg)
 
-    def stochastic_gradient(self, i, actions, rng: np.random.Generator) -> np.ndarray:
-        batch = rng.integers(0, self.n_triples, size=self.batch_size)
-        return self.minibatch_gradient(actions[0], batch)
+    def gradient_stack(self, i, actions) -> np.ndarray:
+        return np.stack([self._gradient(x) for x in actions[0]])
 
-    def minibatch_gradient(self, x, batch) -> np.ndarray:
-        """Utility-sense gradient for an explicit minibatch of triple indices."""
-        sub = self.triples[np.asarray(batch, dtype=np.int64)]
-        grad = metric_gradient(x, self.points, sub, self.margin, self.delta)
-        return -grad
+    def stochastic_gradient(self, i, actions, rng: np.random.Generator) -> np.ndarray:
+        """Utility-sense gradient of a uniformly drawn minibatch of triples."""
+        batch = rng.integers(0, self.n_triples, size=self.batch_size)
+        return -metric_gradient(actions[0], self.points, self.triples[batch], self.margin,
+                                self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +374,6 @@ class EeGame(GameModel):
                 w[s] = w[s] + h @ qs @ h.conj().T
         return w
 
-    def effective_channels(self, i: int, actions) -> list[np.ndarray]:
-        """Whitened direct channels W^{-1/2} H per subcarrier (diagnostic path)."""
-        out = []
-        for s, w in enumerate(self._mui(i, actions)):
-            vals, vecs = np.linalg.eigh(hermitize(w))
-            w_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-            out.append(w_isqrt @ self.channels.links[i, i, s])
-        return out
-
     # -- GameModel interface --------------------------------------------------
 
     def _received(self, i: int, actions, psi: float):
@@ -417,7 +402,8 @@ class EeGame(GameModel):
         phi, psi = self._prefactors(float(np.trace(np.asarray(actions[i])).real))
         return phi * self._received(i, actions, psi)[1]
 
-    def payoff_gradient(self, i, actions) -> np.ndarray:
+    def _gradient(self, i: int, actions) -> np.ndarray:
+        """Player i's payoff gradient at one profile."""
         tau = float(np.trace(np.asarray(actions[i])).real)
         phi, psi = self._prefactors(tau)
         d = self.pc + (1.0 - tau) * self.pmax
@@ -435,6 +421,10 @@ class EeGame(GameModel):
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
         grad = grad + scalar * np.eye(dim, dtype=complex)
         return hermitize(grad)
+
+    def gradient_stack(self, i, actions) -> np.ndarray:
+        return np.stack([self._gradient(i, [a[s] for a in actions])
+                         for s in range(len(actions[i]))])
 
     # -- physical-coordinate oracles ------------------------------------------
 

@@ -34,12 +34,22 @@ class PlayerSpec:
 class GameModel(ABC):
     """N-player game with individually concave utilities and exact payoff gradients.
 
-    `payoff_gradient(i, actions)` is the gradient of player i's utility with
-    respect to their own action, in the convention d/dt u(X + tZ) = tr(Z V).
-    Games whose objective is an expectation may override `stochastic_gradient`
-    with an unbiased oracle; the default falls back to the exact gradient.
+    A game defines `utility(i, actions)` and one gradient formula,
+    `gradient_stack(i, actions)`: player i's exact payoff gradients for a stack
+    of profiles, in the convention d/dt u(X + tZ) = tr(Z V). There `actions[j]`
+    stacks player j's actions as an (S, d, d) array, and entry s of the result
+    depends on profile s only. `payoff_gradient(i, actions)`, the gradient at
+    one profile, is its stack of one; a subclass may not redefine it. Oracles
+    that draw random numbers (an unbiased minibatch estimate, say) override
+    `stochastic_gradient`; by default it is the exact gradient.
     Implementations must be reentrant (no mutable state across calls).
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "payoff_gradient" in vars(cls):
+            raise TypeError(f"{cls.__name__} defines payoff_gradient; define gradient_stack "
+                            "instead (payoff_gradient is its stack of one)")
 
     def __init__(self, domains):
         self.players = tuple(PlayerSpec(i + 1, d) for i, d in enumerate(domains))
@@ -58,34 +68,14 @@ class GameModel(ABC):
     def utility(self, i: int, actions) -> float: ...
 
     @abstractmethod
-    def payoff_gradient(self, i: int, actions) -> np.ndarray: ...
+    def gradient_stack(self, i: int, actions) -> np.ndarray: ...
+
+    def payoff_gradient(self, i: int, actions) -> np.ndarray:
+        """Player i's exact gradient at one profile: `gradient_stack` on a stack of one."""
+        return self.gradient_stack(i, [np.asarray(a)[None] for a in actions])[0]
 
     def stochastic_gradient(self, i: int, actions, rng: np.random.Generator) -> np.ndarray:
         return self.payoff_gradient(i, actions)
-
-    def gradient_stack(self, i: int, actions, rngs) -> np.ndarray:
-        """Stochastic gradients of player i for a stack of independent profiles.
-
-        `actions[j]` stacks player j's actions as an (S, d, d) array and
-        `rngs[s]` is profile s's own Generator. Entry s equals
-        `stochastic_gradient(i, profile s, rngs[s])` bit for bit, including
-        what it draws from `rngs[s]`; families with array formulas override
-        this, everything else is looped here.
-        """
-        return np.stack([
-            self.stochastic_gradient(i, [a[s] for a in actions], rng)
-            for s, rng in enumerate(rngs)
-        ])
-
-    def _exact_oracle_of(self, cls) -> bool:
-        """True when this game's gradient oracle is `cls.payoff_gradient`, unmodified.
-
-        Array overrides of `gradient_stack` reproduce that oracle only; a
-        subclass that redefines either gradient method takes the looped path.
-        """
-        kind = type(self)
-        return (kind.payoff_gradient is cls.payoff_gradient
-                and kind.stochastic_gradient is GameModel.stochastic_gradient)
 
     def gradient_profile(self, actions) -> list[np.ndarray]:
         return [self.payoff_gradient(i, actions) for i in range(self.n_players)]
@@ -272,34 +262,14 @@ def finite_diff_gradient_check(
     return worst
 
 
-def concavity_violations(
-    game: GameModel, i: int, samples: int, seed: int = 0, tol: float = 1e-9
-) -> int:
-    """Random midpoint test of own-action concavity; returns the violation count."""
-    rng = np.random.default_rng(seed)
-    bad = 0
-    for _ in range(samples):
-        base = list(game.sample_profile(rng))
-        a = game.players[i].domain.sample(rng)
-        b = game.players[i].domain.sample(rng)
-        vals = []
-        for x in (a, b, (a + b) / 2):
-            base[i] = x
-            vals.append(game.utility(i, tuple(base)))
-        if vals[2] < (vals[0] + vals[1]) / 2 - tol:
-            bad += 1
-    return bad
-
-
 class ZeroGame(GameModel):
     """Degenerate game with identically zero utilities."""
 
     def utility(self, i, actions) -> float:
         return 0.0
 
-    def payoff_gradient(self, i, actions) -> np.ndarray:
-        dim = self.players[i].domain.dim
-        return np.zeros((dim, dim), dtype=complex)
+    def gradient_stack(self, i, actions) -> np.ndarray:
+        return np.zeros(np.shape(actions[i]), dtype=complex)
 
 
 class LinearGame(GameModel):
@@ -316,13 +286,8 @@ class LinearGame(GameModel):
     def utility(self, i, actions) -> float:
         return trace_inner(self._c[i], actions[i])
 
-    def payoff_gradient(self, i, actions) -> np.ndarray:
-        return self._c[i].copy()
-
-    def gradient_stack(self, i, actions, rngs) -> np.ndarray:
-        if not self._exact_oracle_of(LinearGame):
-            return super().gradient_stack(i, actions, rngs)
-        return np.repeat(self._c[i][None], len(rngs), axis=0)
+    def gradient_stack(self, i, actions) -> np.ndarray:
+        return np.repeat(self._c[i][None], len(actions[i]), axis=0)
 
 
 class BilinearGame(GameModel):
@@ -342,11 +307,5 @@ class BilinearGame(GameModel):
         xj = float(actions[1 - i][0, 0].real)
         return xi * (xj - self.threshold)
 
-    def payoff_gradient(self, i, actions) -> np.ndarray:
-        xj = float(actions[1 - i][0, 0].real)
-        return np.array([[xj - self.threshold]], dtype=complex)
-
-    def gradient_stack(self, i, actions, rngs) -> np.ndarray:
-        if not self._exact_oracle_of(BilinearGame):
-            return super().gradient_stack(i, actions, rngs)
+    def gradient_stack(self, i, actions) -> np.ndarray:
         return (actions[1 - i].real - self.threshold).astype(complex)

@@ -332,21 +332,23 @@ def initial_state(game: GameModel, y0=None, seeds: int = 1) -> SolverState:
 class SeedNoise:
     """Gradient noise for a stack of trajectories, each drawn from its own Generator.
 
-    When every update of a player draws the same number of standard normals
-    (noise `gaussian` or `relative`, and a game that keeps the default
-    `stochastic_gradient`, so the gradient draws nothing), each seed's normals
-    are drawn ahead, up to CHUNK_STEPS steps' worth at a time, and handed out
-    from a flat cursor in the order the players update. A Generator yields the
-    same stream however its draws are grouped, so every perturbation equals the
-    one `inject_noise` would draw, bit for bit, whichever players update.
-    Otherwise `inject_noise` runs seed by seed, right after each player's
-    gradient.
+    `drawing` tells whether the game's gradient oracle draws random numbers
+    (the game redefines `stochastic_gradient`): `advance` then calls that
+    oracle seed by seed on each seed's Generator, and otherwise takes the exact
+    `gradient_stack`. When every update of a player draws the same number of
+    standard normals (noise `gaussian` or `relative`, and a gradient that draws
+    nothing), each seed's normals are drawn ahead, up to CHUNK_STEPS steps'
+    worth at a time, and handed out from a flat cursor in the order the players
+    update. A Generator yields the same stream however its draws are grouped,
+    so every perturbation equals the one `inject_noise` would draw, bit for
+    bit, whichever players update. Otherwise `inject_noise` runs seed by seed,
+    right after each player's gradient.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
         self.game, self.model, self.rngs = game, model, list(rngs)
-        self.chunked = (model.kind in ("gaussian", "relative")
-                        and type(game).stochastic_gradient is GameModel.stochastic_gradient)
+        self.drawing = type(game).stochastic_gradient is not GameModel.stochastic_gradient
+        self.chunked = model.kind in ("gaussian", "relative") and not self.drawing
         self.widths = [sum(2 * (sl.stop - sl.start) ** 2 for sl in p.domain.slices)
                        for p in game.players]
         width = sum(self.widths)
@@ -448,7 +450,11 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
                 delayed = tuple(
                     history[min(int(lag), len(history) - 1)][j] for j, lag in enumerate(lags)
                 )
-            v = game.gradient_stack(i, delayed, noise.rngs)
+            if noise.drawing:
+                v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
+                              for s, rng in enumerate(noise.rngs)])
+            else:
+                v = game.gradient_stack(i, delayed)
             gamma = step_schedule.at(state.counts[i] + 1)
             # an overflow or NaN here leaves a non-finite score, which _checked_score reports
             with np.errstate(over="ignore", invalid="ignore"):

@@ -65,15 +65,6 @@ def herm_expm(h: np.ndarray) -> np.ndarray:
     return hermitize((u * np.exp(w)) @ u.conj().T)
 
 
-def herm_logm(x: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Matrix logarithm of a Hermitian PD matrix; eigenvalues below `floor` raise."""
-    x = require_hermitian(x)
-    w, u = np.linalg.eigh(x)
-    if np.any(w <= floor):
-        raise DomainError(f"matrix log needs positive eigenvalues, smallest is {w[0]:.3e}")
-    return hermitize((u * np.log(w)) @ u.conj().T)
-
-
 def nuclear_norm(h: np.ndarray) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
     h = require_hermitian(h)
@@ -244,12 +235,18 @@ def entropy_conjugate(y: np.ndarray) -> float:
 
 
 def entropy_gradient(x: np.ndarray, domain: Spectrahedron) -> np.ndarray:
-    """Score matrix log(X/A) - log(1 - tr(X/A)) I, the inverse of the mirror map."""
+    """Score matrix log(X/A) - log(1 - tr(X/A)) I, the inverse of the mirror map.
+
+    X must be positive definite with trace below the bound A.
+    """
     xs = hermitize(np.asarray(x, dtype=complex)) / domain.trace_bound
     slack = 1.0 - float(np.trace(xs).real)
     if slack <= 0:
         raise DomainError("entropy_gradient needs tr(X) strictly below the bound")
-    return herm_logm(xs) - np.log(slack) * np.eye(domain.dim)
+    w, u = np.linalg.eigh(require_hermitian(xs))
+    if np.any(w <= 0.0):
+        raise DomainError(f"matrix log needs positive eigenvalues, smallest is {w[0]:.3e}")
+    return hermitize((u * np.log(w)) @ u.conj().T) - np.log(slack) * np.eye(domain.dim)
 
 
 def mirror_map(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:

@@ -59,6 +59,9 @@ def ee_fixture_cfg(tmp_path, entry):
     })
 
 
+PROBABILITIES_NOT_A_LIST = "async.probabilities must be a list of numbers, one per player"
+
+
 class TestRun:
     def test_bundled_mac_config_converges(self, tmp_path):
         out = tmp_path / "out"
@@ -149,6 +152,17 @@ class TestRun:
         assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == "error: delay_max must be smaller than max_iters\n"
+
+    @pytest.mark.parametrize("probabilities", [0.5, "0.5", [0.5, None]],
+                             ids=["number", "string", "null_entry"])
+    def test_non_list_probabilities_one_line_error(self, tmp_path, capsys, probabilities):
+        payload = mac_payload()
+        payload["async"] = {"probabilities": probabilities}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {PROBABILITIES_NOT_A_LIST}\n"
 
     def test_non_finite_channel_fixture_one_line_error(self, tmp_path, capsys):
         cfg = ee_fixture_cfg(tmp_path, float("nan"))
@@ -432,7 +446,8 @@ class TestSweep:
         ({"probabilities": [0.3, 0.3, 0.3]}, "async schedule must list one probability per player"),
         ({"probabilities": [0.3, 0.3], "delay_max": 99999},
          "delay_max must be smaller than max_iters"),
-    ], ids=["probability_count", "delay_max"])
+        ({"probabilities": 0.3}, PROBABILITIES_NOT_A_LIST),
+    ], ids=["probability_count", "delay_max", "probabilities_not_a_list"])
     def test_bad_async_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
                                                      section, message):
         cfg = write_cfg(tmp_path, self.exponent_sweep(section))

@@ -20,10 +20,12 @@ from mxl.families import (
     transform_x_to_q,
     uniform_baseline,
 )
-from mxl.games import concavity_violations, finite_diff_gradient_check
+from mxl.games import finite_diff_gradient_check
 from mxl.solver import NoiseModel, SolverConfig, StepSchedule, run
-from mxl.spectral import DomainError, mirror_map
+from mxl.spectral import DomainError, hermitize, mirror_map
 from mxl.verify import brute_force_ne
+
+from helpers import concavity_violations
 
 
 class TestMacGame:
@@ -38,6 +40,23 @@ class TestMacGame:
         x = scalar_profile([0.4, 0.0, 0.0])
         v = game.payoff_gradient(0, x)
         assert float(v[0, 0].real) == pytest.approx(1.0 - 2.0 * 0.4)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "log"])
+    def test_gradient_stack_is_the_scalar_formula(self, kind):
+        # U'(x_i) - (1 - prod_{j != i}(1 - x_j)) in Python floats, bit for bit
+        game = MacGame(3, kind, b=1.0, c=2.5, a=0.8)
+        x = np.random.default_rng(5).random((5, 3))
+        stacks = [x[:, j].astype(complex)[:, None, None] for j in range(3)]
+        for i in range(3):
+            v = game.gradient_stack(i, stacks)
+            for s in range(5):
+                xs = [float(e) for e in x[s]]
+                free = 1.0
+                for j in range(3):
+                    if j != i:
+                        free = free * (1.0 - xs[j])
+                slope = 1.0 - 2.5 * xs[i] if kind == "quadratic" else 0.8 / (1.0 + xs[i])
+                assert v[s, 0, 0] == complex(slope - (1.0 - free))
 
     def test_closed_form_equilibrium(self):
         game = MacGame(2, "quadratic", b=1.0, c=2.0)
@@ -196,6 +215,16 @@ class TestChannels:
         assert back.to_json() == text
 
 
+def effective_channels(game, i, actions):
+    """Whitened direct channels W^{-1/2} H of player i, one per subcarrier."""
+    out = []
+    for s, w in enumerate(game._mui(i, actions)):
+        vals, vecs = np.linalg.eigh(hermitize(w))
+        w_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        out.append(w_isqrt @ game.channels.links[i, i, s])
+    return out
+
+
 @pytest.fixture(scope="module")
 def game():
     return EeGame(synth_channels(2, 2, 2, 2, pathloss_spread=1.0, seed=9), pmax=2.0, pc=0.1)
@@ -256,7 +285,7 @@ class TestEeGame:
         from mxl.spectral import haar_unitary
 
         x = tuple(0.9 * d.sample(rng) + 0.1 * d.center() for d in game.domains)
-        h_eff = game.effective_channels(0, x)
+        h_eff = effective_channels(game, 0, x)
         tau = float(np.trace(x[0]).real)
         phi, psi = game._prefactors(tau)
         direct = 0.0

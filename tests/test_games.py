@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from mxl.families import MacGame, scalar_profile
+from mxl.families import (
+    EeGame,
+    MacGame,
+    MetricLearningProblem,
+    make_cluster_dataset,
+    scalar_profile,
+    synth_channels,
+)
 from mxl.games import (
     BilinearGame,
     LinearGame,
@@ -9,13 +16,14 @@ from mxl.games import (
     check_hessian_definiteness,
     check_monotonicity,
     check_variational_stability,
-    concavity_violations,
     finite_diff_gradient_check,
     hessian_quadratic_form,
     nash_residual,
 )
 from mxl.spectral import DomainError, Spectrahedron, hermitize
 from mxl.verify import brute_force_ne
+
+from helpers import concavity_violations
 
 
 class OwnQuadraticGame(LinearGame):
@@ -28,8 +36,40 @@ class OwnQuadraticGame(LinearGame):
         x = actions[0]
         return -0.5 * float(np.trace(x @ x).real)
 
-    def payoff_gradient(self, i, actions):
+    def gradient_stack(self, i, actions):
         return -np.array(actions[0], dtype=complex)
+
+
+STACK_GAMES = {
+    "mac_quadratic": lambda: MacGame(3, "quadratic", b=1.0, c=2.5),
+    "mac_log": lambda: MacGame(3, "log", a=0.8),
+    "linear": lambda: LinearGame([[[1.0, 0.2j], [-0.2j, 0.8]], np.diag([0.5, -1.0, 2.0])],
+                                 trace_bounds=[1.0, 2.0]),
+    "bilinear": lambda: BilinearGame(threshold=0.3),
+    "zero": lambda: ZeroGame([Spectrahedron(2, 1.0), Spectrahedron(3, 2.0)]),
+    "ee_2x2x2": lambda: EeGame(synth_channels(2, 2, 2, 2, pathloss_spread=1.0, seed=9)),
+    "metric": lambda: MetricLearningProblem(*make_cluster_dataset(3, 8, seed=2), batch_size=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_GAMES))
+def test_gradient_stack_rows_equal_stacks_of_one(name):
+    game = STACK_GAMES[name]()
+    rng = np.random.default_rng(17)
+    profiles = [game.sample_profile(rng) for _ in range(5)]
+    stacks = [np.stack([p[j] for p in profiles]) for j in range(game.n_players)]
+    for i, spec in enumerate(game.players):
+        v = game.gradient_stack(i, stacks)
+        assert v.shape == (5, spec.domain.dim, spec.domain.dim)
+        for s, profile in enumerate(profiles):
+            assert np.array_equal(v[s], game.payoff_gradient(i, profile))
+
+
+def test_subclass_defining_payoff_gradient_rejected():
+    with pytest.raises(TypeError, match="gradient_stack"):
+        class Scalar(LinearGame):
+            def payoff_gradient(self, i, actions):
+                return np.zeros((1, 1), dtype=complex)
 
 
 def test_player_ids_contiguous():
@@ -57,8 +97,8 @@ def test_nash_residual_rejects_infeasible():
 
 def test_nash_residual_nonnegative_and_scale_invariant_zero_set(rng):
     class Scaled(MacGame):
-        def payoff_gradient(self, i, actions):
-            return 7.0 * super().payoff_gradient(i, actions)
+        def gradient_stack(self, i, actions):
+            return 7.0 * super().gradient_stack(i, actions)
 
     base = MacGame(2, "quadratic", b=1.0, c=2.0)
     scaled = Scaled(2, "quadratic", b=1.0, c=2.0)

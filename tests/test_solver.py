@@ -225,8 +225,8 @@ def test_logged_actions_feasible_under_adversarial_scores():
 
 def test_diverged_status_on_non_finite_gradient():
     class BrokenGame(LinearGame):
-        def payoff_gradient(self, i, actions):
-            return np.array([[np.nan]], dtype=complex)
+        def gradient_stack(self, i, actions):
+            return np.full((len(actions[i]), 1, 1), np.nan, dtype=complex)
 
     game = BrokenGame([np.array([[1.0]])])
     cfg = SolverConfig(StepSchedule.constant(0.1), max_iters=10, log_every=5)
@@ -253,13 +253,13 @@ def test_aborted_epoch_counts_for_no_player(schedule, diagnostic):
             super().__init__([np.array([[1.0]]), np.array([[1.0]])])
             self.calls = [0, 0]
 
-        def payoff_gradient(self, i, actions):
+        def gradient_stack(self, i, actions):
             self.calls[i] += 1
             if i == 1 and self.calls[i] == 4:
                 if diagnostic == EIG_FAILED:
                     raise np.linalg.LinAlgError(EIG_FAILED)
-                return np.array([[np.nan]], dtype=complex)
-            return np.array([[1.0]], dtype=complex)
+                return np.full((len(actions[i]), 1, 1), np.nan, dtype=complex)
+            return np.ones((len(actions[i]), 1, 1), dtype=complex)
 
     cfg = SolverConfig(StepSchedule.constant(0.1), max_iters=10, log_every=5)
     game = LateFailure()
@@ -286,8 +286,8 @@ def test_non_finite_score_diverges_with_finite_actions():
                                    NoiseModel.relative(0.1)], ids=["none", "gaussian", "relative"])
 def test_infinite_gradient_diverges_without_warnings(noise):
     class Infinite(LinearGame):
-        def payoff_gradient(self, i, actions):
-            return np.diag([np.inf, 1.0]).astype(complex)
+        def gradient_stack(self, i, actions):
+            return np.repeat(np.diag([np.inf, 1.0]).astype(complex)[None], len(actions[i]), axis=0)
 
     cfg = SolverConfig(StepSchedule.constant(1.0), noise, max_iters=10, log_every=5)
     trace = run(Infinite([np.eye(2)]), cfg)  # the suite turns a RuntimeWarning into an error

@@ -66,10 +66,9 @@ def test_brute_force_reports_cycling():
             sign = 1.0 if i == 0 else -1.0
             return sign * xi * (xj - 0.5)
 
-        def payoff_gradient(self, i, actions):
-            xj = float(actions[1 - i][0, 0].real)
+        def gradient_stack(self, i, actions):
             sign = 1.0 if i == 0 else -1.0
-            return np.array([[sign * (xj - 0.5)]], dtype=complex)
+            return (sign * (actions[1 - i].real - 0.5)).astype(complex)
 
     with pytest.raises(ConvergenceError):
         brute_force_ne(Stubborn(), tol=1e-10, max_sweeps=40)
@@ -179,11 +178,11 @@ def sequential_rate(game, xstar, cfg, seeds, checkpoints, metric):
 
 
 class Stubborn(BilinearGame):
-    """Redefines the gradient oracle, so BilinearGame's array formula must not apply."""
+    """Redefines the gradient formula: BilinearGame's must apply neither to its stacks nor
+    to the stacks of one of the per-seed loop."""
 
-    def payoff_gradient(self, i, actions):
-        xj = float(actions[1 - i][0, 0].real)
-        return np.array([[(1.0 if i == 0 else -1.0) * (xj - 0.5)]], dtype=complex)
+    def gradient_stack(self, i, actions):
+        return ((1.0 if i == 0 else -1.0) * (actions[1 - i].real - 0.5)).astype(complex)
 
 
 def _mac3():
@@ -211,9 +210,10 @@ def _metric():
 LOGIT_085 = math.log(0.85 / 0.15)
 LONG, SHORT = (10, 30, 100, 300, 1000), (1, 3, 10, 30, 100)
 # name: (game and reference point, noise, rate_experiment keywords, y0, checkpoints).
-# MAC, linear and bilinear games take array gradients; the Stubborn subclass,
-# EE and metric learning loop their oracle per seed; pareto noise and the
-# minibatch oracle (which draws) make the noise per seed too.
+# MAC, linear and bilinear games and the Stubborn subclass take their array
+# formulas; EE and metric learning loop their per-profile formula inside their
+# own gradient_stack. The metric minibatch oracle draws, so it is called seed by
+# seed; it and pareto noise make the noise per seed too.
 CASES = {
     "mac_gaussian": (_mac3, NoiseModel.gaussian_hermitian(0.25), {}, None, LONG),
     "linear_kl_bound": (_linear2, NoiseModel.gaussian_hermitian(0.3),
@@ -252,9 +252,9 @@ class TestBatchedEqualsSequential:
             def utility(self, i, actions):
                 return 0.0
 
-            def payoff_gradient(self, i, actions):
-                x = float(actions[i][0, 0].real)
-                return np.array([[math.nan if i == 1 and x > 0.9 else 1.0]], dtype=complex)
+            def gradient_stack(self, i, actions):
+                x = actions[i].real
+                return np.where((i == 1) & (x > 0.9), math.nan, 1.0).astype(complex)
 
         game = Blowup([Spectrahedron(1, 1.0), Spectrahedron(1, 1.0)])
         xstar = scalar_profile([1.0, 1.0])
