@@ -114,12 +114,27 @@ _EXPERIMENT_DEFAULTS = {
 }
 
 
+def _defaults(kind: str) -> dict:
+    """The defaults of every config section when the game is of `kind`."""
+    return {"game": _GAME_DEFAULTS[kind], "solver": _SOLVER_DEFAULTS,
+            "async": _ASYNC_DEFAULTS, "experiment": _EXPERIMENT_DEFAULTS}
+
+
+def _check_value(key: str, value, default) -> None:
+    """A key whose default is a number takes an int or a float; null defaults are free-form."""
+    if (isinstance(default, (int, float)) and not isinstance(default, bool)
+            and (isinstance(value, bool) or not isinstance(value, (int, float)))):
+        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+
+
 def _merge_strict(section: str, raw: dict, defaults: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"section {section!r} must be an object")
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
+    for key, value in raw.items():
+        _check_value(f"{section}.{key}", value, defaults[key])
     out = copy.deepcopy(defaults)
     out.update(raw)
     return out
@@ -149,23 +164,25 @@ def load_config(path: str | Path) -> dict:
     kind = game_raw["kind"]
     if kind not in _GAME_DEFAULTS:
         raise ConfigError(f"{path}: unknown game kind {kind!r} (choose from {sorted(_GAME_DEFAULTS)})")
+    defaults = _defaults(kind)
     game = _merge_strict("game", {k: v for k, v in game_raw.items() if k != "kind"},
-                         _GAME_DEFAULTS[kind])
+                         defaults["game"])
     game["kind"] = kind
 
     solver_raw = dict(raw.get("solver", {}))
     sched_raw = solver_raw.pop("schedule", {})
     noise_raw = solver_raw.pop("noise", {})
+    solver_defaults = defaults["solver"]
     solver = _merge_strict("solver", solver_raw,
-                           {k: v for k, v in _SOLVER_DEFAULTS.items() if k not in ("schedule", "noise")})
-    solver["schedule"] = _merge_strict("solver.schedule", sched_raw, _SOLVER_DEFAULTS["schedule"])
-    solver["noise"] = _merge_strict("solver.noise", noise_raw, _SOLVER_DEFAULTS["noise"])
+                           {k: v for k, v in solver_defaults.items() if k not in ("schedule", "noise")})
+    solver["schedule"] = _merge_strict("solver.schedule", sched_raw, solver_defaults["schedule"])
+    solver["noise"] = _merge_strict("solver.noise", noise_raw, solver_defaults["noise"])
 
     resolved = {"game": game, "solver": solver}
     if "async" in raw:
-        resolved["async"] = _merge_strict("async", raw["async"], _ASYNC_DEFAULTS)
+        resolved["async"] = _merge_strict("async", raw["async"], defaults["async"])
     resolved["experiment"] = _merge_strict("experiment", raw.get("experiment", {}),
-                                           _EXPERIMENT_DEFAULTS)
+                                           defaults["experiment"])
     return resolved
 
 
@@ -385,6 +402,10 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
         node = node[k]
     if not isinstance(node, dict) or keys[-1] not in node:
         raise ConfigError(f"sweep grid path {dotted!r} does not exist in the config")
+    default = _defaults(cfg["game"]["kind"])
+    for k in keys:
+        default = default.get(k) if isinstance(default, dict) else None
+    _check_value(dotted, value, default)
     node[keys[-1]] = value
 
 

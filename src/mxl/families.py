@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import GameModel
-from .spectral import DomainError, Spectrahedron, hermitize
+from .spectral import DomainError, Spectrahedron, _dagger, hermitize
 
 FIXTURE_VERSION = 1
 
@@ -307,27 +307,39 @@ def synth_channels(n_users: int, n_tx: int, n_rx: int, n_subcarriers: int,
     return ChannelSet(links=links, gains=gains, seed=seed)
 
 
+def _feasible_covariance(q: np.ndarray, pmax: float) -> np.ndarray:
+    """Hermitian part of a covariance; DomainError unless it is PSD with trace <= pmax."""
+    q = hermitize(np.asarray(q, dtype=complex))
+    if np.linalg.eigvalsh(q)[0] < -1e-10 or np.trace(q).real > pmax + 1e-10:
+        raise DomainError("covariance must be PSD with trace <= pmax")
+    return q
+
+
 def transform_q_to_x(q: np.ndarray, pc: float, pmax: float) -> np.ndarray:
     """Fractional-program change of variables mapping covariances into the unit set."""
-    q = hermitize(np.asarray(q, dtype=complex))
-    tr_q = float(np.trace(q).real)
-    w = np.linalg.eigvalsh(q)
-    if w[0] < -1e-10 or tr_q > pmax + 1e-10:
-        raise DomainError("covariance must be PSD with trace <= pmax")
-    kappa = (pc + pmax) / pmax
-    return kappa * q / (pc + tr_q)
+    q = _feasible_covariance(q, pmax)
+    return (pc + pmax) / pmax * q / (pc + float(np.trace(q).real))
 
 
 def transform_x_to_q(x: np.ndarray, pc: float, pmax: float) -> np.ndarray:
-    """Inverse change of variables; exact round trip with transform_q_to_x."""
+    """Inverse change of variables, over (..., d, d) stacks; exact round trip with transform_q_to_x."""
     x = hermitize(np.asarray(x, dtype=complex))
-    tau = float(np.trace(x).real)
+    tau = x.trace(axis1=-2, axis2=-1).real
     w = np.linalg.eigvalsh(x)
-    if w[0] < -1e-10 or tau > 1.0 + 1e-10:
+    if (w[..., 0] < -1e-10).any() or (tau > 1.0 + 1e-10).any():
         raise DomainError("argument must be PSD with trace <= 1")
     kappa = (pc + pmax) / pmax
     tr_q = tau * pc / (kappa - tau)
-    return x * (pc + tr_q) / kappa
+    return x * (pc + tr_q)[..., None, None] / kappa
+
+
+def _subcarrier_sum(values: np.ndarray):
+    """Sum over the last (subcarrier) axis, one term after another from 0.0, as a scalar
+    loop adds; `np.sum` adds pairwise and changes the last bits."""
+    total = 0.0
+    for s in range(values.shape[-1]):
+        total = total + values[..., s]
+    return total
 
 
 class EeGame(GameModel):
@@ -337,6 +349,8 @@ class EeGame(GameModel):
     subcarrier). Utilities equal the physical energy efficiency (achievable rate
     over circuit-plus-radiated power) of the inverse-transformed covariances;
     interference enters through the received covariance I + sum_j H Q_j H^dag.
+    Utility (a stack of one) and gradient are one array formula over profile stacks and
+    subcarriers, in a per-subcarrier loop's operation order and so bit for bit its values.
     """
 
     def __init__(self, channels: ChannelSet, pmax: float = 2.0, pc: float = 0.1):
@@ -351,100 +365,84 @@ class EeGame(GameModel):
 
     # -- helpers ------------------------------------------------------------
 
-    def _blocks(self, x) -> list[np.ndarray]:
+    def _blocks(self, x) -> np.ndarray:
+        """The (..., n_sub, m, m) subcarrier blocks of an (..., d, d) stack, as a view."""
         x = np.asarray(x)
-        return [x[sl, sl] for sl in self._domain.slices]
+        n, m = self.channels.n_subcarriers, self.channels.n_tx
+        return np.einsum("...iaib->...iab", x.reshape(x.shape[:-2] + (n, m, n, m)))
 
-    def _prefactors(self, tau: float) -> tuple[float, float]:
+    def _prefactors(self, tau):
         d = self.pc + (1.0 - tau) * self.pmax
         phi = d / (self.pc * (self.pc + self.pmax))
         psi = self.pc * self.pmax / d
         return phi, psi
 
-    def _mui(self, i: int, actions) -> list[np.ndarray]:
-        """Interference-plus-noise covariance per subcarrier at receiver i."""
-        n_rx = self.channels.n_rx
-        w = [np.eye(n_rx, dtype=complex) for _ in range(self.channels.n_subcarriers)]
-        for j in range(self.n_players):
-            if j == i:
-                continue
-            qj = transform_x_to_q(actions[j], self.pc, self.pmax)
-            for s, qs in enumerate(self._blocks(qj)):
-                h = self.channels.links[j, i, s]
-                w[s] = w[s] + h @ qs @ h.conj().T
+    def _mui(self, i: int, actions, covariances: bool = False) -> np.ndarray:
+        """(..., n_sub, n_rx, n_rx) stack of I + sum_{j != i} H Q_j H^dag at receiver i, in
+        player order; `actions` holds X stacks, or the covariances Q if `covariances`."""
+        w = np.eye(self.channels.n_rx, dtype=complex)
+        for j, x in enumerate(actions):
+            if j != i:
+                q = x if covariances else transform_x_to_q(x, self.pc, self.pmax)
+                h = self.channels.links[j, i]
+                w = w + h @ self._blocks(q) @ _dagger(h)
         return w
 
     # -- GameModel interface --------------------------------------------------
 
-    def _received(self, i: int, actions, psi: float):
-        """Per subcarrier at receiver i: (H, K = H X_s H^dag, A = W + psi K), and the
-        sum of log det A - log det W over subcarriers.
+    def _received(self, i: int, actions, psi):
+        """Per profile and subcarrier at receiver i: H, K = H X_s H^dag, A = W + psi K,
+        and per profile the sum of log det A - log det W over subcarriers.
 
         A channel large enough to overflow leaves W or A non-finite, which fails
         the definiteness check with DomainError; numpy's warnings about that
         overflow are silenced here only.
         """
-        out, total = [], 0.0
+        h = self.channels.links[i, i]
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, (w, xs) in enumerate(zip(self._mui(i, actions), self._blocks(actions[i]))):
-                h = self.channels.links[i, i, s]
-                k = h @ xs @ h.conj().T
-                a = w + psi * k
-                sign_a, logdet_a = np.linalg.slogdet(a)
-                sign_w, logdet_w = np.linalg.slogdet(w)
-                if not (sign_a.real > 0 and sign_w.real > 0):
-                    raise DomainError("received covariance lost definiteness")
-                total += float(logdet_a.real - logdet_w.real)
-                out.append((h, k, a))
-        return out, total
+            w = self._mui(i, actions)
+            k = h @ self._blocks(actions[i]) @ _dagger(h)
+            a = w + psi[:, None, None, None] * k
+            sign_a, logdet_a = np.linalg.slogdet(a)
+            sign_w, logdet_w = np.linalg.slogdet(w)
+            if not ((sign_a.real > 0).all() and (sign_w.real > 0).all()):
+                raise DomainError("received covariance lost definiteness")
+        return h, k, a, _subcarrier_sum(logdet_a.real - logdet_w.real)
 
     def utility(self, i, actions) -> float:
-        phi, psi = self._prefactors(float(np.trace(np.asarray(actions[i])).real))
-        return phi * self._received(i, actions, psi)[1]
+        stacks = [np.asarray(a)[None] for a in actions]
+        phi, psi = self._prefactors(np.trace(stacks[i], axis1=-2, axis2=-1).real)
+        return float(phi[0] * self._received(i, stacks, psi)[-1][0])
 
-    def _gradient(self, i: int, actions) -> np.ndarray:
-        """Player i's payoff gradient at one profile."""
-        tau = float(np.trace(np.asarray(actions[i])).real)
+    def gradient_stack(self, i, actions) -> np.ndarray:
+        tau = np.trace(actions[i], axis1=-2, axis2=-1).real
         phi, psi = self._prefactors(tau)
         d = self.pc + (1.0 - tau) * self.pmax
         phi_slope = -self.pmax / (self.pc * (self.pc + self.pmax))
         psi_slope = self.pc * self.pmax * self.pmax / (d * d)
 
-        received, log_sum = self._received(i, actions, psi)
-        dim = self._domain.dim
-        grad = np.zeros((dim, dim), dtype=complex)
-        trace_sum = 0.0
-        for sl, (h, k, a) in zip(self._domain.slices, received):
-            a_inv_h = np.linalg.solve(a, h)
-            trace_sum += float(np.trace(np.linalg.solve(a, k)).real)
-            grad[sl, sl] = phi * psi * (h.conj().T @ a_inv_h)
+        h, k, a, log_sum = self._received(i, actions, psi)
+        trace_sum = _subcarrier_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
+        grad = np.zeros(np.shape(actions[i]), dtype=complex)
+        # h[None] has a's ndim, so numpy 1.x also solves it as matrices, not as vectors
+        self._blocks(grad)[...] = ((phi * psi)[:, None, None, None]
+                                   * (_dagger(h) @ np.linalg.solve(a, h[None])))
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
-        grad = grad + scalar * np.eye(dim, dtype=complex)
-        return hermitize(grad)
-
-    def gradient_stack(self, i, actions) -> np.ndarray:
-        return np.stack([self._gradient(i, [a[s] for a in actions])
-                         for s in range(len(actions[i]))])
+        return hermitize(grad + scalar[:, None, None] * np.eye(self._domain.dim, dtype=complex))
 
     # -- physical-coordinate oracles ------------------------------------------
 
     def throughput(self, i: int, q_profile) -> float:
-        """Achievable rate of user i at covariance profile Q (nats)."""
-        x_like = [transform_q_to_x(q, self.pc, self.pmax) for q in q_profile]
-        mui = self._mui(i, x_like)
-        total = 0.0
-        qi = np.asarray(q_profile[i])
-        for s, w in enumerate(mui):
-            h = self.channels.links[i, i, s]
-            qs = self._blocks(qi)[s]
-            a = w + h @ qs @ h.conj().T
-            total += float(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real)
-        return total
+        """Achievable rate of user i at covariance profile Q (nats); DomainError if Q is infeasible."""
+        q_profile = [_feasible_covariance(q, self.pmax) for q in q_profile]
+        h = self.channels.links[i, i]
+        w = self._mui(i, q_profile, covariances=True)
+        a = w + h @ self._blocks(q_profile[i]) @ _dagger(h)
+        return float(_subcarrier_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
 
     def energy_efficiency(self, i: int, q_profile) -> float:
         """Rate over total consumed power, evaluated directly in covariances."""
-        qi = np.asarray(q_profile[i])
-        return self.throughput(i, q_profile) / (self.pc + float(np.trace(qi).real))
+        return self.throughput(i, q_profile) / (self.pc + float(np.trace(q_profile[i]).real))
 
 
 def uniform_baseline(game: EeGame):

@@ -299,13 +299,17 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
 
 def max_sampled_gradient_norm(game: GameModel, config: SolverConfig, probes: int,
                               seed: int = 0) -> float:
-    """Empirical gradient bound: max dual norm of noisy estimates over sampled profiles."""
+    """Empirical gradient bound: max dual norm of noisy estimates over sampled profiles.
+
+    Each estimate is the game's own oracle `stochastic_gradient` (a minibatch draw,
+    say) plus the injected noise, both drawn from the probe's generator.
+    """
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(probes):
         x = game.sample_profile(rng)
         for i in range(game.n_players):
-            v = game.payoff_gradient(i, x)
+            v = game.stochastic_gradient(i, x, rng)
             vhat = hermitize(
                 inject_noise(v, config.noise, rng, blocks=game.players[i].domain.blocks)
             )

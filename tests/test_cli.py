@@ -164,6 +164,37 @@ class TestRun:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {PROBABILITIES_NOT_A_LIST}\n"
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("solver", "max_iters", None, "solver.max_iters must be a number, got null"),
+        ("solver", "seed", "1", 'solver.seed must be a number, got "1"'),
+        ("solver", "log_every", [25], "solver.log_every must be a number, got [25]"),
+        ("solver", "stop_residual", True, "solver.stop_residual must be a number, got true"),
+        ("schedule", "gamma0", None, "solver.schedule.gamma0 must be a number, got null"),
+        ("async", "delay_max", None, "async.delay_max must be a number, got null"),
+        ("game", "b", "1.0", 'game.b must be a number, got "1.0"'),
+    ], ids=["null", "string", "list", "bool", "nested_section", "async", "game"])
+    def test_non_number_one_line_error(self, tmp_path, capsys, section, key, value, message):
+        payload = mac_payload()
+        if section == "async":
+            payload["async"] = {"probabilities": [0.5, 0.5], key: value}
+        elif section == "schedule":
+            payload["solver"]["schedule"][key] = value
+        else:
+            payload[section][key] = value
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_keys_defaulting_to_null_stay_free_form(self, tmp_path):
+        payload = {"game": {"kind": "metric", "trace_cap": None, "features": 3.0},
+                   "solver": {"reference": "none"}, "async": {"probabilities": None},
+                   "experiment": {"grid": None}}
+        resolved = load_config(write_cfg(tmp_path, payload))
+        assert resolved["game"]["trace_cap"] is None and resolved["game"]["features"] == 3.0
+        assert resolved["solver"]["reference"] == "none"
+
     def test_non_finite_channel_fixture_one_line_error(self, tmp_path, capsys):
         cfg = ee_fixture_cfg(tmp_path, float("nan"))
         out = tmp_path / "out"
@@ -423,6 +454,22 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"solver.max_iters": [100, None]}, "solver.max_iters must be a number, got null"),
+        ({"solver.noise.sigma": [0.1, "0.2"]}, 'solver.noise.sigma must be a number, got "0.2"'),
+    ], ids=["null", "string"])
+    def test_non_number_grid_value_rejected_before_any_cell_runs(self, tmp_path, capsys,
+                                                                 monkeypatch, grid, message):
+        payload = mac_payload()
+        payload["experiment"] = {"mode": "sweep", "seeds": 2, "grid": grid}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @staticmethod
     def exponent_sweep(async_section=None, **solver):

@@ -22,7 +22,7 @@ from mxl.families import (
 )
 from mxl.games import finite_diff_gradient_check
 from mxl.solver import NoiseModel, SolverConfig, StepSchedule, run
-from mxl.spectral import DomainError, hermitize, mirror_map
+from mxl.spectral import DomainError, Spectrahedron, hermitize, mirror_map
 from mxl.verify import brute_force_ne
 
 from helpers import concavity_violations
@@ -179,6 +179,16 @@ class TestTransforms:
             back = transform_x_to_q(x, 0.1, 2.0)
             assert np.abs(back - q).max() < 1e-12
 
+    def test_stack_is_the_per_matrix_transform(self, rng):
+        x = np.stack([0.9 * Spectrahedron(4, 1.0).sample(rng) for _ in range(5)])
+        q = transform_x_to_q(x, 0.1, 2.0)
+        for s in range(5):
+            assert np.array_equal(q[s], transform_x_to_q(x[s], 0.1, 2.0))
+            assert np.array_equal(q[s], ref_x_to_q(x[s], 0.1, 2.0))
+        x[3] = np.eye(4)  # trace > 1
+        with pytest.raises(DomainError, match=r"argument must be PSD with trace <= 1"):
+            transform_x_to_q(x, 0.1, 2.0)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             transform_q_to_x(np.eye(2, dtype=complex) * 3.0, 0.1, 2.0)  # trace > pmax
@@ -216,13 +226,76 @@ class TestChannels:
 
 
 def effective_channels(game, i, actions):
-    """Whitened direct channels W^{-1/2} H of player i, one per subcarrier."""
-    out = []
-    for s, w in enumerate(game._mui(i, actions)):
-        vals, vecs = np.linalg.eigh(hermitize(w))
-        w_isqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-        out.append(w_isqrt @ game.channels.links[i, i, s])
-    return out
+    """Whitened direct channels W^{-1/2} H of player i, stacked over subcarriers."""
+    vals, vecs = np.linalg.eigh(hermitize(game._mui(i, actions)))
+    w_isqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return w_isqrt @ game.channels.links[i, i]
+
+
+# The per-profile formula with its subcarrier loops that the stacked EE formula
+# replaced. The stacked one keeps its operation order, so it must match bit for bit.
+
+def ref_x_to_q(x, pc, pmax):
+    x = hermitize(np.asarray(x, dtype=complex))
+    tau = float(np.trace(x).real)
+    w = np.linalg.eigvalsh(x)
+    if w[0] < -1e-10 or tau > 1.0 + 1e-10:
+        raise DomainError("argument must be PSD with trace <= 1")
+    kappa = (pc + pmax) / pmax
+    tr_q = tau * pc / (kappa - tau)
+    return x * (pc + tr_q) / kappa
+
+
+def ref_mui(game, i, actions):
+    n_rx = game.channels.n_rx
+    w = [np.eye(n_rx, dtype=complex) for _ in range(game.channels.n_subcarriers)]
+    for j in range(game.n_players):
+        if j == i:
+            continue
+        qj = ref_x_to_q(actions[j], game.pc, game.pmax)
+        for s, sl in enumerate(game.domains[j].slices):
+            h = game.channels.links[j, i, s]
+            w[s] = w[s] + h @ qj[sl, sl] @ h.conj().T
+    return w
+
+
+def ref_received(game, i, actions, psi):
+    out, total = [], 0.0
+    for s, (w, sl) in enumerate(zip(ref_mui(game, i, actions), game.domains[i].slices)):
+        h = game.channels.links[i, i, s]
+        k = h @ np.asarray(actions[i])[sl, sl] @ h.conj().T
+        a = w + psi * k
+        sign_a, logdet_a = np.linalg.slogdet(a)
+        sign_w, logdet_w = np.linalg.slogdet(w)
+        if not (sign_a.real > 0 and sign_w.real > 0):
+            raise DomainError("received covariance lost definiteness")
+        total += float(logdet_a.real - logdet_w.real)
+        out.append((h, k, a))
+    return out, total
+
+
+def ref_utility(game, i, actions):
+    phi, psi = game._prefactors(float(np.trace(np.asarray(actions[i])).real))
+    return phi * ref_received(game, i, actions, psi)[1]
+
+
+def ref_gradient(game, i, actions):
+    pc, pmax = game.pc, game.pmax
+    tau = float(np.trace(np.asarray(actions[i])).real)
+    phi, psi = game._prefactors(tau)
+    d = pc + (1.0 - tau) * pmax
+    phi_slope = -pmax / (pc * (pc + pmax))
+    psi_slope = pc * pmax * pmax / (d * d)
+    received, log_sum = ref_received(game, i, actions, psi)
+    dim = game.domains[i].dim
+    grad = np.zeros((dim, dim), dtype=complex)
+    trace_sum = 0.0
+    for sl, (h, k, a) in zip(game.domains[i].slices, received):
+        a_inv_h = np.linalg.solve(a, h)
+        trace_sum += float(np.trace(np.linalg.solve(a, k)).real)
+        grad[sl, sl] = phi * psi * (h.conj().T @ a_inv_h)
+    scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
+    return hermitize(grad + scalar * np.eye(dim, dtype=complex))
 
 
 @pytest.fixture(scope="module")
@@ -302,6 +375,55 @@ class TestEeGame:
             )
         assert phi * direct == pytest.approx(game.utility(0, x), rel=1e-9)
         assert rotated == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("users, tx, rx, subcarriers", [
+        (1, 1, 1, 1), (1, 2, 2, 3), (2, 2, 2, 2), (3, 2, 2, 4), (4, 3, 3, 8), (2, 2, 3, 2),
+    ], ids=["1x1x1", "1x2x3", "2x2x2", "3x2x4", "4x3x8", "2x2x2_rx3"])
+    def test_stacked_formula_equals_per_profile_loops_bit_for_bit(self, users, tx, rx,
+                                                                  subcarriers):
+        game = EeGame(synth_channels(users, tx, rx, subcarriers, seed=users + 10 * subcarriers),
+                      pmax=2.0, pc=0.1)
+        rng = np.random.default_rng(subcarriers)
+        stacks = [np.stack([d.sample(rng) for _ in range(5)]) for d in game.domains]
+        for i in range(users):
+            v = game.gradient_stack(i, stacks)
+            for s in range(5):
+                x = [a[s] for a in stacks]
+                ref = ref_gradient(game, i, x)
+                assert np.array_equal(v[s], ref)
+                assert np.array_equal(game.payoff_gradient(i, x), ref)
+                assert game.utility(i, x).hex() == ref_utility(game, i, x).hex()
+
+    @pytest.mark.parametrize("users, tx, rx, subcarriers, n_stack", [
+        (2, 2, 2, 2, 1), (2, 2, 2, 2, 5), (3, 2, 2, 4, 5),
+    ], ids=["2x2x2_stack1", "2x2x2_stack5", "3x2x4_stack5"])
+    def test_gradient_does_not_rely_on_numpy2_solve_broadcasting(self, monkeypatch, users, tx,
+                                                                 rx, subcarriers, n_stack):
+        # numpy < 2 solves a right-hand side with one axis fewer than `a` as a stack
+        # of vectors; the gradient must give the same values under that rule
+        game = EeGame(synth_channels(users, tx, rx, subcarriers, seed=4), pmax=2.0, pc=0.1)
+        rng = np.random.default_rng(4)
+        stacks = [np.stack([d.sample(rng) for _ in range(n_stack)]) for d in game.domains]
+        expected = game.gradient_stack(0, stacks)
+        solve = np.linalg.solve
+
+        def solve_vector_rule(a, b):
+            b = np.asarray(b)
+            return solve(a, b[..., None])[..., 0] if b.ndim == np.ndim(a) - 1 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve_vector_rule)
+        assert np.array_equal(game.gradient_stack(0, stacks), expected)
+
+    def test_physical_oracles_reject_infeasible_covariances(self, game):
+        fine = (game.pmax / 8.0) * np.eye(4, dtype=complex)
+        not_psd = np.diag([0.5, 0.5, 0.5, -0.1]).astype(complex)
+        over_power = (game.pmax / 2.0) * np.eye(4, dtype=complex)
+        for bad in (not_psd, over_power):
+            for profile in ((bad, fine), (fine, bad)):
+                with pytest.raises(DomainError, match=r"covariance must be PSD with trace <= pmax"):
+                    game.throughput(0, profile)
+                with pytest.raises(DomainError, match=r"covariance must be PSD with trace <= pmax"):
+                    game.energy_efficiency(0, profile)
 
     def test_uniform_baseline_definition(self, game):
         base = uniform_baseline(game)

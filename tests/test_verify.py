@@ -21,7 +21,7 @@ from mxl.solver import (
     initial_state,
     inject_noise,
 )
-from mxl.spectral import Spectrahedron, hermitize, mirror_map
+from mxl.spectral import Spectrahedron, dual_norm, hermitize, mirror_map
 from mxl.verify import (
     ConvergenceError,
     _fit_table,
@@ -273,3 +273,18 @@ def test_max_sampled_gradient_norm():
     v = max_sampled_gradient_norm(game, cfg, 200, seed=2)
     # |V_i| = |1 - 2 x_i - x_j| <= 2 on the square, noiseless
     assert 0.5 < v <= 2.0
+
+
+def test_max_sampled_gradient_norm_uses_the_drawing_oracle():
+    # metric learning's minibatch oracle draws from the probe's generator: the bound
+    # is the replay of sample_profile, stochastic_gradient and the noise, in that order
+    pts, labels = make_cluster_dataset(5, 40, n_classes=2, spread=0.6, seed=3)
+    game = MetricLearningProblem(pts, labels, margin=0.2, trace_cap=2.5, batch_size=16)
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.none(), seed=1)
+    rng = np.random.default_rng(0)
+    expected = 0.0
+    for _ in range(500):
+        x = game.sample_profile(rng)
+        v = inject_noise(game.stochastic_gradient(0, x, rng), cfg.noise, rng, blocks=None)
+        expected = max(expected, dual_norm(hermitize(v)))
+    assert max_sampled_gradient_norm(game, cfg, 500, seed=0) == expected
