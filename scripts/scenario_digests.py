@@ -96,6 +96,18 @@ SCENARIOS = {
         "run", {"game": {**EE, "users": 8, "tx_antennas": 4, "rx_antennas": 4,
                          "subcarriers": 16},
                 "solver": _solver(30, noise=_relative(0.5), log_every=10), "experiment": RUN}),
+    "ee_8x4x16_relative_100": (
+        "run", {"game": {**EE, "users": 8, "tx_antennas": 4, "rx_antennas": 4,
+                         "subcarriers": 16},
+                "solver": _solver(100, noise=_relative(0.5)), "experiment": RUN}),
+    "ee_3x2x4_single_delay4_relative": (
+        "run", {"game": {**EE, "users": 3, "subcarriers": 4},
+                "solver": _solver(300, noise=_relative(0.5)),
+                "async": _async([0.5, 0.7, 0.9], 4, "single"), "experiment": RUN}),
+    "ee_3x2x4_bernoulli_no_delay_gaussian": (
+        "run", {"game": {**EE, "users": 3, "subcarriers": 4},
+                "solver": _solver(300, noise=_gaussian(0.2)),
+                "async": _async([0.5, 0.7, 0.9]), "experiment": RUN}),
     "ee_async_raw_gaussian": (
         "run", {"game": EE, "solver": _solver(300, noise=_gaussian(0.2, hermitian=False)),
                 "async": _async([0.6, 0.8], 3), "experiment": RUN}),

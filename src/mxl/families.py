@@ -324,13 +324,18 @@ def transform_q_to_x(q: np.ndarray, pc: float, pmax: float) -> np.ndarray:
 def transform_x_to_q(x: np.ndarray, pc: float, pmax: float) -> np.ndarray:
     """Inverse change of variables, over (..., d, d) stacks; exact round trip with transform_q_to_x."""
     x = hermitize(np.asarray(x, dtype=complex))
-    tau = x.trace(axis1=-2, axis2=-1).real
-    w = np.linalg.eigvalsh(x)
-    if (w[..., 0] < -1e-10).any() or (tau > 1.0 + 1e-10).any():
+    return _x_to_q(x, x.trace(axis1=-2, axis2=-1).real[..., None, None], pc, pmax)
+
+
+def _x_to_q(x: np.ndarray, tau, pc: float, pmax: float) -> np.ndarray:
+    """transform_x_to_q of Hermitian matrices x, or of their diagonal blocks, where tau holds
+    each whole matrix's trace shaped to broadcast against x; DomainError unless every
+    matrix in x is PSD and every trace is at most 1."""
+    if (np.linalg.eigvalsh(x)[..., 0] < -1e-10).any() or (tau > 1.0 + 1e-10).any():
         raise DomainError("argument must be PSD with trace <= 1")
     kappa = (pc + pmax) / pmax
     tr_q = tau * pc / (kappa - tau)
-    return x * (pc + tr_q)[..., None, None] / kappa
+    return x * (pc + tr_q) / kappa
 
 
 def _subcarrier_sum(values: np.ndarray):
@@ -351,6 +356,9 @@ class EeGame(GameModel):
     interference enters through the received covariance I + sum_j H Q_j H^dag.
     Utility (a stack of one) and gradient are one array formula over profile stacks and
     subcarriers, in a per-subcarrier loop's operation order and so bit for bit its values.
+    Every evaluation first maps each player's subcarrier blocks to covariance blocks
+    (`_covariance_blocks`, which checks each block, not the whole matrix), once per
+    profile stack: `gradient_stacks` shares them between all receivers it evaluates.
     """
 
     def __init__(self, channels: ChannelSet, pmax: float = 2.0, pc: float = 0.1):
@@ -365,11 +373,15 @@ class EeGame(GameModel):
 
     # -- helpers ------------------------------------------------------------
 
-    def _blocks(self, x) -> np.ndarray:
-        """The (..., n_sub, m, m) subcarrier blocks of an (..., d, d) stack, as a view."""
-        x = np.asarray(x)
-        n, m = self.channels.n_subcarriers, self.channels.n_tx
-        return np.einsum("...iaib->...iab", x.reshape(x.shape[:-2] + (n, m, n, m)))
+    def _covariance_blocks(self, x) -> np.ndarray:
+        """Subcarrier blocks of transform_x_to_q(X) for an (..., d, d) stack X.
+
+        Only the blocks enter the game, so only they are checked (DomainError unless
+        every block is PSD and every trace is at most 1), by eigenvalues per block.
+        """
+        x = np.asarray(x, dtype=complex)
+        tau = np.trace(x, axis1=-2, axis2=-1).real[..., None, None, None]
+        return _x_to_q(hermitize(self._domain.diagonal_blocks(x)), tau, self.pc, self.pmax)
 
     def _prefactors(self, tau):
         d = self.pc + (1.0 - tau) * self.pmax
@@ -377,22 +389,22 @@ class EeGame(GameModel):
         psi = self.pc * self.pmax / d
         return phi, psi
 
-    def _mui(self, i: int, actions, covariances: bool = False) -> np.ndarray:
+    def _mui(self, i: int, covariances) -> np.ndarray:
         """(..., n_sub, n_rx, n_rx) stack of I + sum_{j != i} H Q_j H^dag at receiver i, in
-        player order; `actions` holds X stacks, or the covariances Q if `covariances`."""
+        player order, from each player's (..., n_sub, m, m) covariance blocks."""
         w = np.eye(self.channels.n_rx, dtype=complex)
-        for j, x in enumerate(actions):
+        for j, q in enumerate(covariances):
             if j != i:
-                q = x if covariances else transform_x_to_q(x, self.pc, self.pmax)
                 h = self.channels.links[j, i]
-                w = w + h @ self._blocks(q) @ _dagger(h)
+                w = w + h @ q @ _dagger(h)
         return w
 
     # -- GameModel interface --------------------------------------------------
 
-    def _received(self, i: int, actions, psi):
-        """Per profile and subcarrier at receiver i: H, K = H X_s H^dag, A = W + psi K,
-        and per profile the sum of log det A - log det W over subcarriers.
+    def _received(self, i: int, x, covariances, psi):
+        """Per profile and subcarrier at receiver i, whose action stack is x: H,
+        K = H X_s H^dag, A = W + psi K, and per profile the sum of log det A - log det W
+        over subcarriers.
 
         A channel large enough to overflow leaves W or A non-finite, which fails
         the definiteness check with DomainError; numpy's warnings about that
@@ -400,8 +412,8 @@ class EeGame(GameModel):
         """
         h = self.channels.links[i, i]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self._mui(i, actions)
-            k = h @ self._blocks(actions[i]) @ _dagger(h)
+            w = self._mui(i, covariances)
+            k = h @ self._domain.diagonal_blocks(x) @ _dagger(h)
             a = w + psi[:, None, None, None] * k
             sign_a, logdet_a = np.linalg.slogdet(a)
             sign_w, logdet_w = np.linalg.slogdet(w)
@@ -411,22 +423,31 @@ class EeGame(GameModel):
 
     def utility(self, i, actions) -> float:
         stacks = [np.asarray(a)[None] for a in actions]
+        covariances = [self._covariance_blocks(x) for x in stacks]
         phi, psi = self._prefactors(np.trace(stacks[i], axis1=-2, axis2=-1).real)
-        return float(phi[0] * self._received(i, stacks, psi)[-1][0])
+        return float(phi[0] * self._received(i, stacks[i], covariances, psi)[-1][0])
 
     def gradient_stack(self, i, actions) -> np.ndarray:
-        tau = np.trace(actions[i], axis1=-2, axis2=-1).real
+        return self.gradient_stacks(actions, (i,))[0]
+
+    def gradient_stacks(self, actions, players) -> list[np.ndarray]:
+        covariances = [self._covariance_blocks(x) for x in actions]
+        return [self._gradient(i, actions[i], covariances) for i in players]
+
+    def _gradient(self, i: int, x, covariances) -> np.ndarray:
+        """Receiver i's gradient stack at its action stack x, from all covariance blocks."""
+        tau = np.trace(x, axis1=-2, axis2=-1).real
         phi, psi = self._prefactors(tau)
         d = self.pc + (1.0 - tau) * self.pmax
         phi_slope = -self.pmax / (self.pc * (self.pc + self.pmax))
         psi_slope = self.pc * self.pmax * self.pmax / (d * d)
 
-        h, k, a, log_sum = self._received(i, actions, psi)
+        h, k, a, log_sum = self._received(i, x, covariances, psi)
         trace_sum = _subcarrier_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
-        grad = np.zeros(np.shape(actions[i]), dtype=complex)
+        grad = np.zeros(np.shape(x), dtype=complex)
         # h[None] has a's ndim, so numpy 1.x also solves it as matrices, not as vectors
-        self._blocks(grad)[...] = ((phi * psi)[:, None, None, None]
-                                   * (_dagger(h) @ np.linalg.solve(a, h[None])))
+        self._domain.diagonal_blocks(grad)[...] = ((phi * psi)[:, None, None, None]
+                                                   * (_dagger(h) @ np.linalg.solve(a, h[None])))
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
         return hermitize(grad + scalar[:, None, None] * np.eye(self._domain.dim, dtype=complex))
 
@@ -434,10 +455,11 @@ class EeGame(GameModel):
 
     def throughput(self, i: int, q_profile) -> float:
         """Achievable rate of user i at covariance profile Q (nats); DomainError if Q is infeasible."""
-        q_profile = [_feasible_covariance(q, self.pmax) for q in q_profile]
+        blocks = [self._domain.diagonal_blocks(_feasible_covariance(q, self.pmax))
+                  for q in q_profile]
         h = self.channels.links[i, i]
-        w = self._mui(i, q_profile, covariances=True)
-        a = w + h @ self._blocks(q_profile[i]) @ _dagger(h)
+        w = self._mui(i, blocks)
+        a = w + h @ blocks[i] @ _dagger(h)
         return float(_subcarrier_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
 
     def energy_efficiency(self, i: int, q_profile) -> float:

@@ -39,7 +39,10 @@ class GameModel(ABC):
     of profiles, in the convention d/dt u(X + tZ) = tr(Z V). There `actions[j]`
     stacks player j's actions as an (S, d, d) array, and entry s of the result
     depends on profile s only. `payoff_gradient(i, actions)`, the gradient at
-    one profile, is its stack of one; a subclass may not redefine it. Oracles
+    one profile, is its stack of one; a subclass may not redefine it.
+    `gradient_stacks(actions, players)` gives the stacks of several players at
+    one profile stack, by default one `gradient_stack` each; a game overrides it
+    to share work between players, with each row as `gradient_stack` gives it. Oracles
     that draw random numbers (an unbiased minibatch estimate, say) override
     `stochastic_gradient`; by default it is the exact gradient.
     Implementations must be reentrant (no mutable state across calls).
@@ -74,11 +77,17 @@ class GameModel(ABC):
         """Player i's exact gradient at one profile: `gradient_stack` on a stack of one."""
         return self.gradient_stack(i, [np.asarray(a)[None] for a in actions])[0]
 
+    def gradient_stacks(self, actions, players) -> list[np.ndarray]:
+        """`gradient_stack(i, actions)` for each i in `players`, in that order."""
+        return [self.gradient_stack(i, actions) for i in players]
+
     def stochastic_gradient(self, i: int, actions, rng: np.random.Generator) -> np.ndarray:
         return self.payoff_gradient(i, actions)
 
     def gradient_profile(self, actions) -> list[np.ndarray]:
-        return [self.payoff_gradient(i, actions) for i in range(self.n_players)]
+        """Every player's exact gradient at one profile, from one `gradient_stacks` call."""
+        stacks = [np.asarray(a)[None] for a in actions]
+        return [v[0] for v in self.gradient_stacks(stacks, range(self.n_players))]
 
     def require_feasible(self, actions) -> None:
         if len(actions) != self.n_players:
@@ -139,8 +148,7 @@ def nash_residual(game: GameModel, actions) -> float:
     """
     game.require_feasible(actions)
     worst = 0.0
-    for i, spec in enumerate(game.players):
-        v = game.payoff_gradient(i, actions)
+    for i, (spec, v) in enumerate(zip(game.players, game.gradient_profile(actions))):
         top = float(np.linalg.eigvalsh(hermitize(v))[-1])
         gap = spec.domain.trace_bound * max(top, 0.0) - trace_inner(actions[i], v)
         worst = max(worst, gap)

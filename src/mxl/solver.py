@@ -335,13 +335,14 @@ class SeedNoise:
     `drawing` tells whether the game's gradient oracle draws random numbers
     (the game redefines `stochastic_gradient`): `advance` then calls that
     oracle seed by seed on each seed's Generator, and otherwise takes the exact
-    `gradient_stack`. When every update of a player draws the same number of
+    gradient stacks. When every update of a player draws the same number of
     standard normals (noise `gaussian` or `relative`, and a gradient that draws
     nothing), each seed's normals are drawn ahead, up to CHUNK_STEPS steps'
     worth at a time, and handed out from a flat cursor in the order the players
     update. A Generator yields the same stream however its draws are grouped,
     so every perturbation equals the one `inject_noise` would draw, bit for
-    bit, whichever players update. Otherwise `inject_noise` runs seed by seed,
+    bit, whichever players update. Blocks of one size are filled through one
+    view of the diagonal blocks. Otherwise `inject_noise` runs seed by seed,
     right after each player's gradient.
     """
 
@@ -390,25 +391,33 @@ class SeedNoise:
                 norms = np.sqrt(g.real * g.real + g.imag * g.imag)
             else:
                 norms = np.array([np.linalg.norm(vs) for vs in v])
-            sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
+            sigma = (model.level * norms / np.sqrt(dim))[:, None, None, None]
         draws = self._next(self.widths[i])
-        z = np.zeros_like(v) if len(domain.slices) > 1 else None
-        pos = 0
-        for sl in domain.slices:
-            b = sl.stop - sl.start
-            re = draws[:, pos : pos + b * b].reshape(-1, b, b)
-            im = draws[:, pos + b * b : pos + 2 * b * b].reshape(-1, b, b)
-            pos += 2 * b * b
-            if model.hermitian:
-                a = re + 1j * im
-                zb = (a + a.conj().swapaxes(-1, -2)) * (sigma / (2.0 * np.sqrt(b)))
-            else:
-                zb = (sigma / np.sqrt(2.0 * b)) * (re + 1j * im)
-            if z is None:
-                z = zb
-            else:
-                z[:, sl, sl] = zb
+        if domain.block_shape is None:
+            z = np.zeros_like(v)
+            pos = 0
+            for sl in domain.slices:
+                b = sl.stop - sl.start
+                pairs = draws[:, pos : pos + 2 * b * b].reshape(-1, 1, 2, b, b)
+                pos += 2 * b * b
+                z[:, sl, sl] = _block_noise(pairs, sigma, b, model.hermitian)[:, 0]
+            return hermitize(v + z)
+        n, b = domain.block_shape
+        blocks = _block_noise(draws.reshape(-1, n, 2, b, b), sigma, b, model.hermitian)
+        if n == 1:
+            return hermitize(v + blocks[:, 0])
+        z = np.zeros_like(v)
+        domain.diagonal_blocks(z)[...] = blocks
         return hermitize(v + z)
+
+
+def _block_noise(pairs: np.ndarray, sigma, b: int, hermitian: bool) -> np.ndarray:
+    """(S, n, b, b) noise blocks from (S, n, 2, b, b) standard normals (real parts, then
+    imaginary parts), at scale sigma: a float, or an (S, 1, 1, 1) array, one per seed."""
+    a = pairs[:, :, 0] + 1j * pairs[:, :, 1]
+    if hermitian:
+        return (a + a.conj().swapaxes(-1, -2)) * (sigma / (2.0 * np.sqrt(b)))
+    return (sigma / np.sqrt(2.0 * b)) * a
 
 
 def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
@@ -421,9 +430,12 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     drawn from `sched_rng` unless the schedule is synchronous (the default).
     Each updating player's gradient is evaluated at a profile whose per-player
     components lag by independent uniform delays from {0..delay_max}, and
-    their step size is indexed by their own update count. All trajectories
-    share the update set, the delays and the counts; trajectory s draws only
-    from `noise.rngs[s]`. An epoch is committed, and counts for its players,
+    their step size is indexed by their own update count. Without delays, and
+    when the game's gradient oracle draws nothing, one `gradient_stacks` call
+    gives the epoch's gradients; otherwise each player's is taken in turn,
+    interleaved with its noise as a drawing oracle's stream needs. All
+    trajectories share the update set, the delays and the counts; trajectory s
+    draws only from `noise.rngs[s]`. An epoch is committed, and counts for its players,
     only once every updated score is finite: otherwise it raises
     NonFiniteGradientError (for a non-finite gradient) or DomainError.
     """
@@ -432,6 +444,7 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     weights = np.array(probs) / sum(probs)
     everyone = range(game.n_players)
     all_update = all(p == 1.0 for p in probs)
+    batched = d_max == 0 and not noise.drawing
     history = [tuple(state.actions)]  # history[k] is the profile k epochs ago
     for n in range(state.n, steps + 1):
         if schedule.mode == "single":
@@ -442,19 +455,24 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
             update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
         gamma = float("nan")
         scores = []
-        for i in update_set:
-            if d_max == 0:
-                delayed = history[0]
+        if batched:
+            gradients = game.gradient_stacks(history[0], update_set)
+        for k, i in enumerate(update_set):
+            if batched:
+                v = gradients[k]
             else:
-                lags = sched_rng.integers(0, d_max + 1, size=game.n_players)
-                delayed = tuple(
-                    history[min(int(lag), len(history) - 1)][j] for j, lag in enumerate(lags)
-                )
-            if noise.drawing:
-                v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
-                              for s, rng in enumerate(noise.rngs)])
-            else:
-                v = game.gradient_stack(i, delayed)
+                if d_max == 0:
+                    delayed = history[0]
+                else:
+                    lags = sched_rng.integers(0, d_max + 1, size=game.n_players)
+                    delayed = tuple(
+                        history[min(int(lag), len(history) - 1)][j] for j, lag in enumerate(lags)
+                    )
+                if noise.drawing:
+                    v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
+                                  for s, rng in enumerate(noise.rngs)])
+                else:
+                    v = game.gradient_stack(i, delayed)
             gamma = step_schedule.at(state.counts[i] + 1)
             # an overflow or NaN here leaves a non-finite score, which _checked_score reports
             with np.errstate(over="ignore", invalid="ignore"):

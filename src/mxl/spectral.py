@@ -114,7 +114,9 @@ class Spectrahedron:
 
     `blocks`, when given, lists block sizes that must sum to `dim`; members are
     block-diagonal to within a tiny off-block mass. Derived once: `slices`, the
-    diagonal blocks' index ranges, and `off_block`, the entries outside them.
+    diagonal blocks' index ranges, `off_block`, the entries outside them, and
+    `block_shape`, the (count, size) of blocks that all have one size (None for
+    unequal sizes; (1, dim) without blocks).
     """
 
     dim: int
@@ -122,6 +124,7 @@ class Spectrahedron:
     blocks: tuple[int, ...] | None = None
     slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
     off_block: np.ndarray | None = field(init=False, repr=False, compare=False)
+    block_shape: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -137,9 +140,19 @@ class Spectrahedron:
             owner = np.repeat(np.arange(len(blocks)), blocks)  # the block of each index
             off = owner[:, None] != owner
             off.flags.writeable = False
-        edges = np.cumsum((0, *(self.blocks or (self.dim,)))).tolist()
+        sizes = self.blocks or (self.dim,)
+        edges = np.cumsum((0, *sizes)).tolist()
         object.__setattr__(self, "slices", tuple(map(slice, edges[:-1], edges[1:])))
         object.__setattr__(self, "off_block", off)
+        equal = len(set(sizes)) == 1
+        object.__setattr__(self, "block_shape", (len(sizes), sizes[0]) if equal else None)
+
+    def diagonal_blocks(self, x: np.ndarray) -> np.ndarray:
+        """The (..., n, m, m) diagonal blocks of an (..., dim, dim) stack for n blocks of one
+        size m, as one view (writable when x is contiguous)."""
+        n, m = self.block_shape
+        x = np.asarray(x)
+        return np.einsum("...iaib->...iab", x.reshape(x.shape[:-2] + (n, m, n, m)))
 
     def center(self) -> np.ndarray:
         """The exponential-projection image of a zero score: A/(dim+1) * I."""
@@ -171,16 +184,32 @@ class Spectrahedron:
             raise DomainError(f"{name} is not a member of Spectrahedron(dim={self.dim}, A={self.trace_bound})")
         return np.asarray(x)
 
+    def _batched(self) -> bool:
+        """Whether blocks are handled as one (..., n, m, m) stack: several blocks of one size."""
+        return self.block_shape is not None and self.block_shape[0] > 1
+
     def _eigh_blocks(self, y: np.ndarray):
-        """Block-order eigenvalues of a block-diagonal stack and each block's eigenbasis."""
+        """Block-order eigenvalues of a block-diagonal stack and its blocks' eigenbases.
+
+        Several blocks of one size take one batched eigh, whose bases come as one
+        (..., n, m, m) array; other layouts take one eigh per block and a list of bases.
+        """
+        if self._batched():
+            w, u = np.linalg.eigh(self.diagonal_blocks(y))
+            return w.reshape(w.shape[:-2] + (self.dim,)), u
         pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in self.slices]
         return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
 
     def _assemble(self, lam: np.ndarray, bases) -> np.ndarray:
         """Hermitian block-diagonal stack whose block k is U_k diag(lam[..., slices[k]]) U_k^dag."""
         out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
-        for sl, u in zip(self.slices, bases):
-            out[..., sl, sl] = (u * lam[..., None, sl]) @ _dagger(u)
+        if self._batched():
+            u = np.asarray(bases)
+            lam = lam.reshape(lam.shape[:-1] + self.block_shape)
+            self.diagonal_blocks(out)[...] = (u * lam[..., None, :]) @ _dagger(u)
+        else:
+            for sl, u in zip(self.slices, bases):
+                out[..., sl, sl] = (u * lam[..., None, sl]) @ _dagger(u)
         return hermitize(out)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -270,7 +299,8 @@ def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
 
     Scores must already be Hermitian, block-diagonal and of the domain's size.
     A 1x1 score is mapped in closed form with the same float operations as the
-    general path; larger scores use one batched eigendecomposition per block.
+    general path; larger scores use one batched eigendecomposition per block, or
+    one for all blocks when they have one size.
     """
     if domain.dim == 1:
         lam = y[..., 0, 0].real

@@ -227,7 +227,8 @@ class TestChannels:
 
 def effective_channels(game, i, actions):
     """Whitened direct channels W^{-1/2} H of player i, stacked over subcarriers."""
-    vals, vecs = np.linalg.eigh(hermitize(game._mui(i, actions)))
+    covariances = [game._covariance_blocks(x) for x in actions]
+    vals, vecs = np.linalg.eigh(hermitize(game._mui(i, covariances)))
     w_isqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return w_isqrt @ game.channels.links[i, i]
 
@@ -378,7 +379,8 @@ class TestEeGame:
 
     @pytest.mark.parametrize("users, tx, rx, subcarriers", [
         (1, 1, 1, 1), (1, 2, 2, 3), (2, 2, 2, 2), (3, 2, 2, 4), (4, 3, 3, 8), (2, 2, 3, 2),
-    ], ids=["1x1x1", "1x2x3", "2x2x2", "3x2x4", "4x3x8", "2x2x2_rx3"])
+        (8, 4, 4, 16),
+    ], ids=["1x1x1", "1x2x3", "2x2x2", "3x2x4", "4x3x8", "2x2x2_rx3", "8x4x16"])
     def test_stacked_formula_equals_per_profile_loops_bit_for_bit(self, users, tx, rx,
                                                                   subcarriers):
         game = EeGame(synth_channels(users, tx, rx, subcarriers, seed=users + 10 * subcarriers),
@@ -424,6 +426,32 @@ class TestEeGame:
                     game.throughput(0, profile)
                 with pytest.raises(DomainError, match=r"covariance must be PSD with trace <= pmax"):
                     game.energy_efficiency(0, profile)
+
+    @pytest.mark.parametrize("where", ["receiver", "interferer"])
+    @pytest.mark.parametrize("bad", ["non_psd_block", "trace_above_one"])
+    def test_blockwise_check_rejects_infeasible_actions(self, game, bad, where):
+        fine = np.eye(4, dtype=complex) / 8
+        x = {"non_psd_block": np.diag([0.3, 0.3, 0.3, -0.05]),  # subcarrier 2, trace 0.85
+             "trace_above_one": 0.3 * np.eye(4)}[bad].astype(complex)
+        profile = (x, fine) if where == "receiver" else (fine, x)
+        stacks = [np.stack([fine, a, fine]) for a in profile]  # only profile 1 is infeasible
+        message = r"^argument must be PSD with trace <= 1$"
+        with pytest.raises(DomainError, match=message):
+            game.gradient_stack(0, stacks)
+        for players in ([0], [1, 0]):
+            with pytest.raises(DomainError, match=message):
+                game.gradient_stacks(stacks, players)
+        with pytest.raises(DomainError, match=message):
+            game.utility(0, profile)
+
+    def test_only_the_subcarrier_blocks_enter(self, game, rng):
+        # entries outside the blocks are neither checked nor used
+        x = [0.9 * d.sample(rng) for d in game.domains]
+        noisy = [a + 0.5 * game.domains[0].off_block for a in x]
+        assert np.linalg.eigvalsh(noisy[1])[0] < -0.1
+        for i in range(2):
+            assert game.utility(i, noisy) == game.utility(i, x)
+            assert np.array_equal(game.payoff_gradient(i, noisy), game.payoff_gradient(i, x))
 
     def test_uniform_baseline_definition(self, game):
         base = uniform_baseline(game)

@@ -48,6 +48,7 @@ STACK_GAMES = {
     "bilinear": lambda: BilinearGame(threshold=0.3),
     "zero": lambda: ZeroGame([Spectrahedron(2, 1.0), Spectrahedron(3, 2.0)]),
     "ee_2x2x2": lambda: EeGame(synth_channels(2, 2, 2, 2, pathloss_spread=1.0, seed=9)),
+    "ee_3x2x4": lambda: EeGame(synth_channels(3, 2, 2, 4, pathloss_spread=1.0, seed=5)),
     "metric": lambda: MetricLearningProblem(*make_cluster_dataset(3, 8, seed=2), batch_size=4),
 }
 
@@ -63,6 +64,23 @@ def test_gradient_stack_rows_equal_stacks_of_one(name):
         assert v.shape == (5, spec.domain.dim, spec.domain.dim)
         for s, profile in enumerate(profiles):
             assert np.array_equal(v[s], game.payoff_gradient(i, profile))
+
+
+@pytest.mark.parametrize("n_stack", [1, 5])
+@pytest.mark.parametrize("name", sorted(STACK_GAMES))
+def test_gradient_stacks_rows_equal_gradient_stack(name, n_stack):
+    game = STACK_GAMES[name]()
+    rng = np.random.default_rng(23)
+    profiles = [game.sample_profile(rng) for _ in range(n_stack)]
+    stacks = [np.stack([p[j] for p in profiles]) for j in range(game.n_players)]
+    everyone = list(range(game.n_players))
+    for players in (everyone, everyone[::-1], everyone[-1:], []):
+        rows = game.gradient_stacks(stacks, players)
+        assert len(rows) == len(players)
+        for i, v in zip(players, rows):
+            assert np.array_equal(v, game.gradient_stack(i, stacks))
+    for i, v in enumerate(game.gradient_profile(profiles[0])):
+        assert np.array_equal(v, game.payoff_gradient(i, profiles[0]))
 
 
 def test_subclass_defining_payoff_gradient_rejected():

@@ -9,6 +9,7 @@ from mxl.solver import (
     AsyncSchedule,
     ConfigurationError,
     NoiseModel,
+    SeedNoise,
     SolverConfig,
     StepSchedule,
     initial_state,
@@ -18,7 +19,14 @@ from mxl.solver import (
     run,
     run_async,
 )
-from mxl.spectral import Spectrahedron, hermiticity_defect, hermitize, mirror_map, nuclear_norm
+from mxl.spectral import (
+    Spectrahedron,
+    hermiticity_defect,
+    hermitize,
+    mirror_map,
+    nuclear_norm,
+    random_hermitian,
+)
 
 # frozen Monte-Carlo oracle values for E||Z||_*^2 of the Gaussian Hermitian
 # draw at sigma=1 (2e5 independent draws, seed 123456; see the noise tests)
@@ -370,6 +378,62 @@ def test_run_async_equals_per_trajectory_reference(name):
     assert [(r.n, r.utilities, r.nash_residual) for r in trace.records] == rows
     assert all(np.array_equal(a, b) for a, b in zip(trace.final_actions, actions))
     assert trace.updates_per_player == counts
+
+
+def ref_perturb(noise, i, v):
+    """SeedNoise.perturb's per-block loop for buffered noise, drawing through noise._next."""
+    model, domain = noise.model, noise.game.players[i].domain
+    dim = v.shape[-1]
+    sigma = model.sigma
+    if model.kind == "relative":
+        if dim == 1:
+            g = v[:, 0, 0]
+            norms = np.sqrt(g.real * g.real + g.imag * g.imag)
+        else:
+            norms = np.array([np.linalg.norm(vs) for vs in v])
+        sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
+    draws = noise._next(noise.widths[i])
+    z = np.zeros_like(v) if len(domain.slices) > 1 else None
+    pos = 0
+    for sl in domain.slices:
+        b = sl.stop - sl.start
+        re = draws[:, pos : pos + b * b].reshape(-1, b, b)
+        im = draws[:, pos + b * b : pos + 2 * b * b].reshape(-1, b, b)
+        pos += 2 * b * b
+        if model.hermitian:
+            a = re + 1j * im
+            zb = (a + a.conj().swapaxes(-1, -2)) * (sigma / (2.0 * np.sqrt(b)))
+        else:
+            zb = (sigma / np.sqrt(2.0 * b)) * (re + 1j * im)
+        if z is None:
+            z = zb
+        else:
+            z[:, sl, sl] = zb
+    return hermitize(v + z)
+
+
+NOISE_LAYOUT_GAME = ZeroGame([
+    Spectrahedron(1, 1.0), Spectrahedron(3, 1.0), Spectrahedron(4, 1.0, blocks=(2, 2)),
+    Spectrahedron(64, 1.0, blocks=(4,) * 16), Spectrahedron(6, 1.0, blocks=(2, 1, 3)),
+])
+
+
+@pytest.mark.parametrize("n_seeds", [1, 4])
+@pytest.mark.parametrize("model", [
+    NoiseModel.gaussian_hermitian(0.3), NoiseModel.gaussian_hermitian(0.3, hermitian=False),
+    NoiseModel.relative(0.5), NoiseModel.relative(0.5, hermitian=False),
+], ids=["gaussian", "gaussian_raw", "relative", "relative_raw"])
+def test_perturb_equals_per_block_loop_bit_for_bit(model, n_seeds):
+    game = NOISE_LAYOUT_GAME
+    noise, ref = (SeedNoise(game, model, [np.random.default_rng(s) for s in range(n_seeds)], 4)
+                  for _ in range(2))
+    rng = np.random.default_rng(53)
+    everyone = list(range(game.n_players))
+    for players in (everyone, everyone[::-1], [3], [4, 0]):
+        for i in players:
+            dim = game.players[i].domain.dim
+            v = np.stack([random_hermitian(dim, rng) for _ in range(n_seeds)])
+            assert np.array_equal(noise.perturb(i, v), ref_perturb(ref, i, v))
 
 
 def test_profile_kl_rescales_by_trace_bound():

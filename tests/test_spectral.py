@@ -7,10 +7,14 @@ import scipy.linalg
 from mxl.spectral import (
     DomainError,
     Spectrahedron,
+    _log_conjugate_from_eigs,
+    _project_capped_simplex,
     dual_norm,
+    exp_projection,
     entropy_conjugate,
     entropy_gradient,
     fenchel_coupling,
+    haar_unitary,
     herm_expm,
     hermitize,
     mirror_map,
@@ -324,3 +328,118 @@ def test_score_shift_trace_saturation():
     traces = [float(np.trace(mirror_map(t * base, dom)).real) for t in (5, 20, 100)]
     assert traces == sorted(traces)
     assert traces[-1] > 1.0 - 1e-12
+
+
+# The per-block loops that equal-size block layouts replaced with one batched eigh
+# and one batched matmul; the batched path must give their values bit for bit.
+
+def ref_eigh_blocks(domain, y):
+    pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in domain.slices]
+    return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
+
+
+def ref_assemble(domain, lam, bases):
+    out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
+    for sl, u in zip(domain.slices, bases):
+        out[..., sl, sl] = (u * lam[..., None, sl]) @ u.conj().swapaxes(-1, -2)
+    return hermitize(out)
+
+
+def ref_exp_projection(y, domain):
+    lam, bases = ref_eigh_blocks(domain, y)
+    all_w = np.sort(lam)
+    if y.ndim == 2:
+        lse = _log_conjugate_from_eigs(all_w)
+    else:
+        m = np.maximum(all_w[..., -1:], 0.0)
+        lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
+    return ref_assemble(domain, np.exp(lam - lse), bases) * domain.trace_bound
+
+
+LAYOUTS = {
+    "unblocked": Spectrahedron(3, 2.0),
+    "equal_2x2": Spectrahedron(4, 1.0, blocks=(2, 2)),
+    "equal_4x16": Spectrahedron(64, 1.0, blocks=(4,) * 16),
+    "unequal_2_1_3": Spectrahedron(6, 1.5, blocks=(2, 1, 3)),
+}
+
+
+def block_scores(domain, rng, count, scale):
+    """(count, d, d) stack of block-diagonal Hermitian scores of Frobenius norm `scale`."""
+    return np.stack([scale * domain.sample_direction(rng) for _ in range(count)])
+
+
+def test_block_shape_derived_for_equal_sizes_only():
+    assert LAYOUTS["unblocked"].block_shape == (1, 3)
+    assert LAYOUTS["equal_4x16"].block_shape == (16, 4)
+    assert LAYOUTS["unequal_2_1_3"].block_shape is None
+    x = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(LAYOUTS["equal_2x2"].diagonal_blocks(x),
+                          [x[:2, :2], x[2:, 2:]])
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_block_paths_equal_per_block_loops_bit_for_bit(name):
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(31)
+    for scale in (0.5, 20.0, 1e4):
+        y = block_scores(dom, rng, 5, scale)
+        assert np.array_equal(exp_projection(y, dom), ref_exp_projection(y, dom))
+        assert np.array_equal(mirror_map(y[2], dom), ref_exp_projection(y[2], dom))
+        lam, bases = dom._eigh_blocks(y)
+        ref_lam, ref_bases = ref_eigh_blocks(dom, y)
+        assert np.array_equal(lam, ref_lam)
+        assert np.array_equal(dom._assemble(lam, bases), ref_assemble(dom, ref_lam, ref_bases))
+        raw = random_hermitian(dom.dim, rng, scale=scale)
+        ref_lam, ref_bases = ref_eigh_blocks(dom, hermitize(raw))
+        ref = ref_assemble(dom, _project_capped_simplex(ref_lam, dom.trace_bound), ref_bases)
+        assert np.array_equal(dom.project(raw), ref)
+    for seed in range(3):
+        ref_rng = np.random.default_rng(seed)
+        lam = dom.trace_bound * ref_rng.dirichlet(np.ones(dom.dim + 1))[: dom.dim]
+        bases = [haar_unitary(sl.stop - sl.start, ref_rng) for sl in dom.slices]
+        assert np.array_equal(dom.sample(np.random.default_rng(seed)),
+                              ref_assemble(dom, lam, bases))
+
+
+# Property tests: seeded loops over an unblocked, an equal-block and an unequal-block domain.
+
+PROPERTY_LAYOUTS = ["unblocked", "equal_4x16", "unequal_2_1_3"]
+
+
+@pytest.mark.parametrize("name", PROPERTY_LAYOUTS)
+def test_mirror_map_feasible_at_extreme_scores(name):
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(41)
+    eye = np.eye(dom.dim)
+    for _ in range(20):
+        for scale in (1e2, 1e6, 1e12, 1e100):
+            y = block_scores(dom, rng, 1, scale)[0]
+            for shift in (0.0, scale, -scale):
+                x = mirror_map(y + shift * eye, dom)
+                assert np.isfinite(x).all()
+                assert dom.contains(x)
+
+
+@pytest.mark.parametrize("name", PROPERTY_LAYOUTS)
+def test_fenchel_coupling_nonnegative(name):
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(43)
+    for _ in range(30):
+        x = dom.sample(rng)
+        for scale in (0.1, 3.0, 30.0):
+            y = block_scores(dom, rng, 1, scale)[0]
+            assert fenchel_coupling(x, y, dom) >= -1e-12 * max(1.0, scale)
+            # at a score's own image the coupling vanishes, up to rounding
+            assert fenchel_coupling(mirror_map(y, dom), y, dom) >= -1e-9 * max(1.0, scale)
+
+
+@pytest.mark.parametrize("name", PROPERTY_LAYOUTS)
+def test_projection_idempotent(name):
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        for scale in (0.1, 1.0, 10.0, 1e3):
+            p = dom.project(random_hermitian(dom.dim, rng, scale=scale))
+            assert dom.contains(p)
+            assert np.linalg.norm(dom.project(p) - p) <= 1e-12 * max(1.0, np.linalg.norm(p))
