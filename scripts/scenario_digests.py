@@ -122,6 +122,23 @@ SCENARIOS = {
                                               reference="oracle"),
                 "async": _async([0.6, 0.8], 3), "experiment": RUN}),
     "mac_defaults": ("run", {"game": {"kind": "mac"}, "experiment": RUN}),
+    "ee_1sub_raw_gaussian": (
+        "run", {"game": {**EE, "subcarriers": 1},
+                "solver": _solver(300, noise=_gaussian(0.2, hermitian=False)), "experiment": RUN}),
+    "ee_3x2x4_pareto": (
+        "run", {"game": {**EE, "users": 3, "subcarriers": 4},
+                "solver": _solver(200, noise={"kind": "pareto", "tail_index": 1.5, "scale": 0.1}),
+                "experiment": RUN}),
+    "metric_default_relative": (
+        "run", {"game": {"kind": "metric", "features": 4},
+                "solver": _solver(300, schedule={"kind": "constant", "gamma0": 0.05},
+                                  noise=_relative(0.5)),
+                "experiment": RUN}),
+    "metric_pareto": (
+        "run", {"game": {"kind": "metric", "features": 4, "points": 16},
+                "solver": _solver(300, schedule={"kind": "constant", "gamma0": 0.05},
+                                  noise={"kind": "pareto", "tail_index": 1.5, "scale": 0.1}),
+                "experiment": RUN}),
     "ee_single_user_relative": (
         "run", {"game": {**EE, "users": 1, "subcarriers": 3},
                 "solver": _solver(200, noise=_relative(0.5)), "experiment": RUN}),
@@ -153,6 +170,8 @@ SCENARIOS = {
                                         "experiment": {"mode": "stability", "samples": 300}}),
     "verify_ee_stability": ("verify", {"game": EE, "solver": _solver(),
                                        "experiment": {"mode": "stability", "samples": 200}}),
+    "verify_ee_1sub_stability": ("verify", {"game": {**EE, "subcarriers": 1}, "solver": _solver(),
+                                            "experiment": {"mode": "stability", "samples": 200}}),
 }
 
 

@@ -121,10 +121,13 @@ def _defaults(kind: str) -> dict:
 
 
 def _check_value(key: str, value, default) -> None:
-    """A key whose default is a number takes an int or a float; null defaults are free-form."""
+    """A key whose default is a number takes an int or a float, one whose default is a
+    list takes a list; null defaults are free-form."""
     if (isinstance(default, (int, float)) and not isinstance(default, bool)
             and (isinstance(value, bool) or not isinstance(value, (int, float)))):
         raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+    if isinstance(default, list) and not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list, got {json.dumps(value)}")
 
 
 def _merge_strict(section: str, raw: dict, defaults: dict) -> dict:
@@ -436,12 +439,18 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
         if exp["mode"] != "sweep":
             raise ConfigError("cmd_sweep requires experiment.mode == 'sweep'")
         grid = exp["grid"]
-        if not grid or not isinstance(grid, dict) or any(not v for v in grid.values()):
+        if not grid or not isinstance(grid, dict):
             raise ConfigError("sweep needs a non-empty experiment.grid")
+        for path, values in grid.items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"sweep grid values of {path!r} must be a non-empty list, "
+                                  f"got {json.dumps(values)}")
         if seed is not None:
             resolved["solver"]["seed"] = int(seed)
         base_seed = int(resolved["solver"]["seed"])
         n_seeds = int(exp["seeds"])
+        if n_seeds < 1:
+            raise ConfigError(f"experiment.seeds must be at least 1, got {json.dumps(exp['seeds'])}")
         threshold = float(exp["threshold"])
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))

@@ -368,7 +368,7 @@ class EeGame(GameModel):
         self.pmax = float(pmax)
         self.pc = float(pc)
         m, s = channels.n_tx, channels.n_subcarriers
-        self._domain = Spectrahedron(m * s, 1.0, blocks=(m,) * s)
+        self._domain = Spectrahedron(m * s, 1.0, blocks=s)
         super().__init__([self._domain] * channels.n_users)
 
     # -- helpers ------------------------------------------------------------

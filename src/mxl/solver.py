@@ -23,11 +23,12 @@ from .games import GameModel, nash_residual
 from .spectral import (
     OFF_BLOCK_TOL,
     DomainError,
+    Spectrahedron,
+    block_noise,
     exp_projection,
     hermitize,
     mirror_map,
     quantum_kl,
-    random_hermitian,
 )
 
 # Stacked runs draw each seed's standard normals up to CHUNK_STEPS steps' worth
@@ -153,42 +154,25 @@ def relative_sigma(v: np.ndarray, level: float) -> float:
     return level * float(np.linalg.norm(v)) / np.sqrt(dim)
 
 
-def _raw_complex(dim: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    s = sigma / np.sqrt(2.0 * dim)
-    return s * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-
-
-def _blockwise(dim: int, blocks, draw) -> np.ndarray:
-    if blocks is None:
-        return draw(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    pos = 0
-    for b in blocks:
-        out[pos : pos + b, pos : pos + b] = draw(b)
-        pos += b
-    return out
-
-
 def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,
-                 blocks=None) -> np.ndarray:
+                 domain: Spectrahedron | None = None) -> np.ndarray:
     """Return the perturbed gradient estimate V + Z for the given noise model.
 
-    `blocks` restricts the perturbation to the player's block-diagonal score
-    space (feedback is per block), keeping the exponential projection feasible.
+    Z lies in the diagonal blocks of the player's `domain` (feedback is per block;
+    unblocked without one), keeping the exponential projection feasible. Its
+    normals come in one draw, block by block, real parts before imaginary parts.
     """
     if model.kind == "none":
         return v
-    dim = v.shape[0]
-    if model.kind in ("gaussian", "relative"):
-        sigma = model.sigma if model.kind == "gaussian" else relative_sigma(v, model.level)
-        if model.hermitian:
-            return v + _blockwise(dim, blocks, lambda b: random_hermitian(b, rng, scale=sigma))
-        return v + _blockwise(dim, blocks, lambda b: _raw_complex(b, sigma, rng))
-    # pareto: heavy-tailed magnitude on a unit-Frobenius Hermitian direction
-    direction = _blockwise(dim, blocks, lambda b: random_hermitian(b, rng))
-    direction /= max(float(np.linalg.norm(direction)), 1e-300)
-    magnitude = model.scale * rng.pareto(model.tail_index)
-    return v + magnitude * direction
+    domain = domain or Spectrahedron(v.shape[0])
+    if model.kind == "pareto":
+        # heavy-tailed magnitude on a unit-Frobenius Hermitian direction
+        direction = domain.sample_direction(rng)
+        return v + model.scale * rng.pareto(model.tail_index) * direction
+    sigma = model.sigma if model.kind == "gaussian" else relative_sigma(v, model.level)
+    m = domain.dim // domain.blocks
+    normals = rng.standard_normal((domain.blocks, 2, m, m))
+    return v + domain.block_diagonal(block_noise(normals, sigma, model.hermitian))
 
 
 @dataclass(frozen=True)
@@ -341,17 +325,16 @@ class SeedNoise:
     worth at a time, and handed out from a flat cursor in the order the players
     update. A Generator yields the same stream however its draws are grouped,
     so every perturbation equals the one `inject_noise` would draw, bit for
-    bit, whichever players update. Blocks of one size are filled through one
-    view of the diagonal blocks. Otherwise `inject_noise` runs seed by seed,
-    right after each player's gradient.
+    bit, whichever players update. The noise blocks are written through one
+    view of the diagonal blocks (a single block is added as it is). Otherwise
+    `inject_noise` runs seed by seed, right after each player's gradient.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
         self.game, self.model, self.rngs = game, model, list(rngs)
         self.drawing = type(game).stochastic_gradient is not GameModel.stochastic_gradient
         self.chunked = model.kind in ("gaussian", "relative") and not self.drawing
-        self.widths = [sum(2 * (sl.stop - sl.start) ** 2 for sl in p.domain.slices)
-                       for p in game.players]
+        self.widths = [2 * p.domain.dim ** 2 // p.domain.blocks for p in game.players]
         width = sum(self.widths)
         chunk = max(1, min(CHUNK_STEPS, steps, CHUNK_FLOATS // max(len(self.rngs) * width, 1)))
         self.buffer = np.empty((len(self.rngs), chunk * width if self.chunked else 0))
@@ -381,7 +364,7 @@ class SeedNoise:
         domain = self.game.players[i].domain
         if not self.chunked:
             return hermitize(np.stack([
-                inject_noise(vs, model, rng, blocks=domain.blocks) for vs, rng in zip(v, self.rngs)
+                inject_noise(vs, model, rng, domain) for vs, rng in zip(v, self.rngs)
             ]))
         dim = v.shape[-1]
         sigma = model.sigma
@@ -392,32 +375,12 @@ class SeedNoise:
             else:
                 norms = np.array([np.linalg.norm(vs) for vs in v])
             sigma = (model.level * norms / np.sqrt(dim))[:, None, None, None]
-        draws = self._next(self.widths[i])
-        if domain.block_shape is None:
-            z = np.zeros_like(v)
-            pos = 0
-            for sl in domain.slices:
-                b = sl.stop - sl.start
-                pairs = draws[:, pos : pos + 2 * b * b].reshape(-1, 1, 2, b, b)
-                pos += 2 * b * b
-                z[:, sl, sl] = _block_noise(pairs, sigma, b, model.hermitian)[:, 0]
-            return hermitize(v + z)
-        n, b = domain.block_shape
-        blocks = _block_noise(draws.reshape(-1, n, 2, b, b), sigma, b, model.hermitian)
+        n, m = domain.blocks, dim // domain.blocks
+        blocks = block_noise(self._next(self.widths[i]).reshape(-1, n, 2, m, m), sigma,
+                             model.hermitian)
         if n == 1:
             return hermitize(v + blocks[:, 0])
-        z = np.zeros_like(v)
-        domain.diagonal_blocks(z)[...] = blocks
-        return hermitize(v + z)
-
-
-def _block_noise(pairs: np.ndarray, sigma, b: int, hermitian: bool) -> np.ndarray:
-    """(S, n, b, b) noise blocks from (S, n, 2, b, b) standard normals (real parts, then
-    imaginary parts), at scale sigma: a float, or an (S, 1, 1, 1) array, one per seed."""
-    a = pairs[:, :, 0] + 1j * pairs[:, :, 1]
-    if hermitian:
-        return (a + a.conj().swapaxes(-1, -2)) * (sigma / (2.0 * np.sqrt(b)))
-    return (sigma / np.sqrt(2.0 * b)) * a
+        return hermitize(v + domain.block_diagonal(blocks))
 
 
 def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,

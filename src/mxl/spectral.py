@@ -86,10 +86,18 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix with E||.||_F^2 = scale^2 * dim."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (a + a.conj().T) * (scale / (2.0 * np.sqrt(dim)))
+def block_noise(normals: np.ndarray, sigma=1.0, hermitian: bool = True) -> np.ndarray:
+    """(..., b, b) Gaussian blocks from (..., 2, b, b) standard normals (real parts, then
+    imaginary parts) at scale sigma, a float or an array broadcasting against the blocks.
+
+    Hermitian blocks have E||.||_F^2 = sigma^2 * b; raw complex blocks have the same
+    expected mass without the symmetry.
+    """
+    a = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    b = a.shape[-1]
+    if hermitian:
+        return (a + _dagger(a)) * (sigma / (2.0 * np.sqrt(b)))
+    return (sigma / np.sqrt(2.0 * b)) * a
 
 
 def _project_capped_simplex(lam: np.ndarray, bound: float) -> np.ndarray:
@@ -110,49 +118,46 @@ def _project_capped_simplex(lam: np.ndarray, bound: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrahedron:
-    """Feasible set {X >= 0, nuclear norm <= trace_bound}, optionally block-diagonal.
+    """Feasible set {X >= 0, nuclear norm <= trace_bound} of `blocks` equal diagonal blocks.
 
-    `blocks`, when given, lists block sizes that must sum to `dim`; members are
-    block-diagonal to within a tiny off-block mass. Derived once: `slices`, the
-    diagonal blocks' index ranges, `off_block`, the entries outside them, and
-    `block_shape`, the (count, size) of blocks that all have one size (None for
-    unequal sizes; (1, dim) without blocks).
+    `blocks` counts the diagonal blocks, each of size dim // blocks (1, the default,
+    is the unblocked set); members are block-diagonal to within a tiny off-block
+    mass. Derived once: `off_block`, the entries outside the blocks (None for one block).
     """
 
     dim: int
     trace_bound: float = 1.0
-    blocks: tuple[int, ...] | None = None
-    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    blocks: int = 1
     off_block: np.ndarray | None = field(init=False, repr=False, compare=False)
-    block_shape: tuple[int, int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be a positive integer")
         if not (self.trace_bound > 0):
             raise ValueError("trace_bound must be positive")
+        n = self.blocks
+        if not isinstance(n, (int, np.integer)) or n < 1 or self.dim % n:
+            raise ValueError(f"blocks={n!r} must be a positive count of blocks dividing dim={self.dim}")
+        object.__setattr__(self, "blocks", int(n))
         off = None
-        if self.blocks is not None:
-            blocks = tuple(int(b) for b in self.blocks)
-            if any(b < 1 for b in blocks) or sum(blocks) != self.dim:
-                raise ValueError(f"blocks {blocks} must be positive and sum to dim={self.dim}")
-            object.__setattr__(self, "blocks", blocks)
-            owner = np.repeat(np.arange(len(blocks)), blocks)  # the block of each index
+        if n > 1:
+            owner = np.repeat(np.arange(n), self.dim // n)  # the block of each index
             off = owner[:, None] != owner
             off.flags.writeable = False
-        sizes = self.blocks or (self.dim,)
-        edges = np.cumsum((0, *sizes)).tolist()
-        object.__setattr__(self, "slices", tuple(map(slice, edges[:-1], edges[1:])))
         object.__setattr__(self, "off_block", off)
-        equal = len(set(sizes)) == 1
-        object.__setattr__(self, "block_shape", (len(sizes), sizes[0]) if equal else None)
 
     def diagonal_blocks(self, x: np.ndarray) -> np.ndarray:
-        """The (..., n, m, m) diagonal blocks of an (..., dim, dim) stack for n blocks of one
-        size m, as one view (writable when x is contiguous)."""
-        n, m = self.block_shape
+        """The (..., blocks, m, m) diagonal blocks of an (..., dim, dim) stack, m = dim // blocks,
+        as one view (writable when x is contiguous)."""
+        n, m = self.blocks, self.dim // self.blocks
         x = np.asarray(x)
         return np.einsum("...iaib->...iab", x.reshape(x.shape[:-2] + (n, m, n, m)))
+
+    def block_diagonal(self, blocks: np.ndarray) -> np.ndarray:
+        """The (..., dim, dim) block-diagonal stack of (..., blocks, m, m) diagonal blocks."""
+        out = np.zeros(blocks.shape[:-3] + (self.dim, self.dim), dtype=blocks.dtype)
+        self.diagonal_blocks(out)[...] = blocks
+        return out
 
     def center(self) -> np.ndarray:
         """The exponential-projection image of a zero score: A/(dim+1) * I."""
@@ -174,8 +179,9 @@ class Spectrahedron:
             return False
         if self.off_block_mass(x) > OFF_BLOCK_TOL:
             return False
-        w = np.linalg.eigvalsh(hermitize(x))
-        if w[0] < -PSD_TOL:
+        # the spectrum of a block-diagonal matrix is that of its blocks
+        w = np.linalg.eigvalsh(hermitize(self.diagonal_blocks(x)))
+        if w.min() < -PSD_TOL:
             return False
         return float(np.sum(np.abs(w))) <= self.trace_bound + PSD_TOL
 
@@ -184,33 +190,17 @@ class Spectrahedron:
             raise DomainError(f"{name} is not a member of Spectrahedron(dim={self.dim}, A={self.trace_bound})")
         return np.asarray(x)
 
-    def _batched(self) -> bool:
-        """Whether blocks are handled as one (..., n, m, m) stack: several blocks of one size."""
-        return self.block_shape is not None and self.block_shape[0] > 1
-
     def _eigh_blocks(self, y: np.ndarray):
-        """Block-order eigenvalues of a block-diagonal stack and its blocks' eigenbases.
+        """Block-order eigenvalues (..., dim) of a block-diagonal stack, from one batched eigh,
+        and its blocks' (..., blocks, m, m) eigenbases."""
+        w, u = np.linalg.eigh(self.diagonal_blocks(y))
+        return w.reshape(w.shape[:-2] + (self.dim,)), u
 
-        Several blocks of one size take one batched eigh, whose bases come as one
-        (..., n, m, m) array; other layouts take one eigh per block and a list of bases.
-        """
-        if self._batched():
-            w, u = np.linalg.eigh(self.diagonal_blocks(y))
-            return w.reshape(w.shape[:-2] + (self.dim,)), u
-        pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in self.slices]
-        return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
-
-    def _assemble(self, lam: np.ndarray, bases) -> np.ndarray:
-        """Hermitian block-diagonal stack whose block k is U_k diag(lam[..., slices[k]]) U_k^dag."""
-        out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
-        if self._batched():
-            u = np.asarray(bases)
-            lam = lam.reshape(lam.shape[:-1] + self.block_shape)
-            self.diagonal_blocks(out)[...] = (u * lam[..., None, :]) @ _dagger(u)
-        else:
-            for sl, u in zip(self.slices, bases):
-                out[..., sl, sl] = (u * lam[..., None, sl]) @ _dagger(u)
-        return hermitize(out)
+    def _assemble(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Hermitian block-diagonal stack whose block k is U_k diag(lam_k) U_k^dag, lam_k
+        being block k's stretch of the block-order eigenvalues lam (..., dim)."""
+        lam = lam.reshape(lam.shape[:-1] + (self.blocks, self.dim // self.blocks))
+        return hermitize(self.block_diagonal((u * lam[..., None, :]) @ _dagger(u)))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection onto the set (blockwise eigenvalue projection)."""
@@ -220,13 +210,13 @@ class Spectrahedron:
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Random member: Dirichlet eigenvalues over the capped simplex, Haar basis per block."""
         lam = self.trace_bound * rng.dirichlet(np.ones(self.dim + 1))[: self.dim]
-        return self._assemble(lam, [haar_unitary(sl.stop - sl.start, rng) for sl in self.slices])
+        m = self.dim // self.blocks
+        return self._assemble(lam, np.array([haar_unitary(m, rng) for _ in range(self.blocks)]))
 
     def sample_direction(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius Gaussian Hermitian direction respecting the block structure."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for sl in self.slices:
-            out[sl, sl] = random_hermitian(sl.stop - sl.start, rng)
+        m = self.dim // self.blocks
+        out = self.block_diagonal(block_noise(rng.standard_normal((self.blocks, 2, m, m))))
         return out / np.linalg.norm(out)
 
 
@@ -299,8 +289,8 @@ def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
 
     Scores must already be Hermitian, block-diagonal and of the domain's size.
     A 1x1 score is mapped in closed form with the same float operations as the
-    general path; larger scores use one batched eigendecomposition per block, or
-    one for all blocks when they have one size.
+    general path; larger scores use one batched eigendecomposition of all the
+    domain's diagonal blocks.
     """
     if domain.dim == 1:
         lam = y[..., 0, 0].real

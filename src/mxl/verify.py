@@ -310,8 +310,6 @@ def max_sampled_gradient_norm(game: GameModel, config: SolverConfig, probes: int
         x = game.sample_profile(rng)
         for i in range(game.n_players):
             v = game.stochastic_gradient(i, x, rng)
-            vhat = hermitize(
-                inject_noise(v, config.noise, rng, blocks=game.players[i].domain.blocks)
-            )
+            vhat = hermitize(inject_noise(v, config.noise, rng, game.players[i].domain))
             worst = max(worst, dual_norm(vhat))
     return worst

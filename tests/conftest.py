@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mxl.spectral import random_hermitian
+from helpers import random_hermitian
 
 
 @pytest.fixture

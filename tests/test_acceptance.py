@@ -15,7 +15,8 @@ import pytest
 import mxl
 from mxl.cli import EXIT_OK, cmd_run
 from mxl.games import finite_diff_gradient_check
-from mxl.spectral import dual_norm, nuclear_norm, random_hermitian, trace_inner
+from helpers import random_hermitian
+from mxl.spectral import dual_norm, nuclear_norm, trace_inner
 
 CHECKPOINTS = (100, 316, 1000, 3162, 10000)
 

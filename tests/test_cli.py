@@ -335,6 +335,15 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "strictly increasing" in err
 
+    def test_rate_mode_non_list_checkpoints_rejected_before_any_work(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        cfg = write_cfg(tmp_path, self.rate_payload(5))
+        out = tmp_path / "out"
+        monkeypatch.setattr(mxl.cli, "brute_force_ne", lambda *args, **kw: pytest.fail("work ran"))
+        assert main(["verify", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: experiment.checkpoints must be a list, got 5\n"
+
     def test_rate_mode_bad_schedule_one_line_error(self, tmp_path, capsys):
         payload = self.rate_payload([10, 100, 316, 1000])
         payload["solver"]["schedule"] = {"kind": "power_law", "exponent": 1.5}
@@ -458,7 +467,14 @@ class TestSweep:
     @pytest.mark.parametrize("grid, message", [
         ({"solver.max_iters": [100, None]}, "solver.max_iters must be a number, got null"),
         ({"solver.noise.sigma": [0.1, "0.2"]}, 'solver.noise.sigma must be a number, got "0.2"'),
-    ], ids=["null", "string"])
+        ({"solver.seed": 3}, "sweep grid values of 'solver.seed' must be a non-empty list, got 3"),
+        ({"solver.schedule.exponent": [0.5], "solver.noise.sigma": 0.2},
+         "sweep grid values of 'solver.noise.sigma' must be a non-empty list, got 0.2"),
+        ({"solver.seed": "1, 2"},
+         "sweep grid values of 'solver.seed' must be a non-empty list, got \"1, 2\""),
+        ({"experiment.checkpoints": [[10, 100], 5]}, "experiment.checkpoints must be a list, got 5"),
+    ], ids=["null", "string", "values_not_a_list", "second_values_not_a_list",
+            "values_a_string", "list_key_given_a_number"])
     def test_non_number_grid_value_rejected_before_any_cell_runs(self, tmp_path, capsys,
                                                                  monkeypatch, grid, message):
         payload = mac_payload()
@@ -470,6 +486,20 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("seeds", [0, -1])
+    def test_seeds_below_one_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                           seeds):
+        payload = mac_payload()
+        payload["experiment"] = {"mode": "sweep", "seeds": seeds,
+                                 "grid": {"solver.schedule.exponent": [0.5, 1.0]}}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: experiment.seeds must be at least 1, got {seeds}\n"
 
     @staticmethod
     def exponent_sweep(async_section=None, **solver):

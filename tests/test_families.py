@@ -25,7 +25,7 @@ from mxl.solver import NoiseModel, SolverConfig, StepSchedule, run
 from mxl.spectral import DomainError, Spectrahedron, hermitize, mirror_map
 from mxl.verify import brute_force_ne
 
-from helpers import concavity_violations
+from helpers import block_slices, concavity_violations
 
 
 class TestMacGame:
@@ -254,7 +254,7 @@ def ref_mui(game, i, actions):
         if j == i:
             continue
         qj = ref_x_to_q(actions[j], game.pc, game.pmax)
-        for s, sl in enumerate(game.domains[j].slices):
+        for s, sl in enumerate(block_slices(game.domains[j])):
             h = game.channels.links[j, i, s]
             w[s] = w[s] + h @ qj[sl, sl] @ h.conj().T
     return w
@@ -262,7 +262,7 @@ def ref_mui(game, i, actions):
 
 def ref_received(game, i, actions, psi):
     out, total = [], 0.0
-    for s, (w, sl) in enumerate(zip(ref_mui(game, i, actions), game.domains[i].slices)):
+    for s, (w, sl) in enumerate(zip(ref_mui(game, i, actions), block_slices(game.domains[i]))):
         h = game.channels.links[i, i, s]
         k = h @ np.asarray(actions[i])[sl, sl] @ h.conj().T
         a = w + psi * k
@@ -291,7 +291,7 @@ def ref_gradient(game, i, actions):
     dim = game.domains[i].dim
     grad = np.zeros((dim, dim), dtype=complex)
     trace_sum = 0.0
-    for sl, (h, k, a) in zip(game.domains[i].slices, received):
+    for sl, (h, k, a) in zip(block_slices(game.domains[i]), received):
         a_inv_h = np.linalg.solve(a, h)
         trace_sum += float(np.trace(np.linalg.solve(a, k)).real)
         grad[sl, sl] = phi * psi * (h.conj().T @ a_inv_h)
@@ -313,7 +313,7 @@ class TestEeGame:
 
     def test_block_domains(self, game):
         dom = game.domains[0]
-        assert dom.dim == 4 and dom.blocks == (2, 2)
+        assert dom.dim == 4 and dom.blocks == 2
 
     def test_utility_positive_at_uniform(self, game):
         base = uniform_baseline(game)

@@ -19,13 +19,13 @@ from mxl.solver import (
     run,
     run_async,
 )
+from helpers import block_slices, random_hermitian
 from mxl.spectral import (
     Spectrahedron,
     hermiticity_defect,
     hermitize,
     mirror_map,
     nuclear_norm,
-    random_hermitian,
 )
 
 # frozen Monte-Carlo oracle values for E||Z||_*^2 of the Gaussian Hermitian
@@ -110,7 +110,7 @@ class TestInjectNoise:
     def test_block_structure_respected(self):
         rng = np.random.default_rng(7)
         v = np.zeros((4, 4), dtype=complex)
-        z = inject_noise(v, NoiseModel.gaussian_hermitian(1.0), rng, blocks=(2, 2))
+        z = inject_noise(v, NoiseModel.gaussian_hermitian(1.0), rng, Spectrahedron(4, 1.0, blocks=2))
         assert np.allclose(z[:2, 2:], 0.0) and np.allclose(z[2:, :2], 0.0)
 
     def test_pareto_zero_mean_heavy_tail(self):
@@ -332,8 +332,8 @@ def reference_run_async(game, cfg, schedule):
             delayed = tuple(history[min(int(lag), len(history) - 1)][j]
                             for j, lag in enumerate(lags))
             v = game.stochastic_gradient(i, delayed, noise_rng)
-            blocks = game.players[i].domain.blocks
-            estimates.append(hermitize(inject_noise(v, cfg.noise, noise_rng, blocks=blocks)))
+            domain = game.players[i].domain
+            estimates.append(hermitize(inject_noise(v, cfg.noise, noise_rng, domain)))
         for i, vhat in zip(update_set, estimates):
             counts[i] += 1
             scores[i] = scores[i] + cfg.schedule.at(counts[i]) * vhat
@@ -393,9 +393,9 @@ def ref_perturb(noise, i, v):
             norms = np.array([np.linalg.norm(vs) for vs in v])
         sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
     draws = noise._next(noise.widths[i])
-    z = np.zeros_like(v) if len(domain.slices) > 1 else None
+    z = np.zeros_like(v) if domain.blocks > 1 else None
     pos = 0
-    for sl in domain.slices:
+    for sl in block_slices(domain):
         b = sl.stop - sl.start
         re = draws[:, pos : pos + b * b].reshape(-1, b, b)
         im = draws[:, pos + b * b : pos + 2 * b * b].reshape(-1, b, b)
@@ -413,8 +413,8 @@ def ref_perturb(noise, i, v):
 
 
 NOISE_LAYOUT_GAME = ZeroGame([
-    Spectrahedron(1, 1.0), Spectrahedron(3, 1.0), Spectrahedron(4, 1.0, blocks=(2, 2)),
-    Spectrahedron(64, 1.0, blocks=(4,) * 16), Spectrahedron(6, 1.0, blocks=(2, 1, 3)),
+    Spectrahedron(1, 1.0), Spectrahedron(3, 1.0), Spectrahedron(4, 1.0, blocks=2),
+    Spectrahedron(64, 1.0, blocks=16),
 ])
 
 
@@ -429,11 +429,61 @@ def test_perturb_equals_per_block_loop_bit_for_bit(model, n_seeds):
                   for _ in range(2))
     rng = np.random.default_rng(53)
     everyone = list(range(game.n_players))
-    for players in (everyone, everyone[::-1], [3], [4, 0]):
+    for players in (everyone, everyone[::-1], [3], [3, 0]):
         for i in players:
             dim = game.players[i].domain.dim
             v = np.stack([random_hermitian(dim, rng) for _ in range(n_seeds)])
             assert np.array_equal(noise.perturb(i, v), ref_perturb(ref, i, v))
+
+
+def ref_inject_noise(v, model, rng, domain):
+    """inject_noise as a loop over the domain's blocks, two draws of normals per block."""
+    if model.kind == "none":
+        return v
+    dim = v.shape[0]
+
+    def hermitian(b, scale):
+        a = rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b))
+        return (a + a.conj().T) * (scale / (2.0 * np.sqrt(b)))
+
+    def raw(b, sigma):
+        s = sigma / np.sqrt(2.0 * b)
+        return s * (rng.standard_normal((b, b)) + 1j * rng.standard_normal((b, b)))
+
+    def blockwise(draw):
+        out = np.zeros((dim, dim), dtype=complex)
+        for sl in block_slices(domain):
+            out[sl, sl] = draw(sl.stop - sl.start)
+        return out
+
+    if model.kind in ("gaussian", "relative"):
+        sigma = model.sigma if model.kind == "gaussian" else relative_sigma(v, model.level)
+        if model.hermitian:
+            return v + blockwise(lambda b: hermitian(b, sigma))
+        return v + blockwise(lambda b: raw(b, sigma))
+    direction = blockwise(lambda b: hermitian(b, 1.0))
+    direction /= max(float(np.linalg.norm(direction)), 1e-300)
+    magnitude = model.scale * rng.pareto(model.tail_index)
+    return v + magnitude * direction
+
+
+@pytest.mark.parametrize("model", [
+    NoiseModel.gaussian_hermitian(0.3), NoiseModel.gaussian_hermitian(0.3, hermitian=False),
+    NoiseModel.relative(0.5), NoiseModel.relative(0.5, hermitian=False),
+    NoiseModel.pareto_tail(1.5, 0.2),
+], ids=["gaussian", "gaussian_raw", "relative", "relative_raw", "pareto"])
+def test_inject_noise_equals_per_block_loop_bit_for_bit(model):
+    rng = np.random.default_rng(59)
+    for domain in NOISE_LAYOUT_GAME.domains:
+        draws, ref_draws = np.random.default_rng(61), np.random.default_rng(61)
+        for _ in range(3):  # consecutive draws also pin how many numbers each one takes
+            v = random_hermitian(domain.dim, rng)
+            ref = ref_inject_noise(v, model, ref_draws, domain)
+            assert np.array_equal(inject_noise(v, model, draws, domain), ref)
+        if domain.blocks == 1:  # no domain: the unblocked set of V's size
+            v = random_hermitian(domain.dim, rng)
+            assert np.array_equal(inject_noise(v, model, np.random.default_rng(67)),
+                                  ref_inject_noise(v, model, np.random.default_rng(67), domain))
 
 
 def test_profile_kl_rescales_by_trace_bound():

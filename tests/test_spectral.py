@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import block_slices, random_hermitian
 from mxl.spectral import (
+    HERMITIAN_TOL,
+    OFF_BLOCK_TOL,
+    PSD_TOL,
     DomainError,
     Spectrahedron,
     _log_conjugate_from_eigs,
@@ -16,11 +20,11 @@ from mxl.spectral import (
     fenchel_coupling,
     haar_unitary,
     herm_expm,
+    hermiticity_defect,
     hermitize,
     mirror_map,
     nuclear_norm,
     quantum_kl,
-    random_hermitian,
     trace_inner,
     von_neumann_entropy,
 )
@@ -165,7 +169,7 @@ def test_mirror_map_rejects_non_hermitian():
 
 
 def test_mirror_map_block_structure_preserved(rng):
-    dom = Spectrahedron(4, 1.0, blocks=(2, 2))
+    dom = Spectrahedron(4, 1.0, blocks=2)
     y = np.zeros((4, 4), dtype=complex)
     y[:2, :2] = random_hermitian(2, rng, scale=3.0)
     y[2:, 2:] = random_hermitian(2, rng, scale=3.0)
@@ -259,7 +263,7 @@ class TestSpectrahedron:
             assert dom.contains(dom.sample(rng))
 
     def test_block_membership(self):
-        dom = Spectrahedron(4, 1.0, blocks=(2, 2))
+        dom = Spectrahedron(4, 1.0, blocks=2)
         x = np.eye(4, dtype=complex) / 8
         assert dom.contains(x)
         bad = x.copy()
@@ -267,20 +271,19 @@ class TestSpectrahedron:
         assert not dom.contains(bad)
 
     def test_block_layout_derived_once_and_not_compared(self):
-        dom = Spectrahedron(6, 1.0, blocks=[2, 1, 3])
-        assert dom.slices == (slice(0, 2), slice(2, 3), slice(3, 6))
+        dom = Spectrahedron(6, 1.0, blocks=3)
         inside = np.zeros((6, 6), dtype=bool)
-        for sl in dom.slices:
+        for sl in (slice(0, 2), slice(2, 4), slice(4, 6)):
             inside[sl, sl] = True
         assert np.array_equal(dom.off_block, ~inside)
-        assert Spectrahedron(3, 1.0).slices == (slice(0, 3),)
+        assert Spectrahedron(3, 1.0).blocks == 1
         assert Spectrahedron(3, 1.0).off_block is None
-        twin = Spectrahedron(6, 1.0, blocks=(2, 1, 3))
-        assert dom == twin and hash(dom) == hash(twin)
-        assert repr(dom) == "Spectrahedron(dim=6, trace_bound=1.0, blocks=(2, 1, 3))"
+        twin = Spectrahedron(6, 1.0, blocks=np.int64(3))
+        assert dom == twin and hash(dom) == hash(twin) and type(twin.blocks) is int
+        assert repr(dom) == "Spectrahedron(dim=6, trace_bound=1.0, blocks=3)"
 
     def test_off_block_mass_of_a_stack_is_the_largest(self):
-        dom = Spectrahedron(4, 1.0, blocks=(2, 2))
+        dom = Spectrahedron(4, 1.0, blocks=2)
         stack = np.zeros((3, 4, 4), dtype=complex)
         stack[:, :2, :2] = stack[:, 2:, 2:] = 5.0  # block entries carry no mass
         stack[1, 0, 3] = stack[1, 3, 0] = 0.3
@@ -292,16 +295,22 @@ class TestSpectrahedron:
         assert Spectrahedron(4, 1.0).off_block_mass(stack) == 0.0
 
     def test_block_domain_sample_and_projection(self, rng):
-        dom = Spectrahedron(5, 2.0, blocks=(2, 3))
+        dom = Spectrahedron(6, 2.0, blocks=2)
         for _ in range(20):
             assert dom.contains(dom.sample(rng))
-            p = dom.project(random_hermitian(5, rng, scale=2.0))
+            p = dom.project(random_hermitian(6, rng, scale=2.0))
             assert dom.contains(p)
             assert np.linalg.norm(dom.project(p) - p) < 1e-10
 
     def test_bad_blocks_rejected(self):
         with pytest.raises(ValueError):
             Spectrahedron(4, 1.0, blocks=(2, 3))
+
+    @pytest.mark.parametrize("blocks", [0, -1, 4, (2, 2, 2), 2.0],
+                             ids=["zero", "negative", "not_dividing", "tuple", "float"])
+    def test_blocks_is_a_count_dividing_dim(self, blocks):
+        with pytest.raises(ValueError, match="dividing dim=6"):
+            Spectrahedron(6, 1.0, blocks=blocks)
 
     def test_projection_idempotent_and_feasible(self, rng):
         dom = Spectrahedron(3, 1.0)
@@ -330,17 +339,17 @@ def test_score_shift_trace_saturation():
     assert traces[-1] > 1.0 - 1e-12
 
 
-# The per-block loops that equal-size block layouts replaced with one batched eigh
-# and one batched matmul; the batched path must give their values bit for bit.
+# The per-block loops that the block layout replaced with one batched eigh and one
+# batched matmul; the batched path must give their values bit for bit.
 
 def ref_eigh_blocks(domain, y):
-    pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in domain.slices]
+    pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in block_slices(domain)]
     return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
 
 
 def ref_assemble(domain, lam, bases):
     out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
-    for sl, u in zip(domain.slices, bases):
+    for sl, u in zip(block_slices(domain), bases):
         out[..., sl, sl] = (u * lam[..., None, sl]) @ u.conj().swapaxes(-1, -2)
     return hermitize(out)
 
@@ -356,11 +365,17 @@ def ref_exp_projection(y, domain):
     return ref_assemble(domain, np.exp(lam - lse), bases) * domain.trace_bound
 
 
+def ref_sample_direction(domain, rng):
+    out = np.zeros((domain.dim, domain.dim), dtype=complex)
+    for sl in block_slices(domain):
+        out[sl, sl] = random_hermitian(sl.stop - sl.start, rng)
+    return out / np.linalg.norm(out)
+
+
 LAYOUTS = {
     "unblocked": Spectrahedron(3, 2.0),
-    "equal_2x2": Spectrahedron(4, 1.0, blocks=(2, 2)),
-    "equal_4x16": Spectrahedron(64, 1.0, blocks=(4,) * 16),
-    "unequal_2_1_3": Spectrahedron(6, 1.5, blocks=(2, 1, 3)),
+    "equal_2x2": Spectrahedron(4, 1.0, blocks=2),
+    "equal_4x16": Spectrahedron(64, 1.0, blocks=16),
 }
 
 
@@ -369,13 +384,13 @@ def block_scores(domain, rng, count, scale):
     return np.stack([scale * domain.sample_direction(rng) for _ in range(count)])
 
 
-def test_block_shape_derived_for_equal_sizes_only():
-    assert LAYOUTS["unblocked"].block_shape == (1, 3)
-    assert LAYOUTS["equal_4x16"].block_shape == (16, 4)
-    assert LAYOUTS["unequal_2_1_3"].block_shape is None
+def test_diagonal_blocks_is_one_writable_view():
     x = np.arange(16.0).reshape(4, 4)
-    assert np.array_equal(LAYOUTS["equal_2x2"].diagonal_blocks(x),
-                          [x[:2, :2], x[2:, 2:]])
+    assert np.array_equal(LAYOUTS["equal_2x2"].diagonal_blocks(x), [x[:2, :2], x[2:, 2:]])
+    assert np.array_equal(Spectrahedron(4, 1.0).diagonal_blocks(x), [x])
+    stack = np.zeros((3, 4, 4))
+    LAYOUTS["equal_2x2"].diagonal_blocks(stack)[1, 1] = 1.0
+    assert stack[1, 2:, 2:].sum() == 4.0 and stack.sum() == 4.0
 
 
 @pytest.mark.parametrize("name", sorted(LAYOUTS))
@@ -397,14 +412,50 @@ def test_block_paths_equal_per_block_loops_bit_for_bit(name):
     for seed in range(3):
         ref_rng = np.random.default_rng(seed)
         lam = dom.trace_bound * ref_rng.dirichlet(np.ones(dom.dim + 1))[: dom.dim]
-        bases = [haar_unitary(sl.stop - sl.start, ref_rng) for sl in dom.slices]
+        bases = [haar_unitary(sl.stop - sl.start, ref_rng) for sl in block_slices(dom)]
         assert np.array_equal(dom.sample(np.random.default_rng(seed)),
                               ref_assemble(dom, lam, bases))
+        assert np.array_equal(dom.sample_direction(np.random.default_rng(seed)),
+                              ref_sample_direction(dom, np.random.default_rng(seed)))
 
 
-# Property tests: seeded loops over an unblocked, an equal-block and an unequal-block domain.
+def ref_contains(domain, x):
+    """Membership read from the whole matrix's spectrum."""
+    if x.shape != (domain.dim, domain.dim) or not np.isfinite(x).all():
+        return False
+    if hermiticity_defect(x) > HERMITIAN_TOL or domain.off_block_mass(x) > OFF_BLOCK_TOL:
+        return False
+    w = np.linalg.eigvalsh(hermitize(x))
+    return w[0] >= -PSD_TOL and float(np.sum(np.abs(w))) <= domain.trace_bound + PSD_TOL
 
-PROPERTY_LAYOUTS = ["unblocked", "equal_4x16", "unequal_2_1_3"]
+
+@pytest.mark.parametrize("name", ["unblocked", "equal_2x2", "equal_4x16"])
+def test_contains_reads_the_blocks_as_the_whole_spectrum(name):
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(37)
+    eye = np.eye(dom.dim)
+    seen = set()
+    for _ in range(40):
+        x = dom.sample(rng)
+        tr = float(np.trace(x).real)
+        w_min = float(np.linalg.eigvalsh(x)[0])
+        top = dom.trace_bound / tr
+        candidates = [x, x * top * (1 - 1e-6), x * top * (1 + 1e-6), x - (w_min + 1e-6) * eye,
+                      x + 1e-6 * dom.sample_direction(rng), x.astype(complex) * 1j]
+        if dom.blocks > 1:
+            off = x.copy()
+            off[0, -1] = off[-1, 0] = 1e-6
+            candidates.append(off)
+        for cand in candidates:
+            expected = ref_contains(dom, cand)
+            assert dom.contains(cand) == expected
+            seen.add(expected)
+    assert seen == {True, False}
+
+
+# Property tests: seeded loops over an unblocked and a 16-block domain.
+
+PROPERTY_LAYOUTS = ["unblocked", "equal_4x16"]
 
 
 @pytest.mark.parametrize("name", PROPERTY_LAYOUTS)

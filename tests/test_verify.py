@@ -156,7 +156,7 @@ def sequential_step(game, scores, actions, gamma, n, noise, rng):
         v = game.stochastic_gradient(i, actions, rng)
         if not np.all(np.isfinite(v)):
             raise NonFiniteGradientError(i, n)
-        vhat = hermitize(inject_noise(v, noise, rng, blocks=spec.domain.blocks))
+        vhat = hermitize(inject_noise(v, noise, rng, spec.domain))
         new_scores.append(scores[i] + gamma * vhat)
     return new_scores, [mirror_map(y, p.domain) for y, p in zip(new_scores, game.players)]
 
@@ -285,6 +285,7 @@ def test_max_sampled_gradient_norm_uses_the_drawing_oracle():
     expected = 0.0
     for _ in range(500):
         x = game.sample_profile(rng)
-        v = inject_noise(game.stochastic_gradient(0, x, rng), cfg.noise, rng, blocks=None)
+        v = inject_noise(game.stochastic_gradient(0, x, rng), cfg.noise, rng,
+                         game.players[0].domain)
         expected = max(expected, dual_norm(hermitize(v)))
     assert max_sampled_gradient_norm(game, cfg, 500, seed=0) == expected
