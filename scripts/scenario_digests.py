@@ -166,12 +166,19 @@ SCENARIOS = {
         "verify", {"game": MAC, "solver": _solver(3000, noise=_relative(0.5)),
                    "experiment": {"mode": "rate", "seeds": 6,
                                   "checkpoints": [30, 100, 300, 1000, 3000]}}),
+    "verify_mac_rate_kl_optimized": (
+        "verify", {"game": MAC, "solver": _solver(3000, noise=_relative(0.5),
+                                                  schedule={"kind": "optimized", "stability": 0.1}),
+                   "experiment": {"mode": "rate", "seeds": 6, "metric": "kl",
+                                  "checkpoints": [30, 100, 300, 1000, 3000]}}),
     "verify_mac_stability": ("verify", {"game": MAC, "solver": _solver(),
                                         "experiment": {"mode": "stability", "samples": 300}}),
     "verify_ee_stability": ("verify", {"game": EE, "solver": _solver(),
                                        "experiment": {"mode": "stability", "samples": 200}}),
     "verify_ee_1sub_stability": ("verify", {"game": {**EE, "subcarriers": 1}, "solver": _solver(),
                                             "experiment": {"mode": "stability", "samples": 200}}),
+    "verify_ee_stability_2000": ("verify", {"game": EE, "solver": _solver(),
+                                            "experiment": {"mode": "stability", "samples": 2000}}),
 }
 
 

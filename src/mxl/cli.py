@@ -44,6 +44,7 @@ from .solver import (
 from .verify import (
     ConvergenceError,
     brute_force_ne,
+    check_rate_protocol,
     estimate_strong_stability,
     max_sampled_gradient_norm,
     rate_experiment,
@@ -331,6 +332,8 @@ def _verify_stability(game, resolved: dict) -> tuple[dict, bool]:
 
 def _verify_rate(game, resolved: dict) -> tuple[dict, bool]:
     exp = resolved["experiment"]
+    seeds = int(exp["seeds"])
+    checkpoints = check_rate_protocol(seeds, exp["checkpoints"])  # before any work
     xstar = brute_force_ne(game, tol=1e-6)
     seed = int(resolved["solver"]["seed"])
     stability = estimate_strong_stability(game, xstar, 2000, seed=seed + 10)
@@ -340,8 +343,8 @@ def _verify_rate(game, resolved: dict) -> tuple[dict, bool]:
         game,
         xstar,
         config,
-        seeds=int(exp["seeds"]),
-        checkpoints=[int(c) for c in exp["checkpoints"]],
+        seeds=seeds,
+        checkpoints=checkpoints,
         metric=exp["metric"],
         b_hat=stability.b_hat,
         v_bound=v_hat,
@@ -371,18 +374,11 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None = None,
         if seed is not None:
             resolved["solver"]["seed"] = int(seed)
         game = build_game(resolved["game"])
+        verify = _verify_stability if mode == "stability" else _verify_rate
+        report, ok = verify(game, resolved)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ConfigurationError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-
-    try:
-        if mode == "stability":
-            report, ok = _verify_stability(game, resolved)
-        else:
-            report, ok = _verify_rate(game, resolved)
-    except (ConvergenceError, ConfigurationError, ValueError) as err:
+    except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     report["mode"] = mode

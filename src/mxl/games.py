@@ -8,11 +8,12 @@ is only a display label for traces and reports.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .spectral import (
+    CHUNK_FLOATS,
     DomainError,
     Spectrahedron,
     hermitize,
@@ -102,8 +103,15 @@ class GameModel(ABC):
         return tuple(p.domain.center() for p in self.players)
 
 
+class Report:
+    """A report dataclass whose `to_dict` is its fields, leaving out the unset (None) ones."""
+
+    def to_dict(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+
 @dataclass
-class StabilityReport:
+class StabilityReport(Report):
     """Sampled certificate for a stability condition; not a proof.
 
     `worst_value` is the largest sampled value of the tested expression (which
@@ -123,19 +131,7 @@ class StabilityReport:
         return self.violations == 0
 
     def to_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "samples": self.samples,
-            "rng_seed": self.rng_seed,
-            "violations": self.violations,
-            "worst_value": self.worst_value,
-            "passed": self.passed(),
-        }
-        if self.hessian_max_quadform is not None:
-            out["hessian_max_quadform"] = self.hessian_max_quadform
-        if self.radius is not None:
-            out["radius"] = self.radius
-        return out
+        return {**super().to_dict(), "passed": self.passed()}
 
 
 def nash_residual(game: GameModel, actions) -> float:
@@ -155,21 +151,30 @@ def nash_residual(game: GameModel, actions) -> float:
     return worst
 
 
+def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, draws: int = 1):
+    """Yield `samples` samples of `draws` profiles, drawn by `sample_profile` in the order of a
+    per-sample loop, as `draws` lists of per-player (B, d, d) stacks per batch of B samples;
+    a batch holds at most CHUNK_FLOATS floats of profiles, and at least one sample."""
+    floats = draws * sum(2 * p.domain.dim ** 2 for p in game.players)
+    size = max(1, CHUNK_FLOATS // floats)
+    for start in range(0, samples, size):
+        drawn = [game.sample_profile(rng) for _ in range(min(size, samples - start) * draws)]
+        yield [[np.stack(a) for a in zip(*drawn[k::draws])] for k in range(draws)]
+
+
 def check_monotonicity(game: GameModel, samples: int, seed: int = 0) -> StabilityReport:
     """Sample feasible pairs and test monotonicity tr[(X'-X)(V(X')-V(X))] <= 0."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     report = StabilityReport(check="monotonicity", samples=samples, rng_seed=seed)
-    for _ in range(samples):
-        xa = game.sample_profile(rng)
-        xb = game.sample_profile(rng)
-        va = game.gradient_profile(xa)
-        vb = game.gradient_profile(xb)
-        val = sum(trace_inner(xb[i] - xa[i], vb[i] - va[i]) for i in range(game.n_players))
-        report.worst_value = max(report.worst_value, val)
-        if val > VIOLATION_TOL:
-            report.violations += 1
+    everyone = range(game.n_players)
+    for xa, xb in sample_batches(game, rng, samples, draws=2):
+        va, vb = game.gradient_stacks(xa, everyone), game.gradient_stacks(xb, everyone)
+        val = sum(trace_inner(xb[i] - xa[i], vb[i] - va[i]) for i in everyone)
+        # as a per-sample max: the first of equal values, and never a NaN
+        report.worst_value = max([report.worst_value, *val.tolist()])
+        report.violations += int(np.count_nonzero(val > VIOLATION_TOL))
     return report
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .games import GameModel, nash_residual
 from .spectral import (
+    CHUNK_FLOATS,
     OFF_BLOCK_TOL,
     DomainError,
     Spectrahedron,
@@ -32,10 +33,9 @@ from .spectral import (
 )
 
 # Stacked runs draw each seed's standard normals up to CHUNK_STEPS steps' worth
-# at once, capped so one chunk of all seeds holds at most CHUNK_FLOATS floats
-# (256 KiB); the chunk buffer is the only memory that grows with the seed count.
+# at once, capped so one chunk of all seeds holds at most CHUNK_FLOATS floats;
+# the chunk buffer is the only memory that grows with the seed count.
 CHUNK_STEPS = 1000
-CHUNK_FLOATS = 1 << 15
 
 
 class SolverError(RuntimeError):
@@ -369,12 +369,12 @@ class SeedNoise:
         dim = v.shape[-1]
         sigma = model.sigma
         if model.kind == "relative":
-            if dim == 1:  # what np.linalg.norm computes for one entry, bit for bit
-                g = v[:, 0, 0]
-                norms = np.sqrt(g.real * g.real + g.imag * g.imag)
-            else:
-                norms = np.array([np.linalg.norm(vs) for vs in v])
-            sigma = (model.level * norms / np.sqrt(dim))[:, None, None, None]
+            # each seed's Frobenius norm as np.linalg.norm computes it, bit for bit:
+            # the dot products of the real and of the imaginary parts, added
+            flat = v.reshape(len(v), 1, -1)
+            re, im = flat.real, flat.imag
+            norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
+            sigma = model.level * norms[..., None] / np.sqrt(dim)
         n, m = domain.blocks, dim // domain.blocks
         blocks = block_noise(self._next(self.widths[i]).reshape(-1, n, 2, m, m), sigma,
                              model.hermitian)
@@ -467,11 +467,11 @@ def _checked_score(y: np.ndarray, v: np.ndarray, domain, i: int, n: int) -> np.n
 
 
 def profile_kl(game: GameModel, reference, actions) -> float:
-    """Sum of per-player divergences to a reference profile, bound-normalised."""
+    """Sum of per-player divergences to a reference profile, bound-normalised, per profile."""
     total = 0.0
     for spec, ref, x in zip(game.players, reference, actions):
         a = spec.domain.trace_bound
-        total += quantum_kl(np.asarray(ref) / a, np.asarray(x) / a)
+        total = total + quantum_kl(np.asarray(ref) / a, np.asarray(x) / a)
     return total
 
 

@@ -14,6 +14,7 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 OFF_BLOCK_TOL = 1e-12
+CHUNK_FLOATS = 1 << 15  # floats (256 KiB) that one stacked evaluation holds at most
 
 
 class DomainError(ValueError):
@@ -33,17 +34,23 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return (a + _dagger(a)) / 2
 
 
+def _float_or_stack(a):
+    """A Python float for the 0-d result of one matrix, the array for a stack."""
+    return float(a) if np.ndim(a) == 0 else a
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of A from its conjugate transpose."""
+    """Largest entrywise deviation of A from its conjugate transpose, over a stack (..., d, d)."""
     a = np.asarray(a)
-    return float(np.max(np.abs(a - a.conj().T)))
+    return float(np.max(np.abs(a - _dagger(a))))
 
 
 def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+    """A, once it is a finite Hermitian matrix or (..., d, d) stack of them."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DomainError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise DomainError(f"{name} has non-finite entries")
     defect = hermiticity_defect(a)
     if defect > tol:
@@ -54,28 +61,27 @@ def require_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL, name: str = "ma
 
 
 def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Real trace inner product tr(AB) for Hermitian A, B."""
-    return float(np.einsum("ij,ji->", a, b).real)
+    """Real trace inner product tr(AB) for Hermitian A, B, per matrix of (..., d, d) stacks."""
+    return _float_or_stack(np.einsum("...ij,...ji->...", a, b).real)
 
 
 def herm_expm(h: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via eigendecomposition."""
     h = require_hermitian(h)
     w, u = np.linalg.eigh(h)
-    return hermitize((u * np.exp(w)) @ u.conj().T)
+    return hermitize((u * np.exp(w)) @ _dagger(u))
 
 
 def nuclear_norm(h: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
+    """Sum of absolute eigenvalues, per matrix of a Hermitian (..., d, d) stack."""
     h = require_hermitian(h)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    return _float_or_stack(np.sum(np.abs(np.linalg.eigvalsh(h)), axis=-1))
 
 
 def dual_norm(h: np.ndarray) -> float:
-    """Largest absolute eigenvalue (spectral norm) of a Hermitian matrix."""
-    h = require_hermitian(h)
-    w = np.linalg.eigvalsh(h)
-    return float(max(abs(w[0]), abs(w[-1]))) if w.size else 0.0
+    """Largest absolute eigenvalue (spectral norm), per matrix of a (..., d, d) stack."""
+    w = np.linalg.eigvalsh(require_hermitian(h))
+    return _float_or_stack(np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,7 +179,7 @@ class Spectrahedron:
         x = np.asarray(x)
         if x.shape != (self.dim, self.dim):
             return False
-        if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+        if not np.isfinite(x).all():
             return False
         if hermiticity_defect(x) > HERMITIAN_TOL:
             return False
@@ -220,10 +226,17 @@ class Spectrahedron:
         return out / np.linalg.norm(out)
 
 
-def _log_conjugate_from_eigs(w: np.ndarray) -> float:
-    """log(1 + sum exp(w)) in shifted (log-sum-exp) form, never overflowing."""
-    m = max(0.0, float(w[-1]))
-    return m + float(np.log(np.exp(-m) + np.sum(np.exp(w - m))))
+def _log_conjugate_from_eigs(w: np.ndarray) -> np.ndarray:
+    """log(1 + sum exp(w)) over the last axis of ascending eigenvalues (..., d), kept as an
+    axis of length 1, in shifted (log-sum-exp) form, never overflowing."""
+    m = np.maximum(w[..., -1:], 0.0)
+    return m + np.log(np.exp(-m) + np.add.reduce(np.exp(w - m), axis=-1, keepdims=True))
+
+
+def _xlogx_sum(w: np.ndarray) -> float:
+    """Sum of w log w over the positive entries of a vector w (0 log 0 = 0)."""
+    w = w[w > 0.0]
+    return float(np.sum(w * np.log(w)))
 
 
 def von_neumann_entropy(x: np.ndarray, domain: Spectrahedron) -> float:
@@ -240,8 +253,7 @@ def _entropy_of(x: np.ndarray, bound: float) -> float:
     w = np.linalg.eigvalsh(hermitize(np.asarray(x, dtype=complex))) / bound
     w = np.clip(w, 0.0, None)
     slack = max(0.0, 1.0 - float(w.sum()))
-    parts = w[w > 0.0]
-    val = float(np.sum(parts * np.log(parts)))
+    val = _xlogx_sum(w)
     if slack > 0.0:
         val += slack * np.log(slack)
     return val
@@ -250,7 +262,7 @@ def _entropy_of(x: np.ndarray, bound: float) -> float:
 def entropy_conjugate(y: np.ndarray) -> float:
     """Convex conjugate of the entropy: log(1 + tr exp(Y)), overflow-safe."""
     y = require_hermitian(y, name="score")
-    return _log_conjugate_from_eigs(np.linalg.eigvalsh(y))
+    return _float_or_stack(_log_conjugate_from_eigs(np.linalg.eigvalsh(y))[..., 0])
 
 
 def entropy_gradient(x: np.ndarray, domain: Spectrahedron) -> np.ndarray:
@@ -288,25 +300,18 @@ def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
     """Unchecked core of :func:`mirror_map` for a stack (..., d, d) of scores.
 
     Scores must already be Hermitian, block-diagonal and of the domain's size.
-    A 1x1 score is mapped in closed form with the same float operations as the
-    general path; larger scores use one batched eigendecomposition of all the
-    domain's diagonal blocks.
+    A 1x1 score is its own eigenvalue, mapped without an eigendecomposition;
+    larger scores use one batched eigendecomposition of all the domain's
+    diagonal blocks.
     """
     if domain.dim == 1:
-        lam = y[..., 0, 0].real
-        m = np.maximum(lam, 0.0)
-        val = np.exp(lam - (m + np.log(np.exp(-m) + np.exp(lam - m))))
+        lam = y[..., 0, :].real
         out = np.zeros(y.shape, dtype=complex)
-        out[..., 0, 0] = domain.trace_bound * val
+        out[..., 0, :] = domain.trace_bound * np.exp(lam - _log_conjugate_from_eigs(lam))
         return out
 
     lam, bases = domain._eigh_blocks(y)
-    all_w = np.sort(lam)
-    if y.ndim == 2:
-        lse = _log_conjugate_from_eigs(all_w)
-    else:
-        m = np.maximum(all_w[..., -1:], 0.0)
-        lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
+    lse = _log_conjugate_from_eigs(np.sort(lam))
     return domain._assemble(np.exp(lam - lse), bases) * domain.trace_bound
 
 
@@ -316,34 +321,31 @@ def quantum_kl(xref: np.ndarray, x: np.ndarray) -> float:
     Equals tr(Xref(log Xref - log X)) plus the slack contribution
     (1-tr Xref)(log(1-tr Xref) - log(1-tr X)); nonnegative, zero iff Xref = X.
     Mass of Xref on a null direction of X yields math.inf; 0 log 0 = 0 on the
-    null space of Xref.
+    null space of Xref. X may be a (..., d, d) stack against the one matrix
+    Xref, giving one divergence per matrix of the stack.
     """
     xref = require_hermitian(xref, name="reference")
     x = require_hermitian(x, name="argument")
-    if xref.shape != x.shape:
+    if xref.shape != x.shape[-2:]:
         raise DomainError("reference/argument shapes differ")
 
-    nu = np.clip(np.linalg.eigvalsh(xref), 0.0, None)
-    ref_entropy = float(np.sum(nu[nu > 0.0] * np.log(nu[nu > 0.0])))
+    ref_entropy = _xlogx_sum(np.clip(np.linalg.eigvalsh(xref), 0.0, None))
 
     mu, u = np.linalg.eigh(x)
-    weights = np.clip(np.einsum("ji,jk,ki->i", u.conj(), xref, u).real, 0.0, None)
-    cross = 0.0
-    for m, wgt in zip(mu, weights):
-        if m <= 1e-300:
-            if wgt > 1e-12:
-                return float("inf")
-        else:
-            cross += wgt * np.log(m)
+    weights = np.clip(np.einsum("...ji,jk,...ki->...i", u.conj(), xref, u).real, 0.0, None)
+    null = mu <= 1e-300
+    infinite = np.any(null & (weights > 1e-12), axis=-1)
+    # cumsum adds the cross terms one after another, as a scalar loop does (np.sum is pairwise)
+    terms = np.where(null, 0.0, weights * np.log(np.where(null, 1.0, mu)))
+    cross = np.cumsum(terms, axis=-1)[..., -1]
 
     s_ref = max(0.0, 1.0 - float(np.trace(xref).real))
-    s_x = max(0.0, 1.0 - float(np.trace(x).real))
+    s_x = np.maximum(0.0, 1.0 - np.trace(x, axis1=-2, axis2=-1).real)
     slack = 0.0
     if s_ref > 1e-12:
-        if s_x <= 1e-300:
-            return float("inf")
-        slack = s_ref * (np.log(s_ref) - np.log(s_x))
-    return float(ref_entropy - cross + slack)
+        infinite = infinite | (s_x <= 1e-300)
+        slack = s_ref * (np.log(s_ref) - np.log(np.where(s_x > 1e-300, s_x, 1.0)))
+    return _float_or_stack(np.where(infinite, np.inf, ref_entropy - cross + slack))
 
 
 def fenchel_coupling(x: np.ndarray, y: np.ndarray, domain: Spectrahedron) -> float:
@@ -357,4 +359,4 @@ def fenchel_coupling(x: np.ndarray, y: np.ndarray, domain: Spectrahedron) -> flo
     # X passed the membership check, so X/A is in the unit set: no second check
     xs = hermitize(np.asarray(x, dtype=complex)) / domain.trace_bound
     entropy = _entropy_of(xs, 1.0)
-    return entropy + _log_conjugate_from_eigs(np.linalg.eigvalsh(y)) - trace_inner(y, xs)
+    return entropy + float(_log_conjugate_from_eigs(np.linalg.eigvalsh(y))[0]) - trace_inner(y, xs)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import GameModel, nash_residual
+from .games import GameModel, Report, nash_residual, sample_batches
 from .solver import (
     SeedNoise,
     SolverConfig,
@@ -136,21 +136,13 @@ def brute_force_ne(game: GameModel, tol: float = 1e-8, max_sweeps: int = 400):
 
 
 @dataclass
-class StrongStabilityEstimate:
+class StrongStabilityEstimate(Report):
     """Sampled lower margin of the stability inequality relative to divergence."""
 
     b_hat: float
     samples: int
     violation_count: int
     rng_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "b_hat": self.b_hat,
-            "samples": self.samples,
-            "violation_count": self.violation_count,
-            "rng_seed": self.rng_seed,
-        }
 
 
 def estimate_strong_stability(game: GameModel, xstar, samples: int,
@@ -160,25 +152,28 @@ def estimate_strong_stability(game: GameModel, xstar, samples: int,
     rng = np.random.default_rng(seed)
     b_hat = float("inf")
     violations = 0
-    for _ in range(samples):
-        x = game.sample_profile(rng)
+    everyone = range(game.n_players)
+    for (x,) in sample_batches(game, rng, samples):
         div = profile_kl(game, xstar, x)
-        if not (div > 1e-9) or not np.isfinite(div):
+        kept = (div > 1e-9) & np.isfinite(div)
+        if not kept.any():
             continue
-        v = game.gradient_profile(x)
-        drift = sum(trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
-        ratio = -drift / div
-        if ratio < 0:
-            violations += 1
-        b_hat = min(b_hat, ratio)
+        x = [a[kept] for a in x]
+        v = game.gradient_stacks(x, everyone)
+        drift = sum(trace_inner(x[i] - xstar[i], v[i]) for i in everyone)
+        ratio = -drift / div[kept]
+        violations += int(np.count_nonzero(ratio < 0))
+        # as a per-sample min: the first of equal values, and never a NaN
+        b_hat = min([b_hat, *ratio.tolist()])
     if not np.isfinite(b_hat):
         b_hat = 0.0
     return StrongStabilityEstimate(float(max(b_hat, 0.0)), samples, violations, seed)
 
 
 @dataclass
-class RateFit:
-    """Log-log fit of an averaged error metric against the iteration count."""
+class RateFit(Report):
+    """Log-log fit of an averaged error metric against the iteration count; `gamma_b_flag`
+    (gamma*B <= 1, no `bound`) is set whenever `gamma_b` is."""
 
     checkpoints: tuple
     values: tuple
@@ -189,26 +184,11 @@ class RateFit:
     seeds: int
     bound: tuple | None = None
     gamma_b: float | None = None
-    gamma_b_flag: bool = False
-
-    def to_dict(self) -> dict:
-        out = {
-            "checkpoints": list(self.checkpoints),
-            "values": list(self.values),
-            "stderrs": list(self.stderrs),
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "metric": self.metric,
-            "seeds": self.seeds,
-        }
-        if self.bound is not None:
-            out["bound"] = list(self.bound)
-            out["gamma_b"] = self.gamma_b
-            out["gamma_b_flag"] = self.gamma_b_flag
-        return out
+    gamma_b_flag: bool | None = None
 
 
 def _profile_metric(game: GameModel, xstar, actions, metric: str) -> float:
+    """The metric of a profile, or of each profile of per-player (S, d, d) stacks."""
     if metric == "kl":
         return profile_kl(game, xstar, actions)
     if metric == "nuclear_distance":
@@ -233,6 +213,20 @@ def _fit_table(table: np.ndarray, checkpoints):
     return means, stderrs, float(coef[1]), float(np.sqrt(max(cov[1, 1], 0.0)))
 
 
+def check_rate_protocol(seeds: int, checkpoints) -> tuple:
+    """The checkpoints as ints, once there are >= 2 seeds and >= 4 strictly increasing
+    checkpoints from 1 up, spanning at least two decades."""
+    checkpoints = tuple(int(c) for c in checkpoints)
+    if (len(checkpoints) < 4 or checkpoints[0] < 1
+            or any(a >= b for a, b in zip(checkpoints, checkpoints[1:]))):
+        raise ValueError("need >= 4 strictly increasing checkpoints, all >= 1")
+    if checkpoints[-1] < 100 * checkpoints[0]:
+        raise ValueError("checkpoints must span at least two decades")
+    if seeds < 2:
+        raise ValueError("need >= 2 seeds")
+    return checkpoints
+
+
 def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds: int,
                     checkpoints, metric: str = "nuclear_distance",
                     b_hat: float | None = None, v_bound: float | None = None) -> RateFit:
@@ -247,14 +241,7 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     divergence bound gamma^2 V^2 / ((B gamma - 1) n) is evaluated pointwise;
     gamma*B <= 1 is flagged rather than silently accepted.
     """
-    checkpoints = tuple(int(c) for c in checkpoints)
-    if (len(checkpoints) < 4 or checkpoints[0] < 1
-            or any(a >= b for a, b in zip(checkpoints, checkpoints[1:]))):
-        raise ValueError("need >= 4 strictly increasing checkpoints, all >= 1")
-    if checkpoints[-1] < 100 * checkpoints[0]:
-        raise ValueError("checkpoints must span at least two decades")
-    if seeds < 2:
-        raise ValueError("need >= 2 seeds")
+    checkpoints = check_rate_protocol(seeds, checkpoints)
     game.require_feasible(xstar)
 
     table = np.zeros((seeds, len(checkpoints)))
@@ -265,15 +252,11 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     marks = {c: idx for idx, c in enumerate(checkpoints)}
     for n, _ in advance(game, state, config_template.schedule, noise, checkpoints[-1]):
         if n in marks:
-            for s in range(seeds):
-                actions = [a[s] for a in state.actions]
-                table[s, marks[n]] = _profile_metric(game, xstar, actions, metric)
+            table[:, marks[n]] = _profile_metric(game, xstar, state.actions, metric)
 
     means, stderrs, slope, slope_stderr = _fit_table(table, checkpoints)
 
-    bound = None
-    gamma_b = None
-    flag = False
+    bound = gamma_b = flag = None
     if b_hat is not None and v_bound is not None:
         gamma = config_template.schedule.at(1)
         gamma_b = float(gamma * b_hat)

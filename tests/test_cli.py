@@ -344,6 +344,32 @@ class TestVerify:
         assert not out.exists()
         assert capsys.readouterr().err == "error: experiment.checkpoints must be a list, got 5\n"
 
+    @pytest.mark.parametrize("change", [{"seeds": 1}, {"checkpoints": [10, 30, 100, 316]}],
+                             ids=["one_seed", "under_two_decades"])
+    def test_rate_protocol_rejected_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                    change):
+        payload = self.rate_payload([10, 100, 316, 1000])
+        payload["experiment"].update(change)
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        monkeypatch.setattr(mxl.cli, "brute_force_ne", lambda *args, **kw: pytest.fail("work ran"))
+        assert main(["verify", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_rate_mode_reports_a_raised_gamma_b_flag(self, tmp_path):
+        # gamma_1 = 1 on a power_law schedule: gamma*B is the MAC margin, about 0.1
+        payload = self.rate_payload([1, 10, 30, 100])
+        payload["solver"]["schedule"] = {"kind": "power_law", "gamma0": 1.0, "exponent": 0.5}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert cmd_verify(cfg, str(out), quiet=True) in (EXIT_OK, EXIT_VERIFY_FAILED)
+        report = json.loads((out / "report.json").read_text())
+        fit = report["rate_fit"]
+        assert fit["gamma_b_flag"] is True and "bound" not in fit
+        assert fit["gamma_b"] == report["strong_stability"]["b_hat"] > 0
+
     def test_rate_mode_bad_schedule_one_line_error(self, tmp_path, capsys):
         payload = self.rate_payload([10, 100, 316, 1000])
         payload["solver"]["schedule"] = {"kind": "power_law", "exponent": 1.5}

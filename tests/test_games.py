@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+import mxl.games
 from mxl.families import (
     EeGame,
     MacGame,
@@ -10,7 +13,9 @@ from mxl.families import (
     synth_channels,
 )
 from mxl.games import (
+    VIOLATION_TOL,
     BilinearGame,
+    GameModel,
     LinearGame,
     ZeroGame,
     check_hessian_definiteness,
@@ -23,7 +28,7 @@ from mxl.games import (
 from mxl.spectral import DomainError, Spectrahedron, hermitize
 from mxl.verify import brute_force_ne
 
-from helpers import concavity_violations
+from helpers import concavity_violations, ref_trace_inner
 
 
 class OwnQuadraticGame(LinearGame):
@@ -240,7 +245,69 @@ def test_stability_report_serializable():
     assert d["check"] == "monotonicity"
     assert d["samples"] == 50
     assert d["rng_seed"] == 1
-    assert "violations" in d and "worst_value" in d and "passed" in d
+    assert set(d) == {"check", "samples", "rng_seed", "violations", "worst_value", "passed"}
+    assert d["passed"] is True and d["worst_value"] == report.worst_value
+
+
+def ref_check_monotonicity(game, samples, seed):
+    """The per-sample loop that the batched check replaced: (worst value, violations)."""
+    rng = np.random.default_rng(seed)
+    worst, violations = float("-inf"), 0
+    for _ in range(samples):
+        xa = game.sample_profile(rng)
+        xb = game.sample_profile(rng)
+        va = game.gradient_profile(xa)
+        vb = game.gradient_profile(xb)
+        val = sum(ref_trace_inner(xb[i] - xa[i], vb[i] - va[i]) for i in range(game.n_players))
+        worst = max(worst, val)
+        if val > VIOLATION_TOL:
+            violations += 1
+    return worst, violations
+
+
+class NanGradients(GameModel):
+    """Exact gradients that are NaN wherever a player's level exceeds 0.7."""
+
+    def utility(self, i, actions):
+        return 0.0
+
+    def gradient_stack(self, i, actions):
+        x = actions[i].real
+        return np.where(x > 0.7, math.nan, 0.5 - x).astype(complex)
+
+
+def _ee(users, antennas, subcarriers):
+    channels = synth_channels(users, antennas, antennas, subcarriers, pathloss_spread=1.0, seed=9)
+    return EeGame(channels, pmax=2.0, pc=0.1)
+
+
+# name: (game, samples); batches of 37 samples are forced as well
+MONOTONICITY_CASES = {
+    "mac3": (lambda: MacGame(3, "quadratic", b=1.0, c=2.0), 300),
+    "bilinear": (lambda: BilinearGame(0.0), 300),
+    "nan_gradients": (lambda: NanGradients([Spectrahedron(1, 1.0)] * 2), 300),
+    "ee_2x2x2": (lambda: _ee(2, 2, 2), 300),
+    "ee_3x2x4": (lambda: _ee(3, 2, 4), 100),
+    "ee_8x4x16": (lambda: _ee(8, 4, 16), 2),
+    "metric": (lambda: MetricLearningProblem(*make_cluster_dataset(3, 8, seed=2), batch_size=4),
+               300),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 37])
+@pytest.mark.parametrize("name", sorted(MONOTONICITY_CASES))
+def test_monotonicity_equals_per_sample_loop(name, batch, monkeypatch):
+    make, samples = MONOTONICITY_CASES[name]
+    game = make()
+    if batch is not None:
+        floats = sum(2 * p.domain.dim ** 2 for p in game.players)
+        monkeypatch.setattr(mxl.games, "CHUNK_FLOATS", batch * 2 * floats)
+    report = check_monotonicity(game, samples, seed=7)
+    worst, violations = ref_check_monotonicity(game, samples, 7)
+    assert repr(report.worst_value) == repr(worst)
+    assert report.violations == violations
+    if name == "bilinear":
+        assert violations > 0
 
 
 def test_cross_oracle_agreement_monotone_games():

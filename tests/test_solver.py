@@ -418,7 +418,7 @@ NOISE_LAYOUT_GAME = ZeroGame([
 ])
 
 
-@pytest.mark.parametrize("n_seeds", [1, 4])
+@pytest.mark.parametrize("n_seeds", [1, 4, 50])
 @pytest.mark.parametrize("model", [
     NoiseModel.gaussian_hermitian(0.3), NoiseModel.gaussian_hermitian(0.3, hermitian=False),
     NoiseModel.relative(0.5), NoiseModel.relative(0.5, hermitian=False),

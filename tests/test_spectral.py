@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import block_slices, random_hermitian
+from helpers import (
+    block_slices,
+    random_hermitian,
+    ref_entropy_of,
+    ref_log_conjugate_from_eigs,
+    ref_quantum_kl,
+    ref_trace_inner,
+)
 from mxl.spectral import (
     HERMITIAN_TOL,
     OFF_BLOCK_TOL,
     PSD_TOL,
     DomainError,
     Spectrahedron,
+    _entropy_of,
     _log_conjugate_from_eigs,
     _project_capped_simplex,
     dual_norm,
@@ -355,10 +363,17 @@ def ref_assemble(domain, lam, bases):
 
 
 def ref_exp_projection(y, domain):
+    if domain.dim == 1:
+        lam = y[..., 0, 0].real
+        m = np.maximum(lam, 0.0)
+        val = np.exp(lam - (m + np.log(np.exp(-m) + np.exp(lam - m))))
+        out = np.zeros(y.shape, dtype=complex)
+        out[..., 0, 0] = domain.trace_bound * val
+        return out
     lam, bases = ref_eigh_blocks(domain, y)
     all_w = np.sort(lam)
     if y.ndim == 2:
-        lse = _log_conjugate_from_eigs(all_w)
+        lse = ref_log_conjugate_from_eigs(all_w)
     else:
         m = np.maximum(all_w[..., -1:], 0.0)
         lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
@@ -373,6 +388,7 @@ def ref_sample_direction(domain, rng):
 
 
 LAYOUTS = {
+    "scalar": Spectrahedron(1, 2.0),
     "unblocked": Spectrahedron(3, 2.0),
     "equal_2x2": Spectrahedron(4, 1.0, blocks=2),
     "equal_4x16": Spectrahedron(64, 1.0, blocks=16),
@@ -494,3 +510,90 @@ def test_projection_idempotent(name):
             p = dom.project(random_hermitian(dom.dim, rng, scale=scale))
             assert dom.contains(p)
             assert np.linalg.norm(dom.project(p) - p) <= 1e-12 * max(1.0, np.linalg.norm(p))
+
+
+# Stacked divergence, norms and log-sum-exp against the per-matrix formulas they
+# replaced (tests/helpers.py), row by row and bit for bit.
+
+STACK_DOMAINS = {
+    "dim1": Spectrahedron(1, 1.0),
+    "dim3": Spectrahedron(3, 1.0),
+    "dim64": Spectrahedron(64, 1.0),
+    "equal_4x16": LAYOUTS["equal_4x16"],
+}
+
+
+def kl_points(dom, rng):
+    """Members of the unit set: samples, a projection with exact zero eigenvalues, the
+    zero matrix, a diagonal of trace exactly 1 (no slack) and the center."""
+    full = 2.0 ** -np.arange(1.0, dom.dim + 1)
+    full[-1] *= 2.0
+    return [dom.sample(rng), dom.sample(rng), dom.sample(rng),
+            dom.project(random_hermitian(dom.dim, rng) - 0.1 * np.eye(dom.dim)),
+            np.zeros((dom.dim, dom.dim), dtype=complex), np.diag(full).astype(complex),
+            dom.center()]
+
+
+@pytest.mark.parametrize("name", sorted(STACK_DOMAINS))
+def test_stacked_quantum_kl_equals_per_matrix_loop(name):
+    dom = STACK_DOMAINS[name]
+    rng = np.random.default_rng(59)
+    points = kl_points(dom, rng)
+    x = np.stack(points)
+    seen = set()
+    for ref in points:
+        expected = [ref_quantum_kl(ref, xs) for xs in x]
+        assert np.array_equal(quantum_kl(ref, x), expected)
+        assert np.array_equal(quantum_kl(ref, x[None, 1:3]), [expected[1:3]])
+        single = quantum_kl(ref, x[0])
+        assert type(single) is float and single == expected[0]
+        seen.update("inf" if math.isinf(v) else "finite" for v in expected)
+    assert seen == {"inf", "finite"}
+    # the reference's zero eigenvalues and the slack of a trace-1 argument
+    assert quantum_kl(points[3], points[4]) == ref_quantum_kl(points[3], points[4])
+    assert quantum_kl(dom.center(), points[5]) == math.inf
+    with pytest.raises(DomainError):
+        quantum_kl(x, x)  # the reference is one matrix
+
+
+@pytest.mark.parametrize("name", sorted(STACK_DOMAINS))
+def test_stacked_norms_and_entropy_equal_per_matrix_formulas(name):
+    dom = STACK_DOMAINS[name]
+    rng = np.random.default_rng(61)
+    a = np.stack([random_hermitian(dom.dim, rng, scale=s) for s in (0.1, 1.0, 30.0)])
+    b = np.stack([random_hermitian(dom.dim, rng) for _ in range(3)])
+    nuclear = [float(np.sum(np.abs(np.linalg.eigvalsh(h)))) for h in a]
+    spectral = [float(max(abs(w[0]), abs(w[-1]))) for w in np.linalg.eigvalsh(a)]
+    assert np.array_equal(nuclear_norm(a), nuclear)
+    assert np.array_equal(dual_norm(a), spectral)
+    assert np.array_equal(trace_inner(a, b), [ref_trace_inner(p, q) for p, q in zip(a, b)])
+    assert np.array_equal(trace_inner(a, b[0]), [ref_trace_inner(p, b[0]) for p in a])
+    for fn, ref in ((nuclear_norm, nuclear), (dual_norm, spectral)):
+        assert type(fn(a[1])) is float and fn(a[1]) == ref[1]
+    assert type(trace_inner(a[0], b[0])) is float
+    for scale in (0.5, 20.0, 1e4, 1e300):
+        w = np.linalg.eigvalsh(scale * a / np.linalg.norm(a, axis=(-2, -1), keepdims=True))
+        assert np.array_equal(_log_conjugate_from_eigs(w)[:, 0],
+                              [ref_log_conjugate_from_eigs(r) for r in w])
+        assert entropy_conjugate(scale * b[0] / np.linalg.norm(b[0])) == \
+            ref_log_conjugate_from_eigs(np.linalg.eigvalsh(scale * b[0] / np.linalg.norm(b[0])))
+    for x in kl_points(dom, rng):
+        for bound in (1.0, 2.0):
+            got, expected = _entropy_of(x * bound, bound), ref_entropy_of(x * bound, bound)
+            assert got == expected and type(got) is type(expected)
+
+
+def test_stacked_checks_read_the_whole_stack(rng):
+    good = np.stack([random_hermitian(3, rng) for _ in range(4)])
+    assert hermiticity_defect(good) == 0.0
+    bad = good.copy()
+    bad[2, 0, 1] += 1e-6
+    assert hermiticity_defect(bad) == pytest.approx(1e-6)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        nuclear_norm(bad)
+    bad = good.copy()
+    bad[3, 1, 1] = complex(1.0, np.inf)
+    with pytest.raises(DomainError, match="non-finite"):
+        dual_norm(bad)
+    with pytest.raises(DomainError, match="square"):
+        dual_norm(good[:, :2])

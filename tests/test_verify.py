@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import mxl.games
+from helpers import ref_profile_kl, ref_trace_inner
 from mxl.families import (
     EeGame,
     MacGame,
@@ -136,9 +138,16 @@ class TestRateExperiment:
         assert fit.gamma_b == pytest.approx(2.0)
         assert not fit.gamma_b_flag
         assert fit.bound[0] == pytest.approx(16.0 / 10.0)
+        assert fit.to_dict()["gamma_b_flag"] is False and fit.to_dict()["bound"] == fit.bound
         flagged = rate_experiment(game, xstar, cfg, 2, [10, 50, 200, 1000],
                                   b_hat=0.2, v_bound=1.0)
         assert flagged.gamma_b_flag and flagged.bound is None
+        # a raised flag is reported with its gamma*B; there is no bound to report
+        d = flagged.to_dict()
+        assert d["gamma_b_flag"] is True and d["gamma_b"] == flagged.gamma_b == 0.8
+        assert "bound" not in d
+        plain = rate_experiment(game, xstar, cfg, 2, [10, 50, 200, 1000]).to_dict()
+        assert not {"bound", "gamma_b", "gamma_b_flag"} & set(plain)
 
     def test_deterministic_given_seed(self):
         game = MacGame(2, "quadratic", b=1.0, c=2.0)
@@ -265,6 +274,77 @@ class TestBatchedEqualsSequential:
             rate_experiment(game, xstar, cfg, 3, [1, 10, 100, 1000])
         assert seq.value.player == batched.value.player == 1
         assert batched.value.iteration == seq.value.iteration > 1
+
+
+def ref_estimate_strong_stability(game, xstar, samples, seed):
+    """The per-sample loop that the batched estimate replaced: (b_hat, violation count)."""
+    rng = np.random.default_rng(seed)
+    b_hat = float("inf")
+    violations = 0
+    for _ in range(samples):
+        x = game.sample_profile(rng)
+        div = ref_profile_kl(game, xstar, x)
+        if not (div > 1e-9) or not np.isfinite(div):
+            continue
+        v = game.gradient_profile(x)
+        drift = sum(ref_trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
+        ratio = -drift / div
+        if ratio < 0:
+            violations += 1
+        b_hat = min(b_hat, ratio)
+    if not np.isfinite(b_hat):
+        b_hat = 0.0
+    return float(max(b_hat, 0.0)), violations
+
+
+class NanGradients(GameModel):
+    """Gradients 0.3 - x_i (a positive margin at x* = 0.3) that are NaN wherever a
+    player's level exceeds 0.7."""
+
+    def utility(self, i, actions):
+        return 0.0
+
+    def gradient_stack(self, i, actions):
+        x = actions[i].real
+        return np.where(x > 0.7, math.nan, 0.3 - x).astype(complex)
+
+
+def _ee_large():
+    game = EeGame(synth_channels(8, 4, 4, 16, pathloss_spread=1.0, seed=9), pmax=2.0, pc=0.1)
+    return game, uniform_baseline(game)
+
+
+# name: (game and reference point, samples); batches of 37 samples are forced as well
+STABILITY_CASES = {
+    "mac": (lambda: (MacGame(2, "quadratic", b=1.0, c=2.0), scalar_profile([1 / 3, 1 / 3])),
+            2000),
+    "bilinear_violations": (lambda: (BilinearGame(0.0), scalar_profile([0.5, 0.5])), 500),
+    "zero_game": (lambda: (ZeroGame([Spectrahedron(1, 1.0)] * 2), scalar_profile([0.3, 0.3])),
+                  100),
+    "nan_gradients": (lambda: (NanGradients([Spectrahedron(1, 1.0)] * 2),
+                               scalar_profile([0.3, 0.3])), 300),
+    "ee_2x2x2": (_ee, 1100),
+    "ee_8x4x16": (_ee_large, 3),
+    "metric": (_metric, 2000),
+}
+
+
+@pytest.mark.parametrize("batch", [None, 37])
+@pytest.mark.parametrize("name", sorted(STABILITY_CASES))
+def test_strong_stability_equals_per_sample_loop(name, batch, monkeypatch):
+    make, samples = STABILITY_CASES[name]
+    game, xstar = make()
+    if batch is not None:
+        floats = sum(2 * p.domain.dim ** 2 for p in game.players)
+        monkeypatch.setattr(mxl.games, "CHUNK_FLOATS", batch * floats)
+    est = estimate_strong_stability(game, xstar, samples, seed=13)
+    b_hat, violations = ref_estimate_strong_stability(game, xstar, samples, 13)
+    assert repr(est.b_hat) == repr(b_hat)  # the sign of a zero too
+    assert est.violation_count == violations
+    if name == "bilinear_violations":
+        assert violations > 0
+    if name == "nan_gradients":
+        assert b_hat > 0
 
 
 def test_max_sampled_gradient_norm():
