@@ -162,6 +162,11 @@ SCENARIOS = {
         "sweep", {"game": MAC, "solver": _solver(noise=_gaussian(0.2)),
                   "async": _async([0.3, 0.3], 5),
                   "experiment": _sweep(3, {"solver.schedule.exponent": [0.5, 1.0]})}),
+    "sweep_metric_max_iters": (
+        "sweep", {"game": {"kind": "metric", "features": 4, "points": 16},
+                  "solver": _solver(110, schedule={"kind": "constant", "gamma0": 0.05},
+                                    noise=_gaussian(0.1)),
+                  "experiment": _sweep(3, {"solver.noise.sigma": [0.0, 0.1]}, threshold=0.0)}),
     "verify_mac_rate": (
         "verify", {"game": MAC, "solver": _solver(3000, noise=_relative(0.5)),
                    "experiment": {"mode": "rate", "seeds": 6,

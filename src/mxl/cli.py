@@ -1,8 +1,9 @@
 """Experiment runner: JSON scenario configs in, traces/reports/plot data out.
 
 Subcommands: `mxl run|verify|sweep <config> --out <dir>`. Exit codes: 0 success,
-1 usage/config error, 2 non-convergence, 3 verification failure. Sweep cells
-run in a process pool capped by the MXL_WORKERS environment variable.
+1 usage/config error, 2 non-convergence, 3 verification failure. A sweep cell
+runs its seeds as one `run_batch`, and the cells run in a process pool capped
+by the MXL_WORKERS environment variable.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .solver import (
     StepSchedule,
     _fmt,
     run_async,
+    run_batch,
 )
 from .verify import (
     ConvergenceError,
@@ -229,35 +231,32 @@ def build_game(game_cfg: dict):
     )
 
 
-def build_solver_config(resolved: dict, game, seed_override: int | None = None,
-                        oracle=None) -> SolverConfig:
-    """Solver config from the resolved sections; `oracle`, when given, is the
-    already computed `brute_force_ne(game, tol=1e-6)` for `reference: "oracle"`."""
+def build_solver_config(resolved: dict, game) -> SolverConfig:
+    """Solver config from the resolved sections, checked before `reference: "oracle"`
+    computes its reference point, `brute_force_ne(game, tol=1e-6)`."""
     solver = resolved["solver"]
-    seed = int(solver["seed"] if seed_override is None else seed_override)
-    reference = None
-    if solver["reference"] == "oracle":
-        reference = oracle if oracle is not None else brute_force_ne(game, tol=1e-6)
-    elif solver["reference"] not in (None, "none"):
-        raise ConfigError("solver.reference must be null or 'oracle'")
-    return SolverConfig(
+    config = SolverConfig(
         schedule=StepSchedule(**solver["schedule"]),
         noise=NoiseModel(**solver["noise"]),
         max_iters=int(solver["max_iters"]),
         stop_residual=float(solver["stop_residual"]),
-        seed=seed,
+        seed=int(solver["seed"]),
         log_every=int(solver["log_every"]),
-        reference_point=reference,
     )
+    if solver["reference"] == "oracle":
+        config.reference_point = brute_force_ne(game, tol=1e-6)
+    elif solver["reference"] not in (None, "none"):
+        raise ConfigError("solver.reference must be null or 'oracle'")
+    return config
 
 
-def _build_run(resolved: dict, seed: int | None = None, oracle=None):
+def _build_run(resolved: dict):
     """The game, solver config and async schedule of one run, checked before it starts.
 
     Without an `async` section the schedule is the trivial one (synchronous play).
     """
     game = build_game(resolved["game"])
-    config = build_solver_config(resolved, game, seed_override=seed, oracle=oracle)
+    config = build_solver_config(resolved, game)
     cfg = resolved.get("async", _ASYNC_DEFAULTS)
     probs = cfg["probabilities"]
     if probs is None:
@@ -286,16 +285,15 @@ def cmd_run(config_path: str, out_dir: str, seed: int | None = None, quiet: bool
         resolved = load_config(config_path)
         if resolved["experiment"]["mode"] != "run":
             raise ConfigError("cmd_run requires experiment.mode == 'run'")
-        trace = run_async(*_build_run(resolved, seed))
+        if seed is not None:
+            resolved["solver"]["seed"] = int(seed)
+        trace = run_async(*_build_run(resolved))
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    if seed is not None:
-        resolved = copy.deepcopy(resolved)
-        resolved["solver"]["seed"] = int(seed)
     trace.config_echo = resolved
     trace.to_csv(out / "trace.csv")
     trace.write_summary(out / "summary.json")
@@ -334,10 +332,10 @@ def _verify_rate(game, resolved: dict) -> tuple[dict, bool]:
     exp = resolved["experiment"]
     seeds = int(exp["seeds"])
     checkpoints = check_rate_protocol(seeds, exp["checkpoints"])  # before any work
-    xstar = brute_force_ne(game, tol=1e-6)
+    config = build_solver_config(resolved, game)
+    xstar = config.reference_point or brute_force_ne(game, tol=1e-6)
     seed = int(resolved["solver"]["seed"])
     stability = estimate_strong_stability(game, xstar, 2000, seed=seed + 10)
-    config = build_solver_config(resolved, game, oracle=xstar)
     v_hat = max_sampled_gradient_norm(game, config, 500, seed=seed + 11)
     fit = rate_experiment(
         game,
@@ -418,13 +416,14 @@ def _sweep_cell(resolved: dict, overrides, threshold: float) -> dict:
 
 
 def _run_sweep_cell(args):
-    resolved, overrides, seed, threshold, oracle = args
-    trace = run_async(*_build_run(_sweep_cell(resolved, overrides, threshold), seed, oracle))
-    return {
-        "converged": trace.status == "converged",
-        "iterations": trace.iterations,
-        "terminal_residual": trace.terminal_residual(),
-    }
+    """One cell's seeds as one `run_batch`: the fraction that converged, their median
+    iterations, and under "iterations" the cell's total solver steps."""
+    game, config, schedule, seeds = args
+    traces = run_batch(game, config, seeds, schedule)
+    converged = [t.iterations for t in traces if t.status == "converged"]
+    return {"fraction": len(converged) / len(traces),
+            "median": float(np.median(converged)) if converged else float("nan"),
+            "iterations": sum(t.iterations for t in traces)}
 
 
 def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
@@ -450,21 +449,15 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
         threshold = float(exp["threshold"])
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))
-        # fail fast: build every cell's run before any cell runs, keeping each
-        # cell's oracle reference point (None without one) for its seeds
-        oracles = [_build_run(_sweep_cell(resolved, overrides, threshold))[1].reference_point
-                   for overrides in cells]
+        # fail fast: build every cell's run, oracle included, before any cell runs
+        tasks = [(*_build_run(_sweep_cell(resolved, overrides, threshold)),
+                  range(base_seed + 1000 * cell_idx, base_seed + 1000 * cell_idx + n_seeds))
+                 for cell_idx, overrides in enumerate(cells)]
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
-
-    tasks = []
-    for cell_idx, overrides in enumerate(cells):
-        for s in range(n_seeds):
-            tasks.append((resolved, list(overrides), base_seed + 1000 * cell_idx + s, threshold,
-                          oracles[cell_idx]))
 
     workers = int(os.environ.get("MXL_WORKERS", "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
@@ -472,14 +465,7 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
             results = list(pool.map(_run_sweep_cell, tasks))
     else:
         results = [_run_sweep_cell(t) for t in tasks]
-
-    rows = []
-    for cell_idx, overrides in enumerate(cells):
-        chunk = results[cell_idx * n_seeds : (cell_idx + 1) * n_seeds]
-        converged = [r for r in chunk if r["converged"]]
-        frac = len(converged) / n_seeds
-        med = float(np.median([r["iterations"] for r in converged])) if converged else float("nan")
-        rows.append((overrides, frac, med))
+    rows = [(overrides, r["fraction"], r["median"]) for overrides, r in zip(cells, results)]
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(paths) + ",seeds,converged_fraction,median_iterations\n")

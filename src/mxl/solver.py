@@ -3,13 +3,12 @@
 Each epoch adds a (possibly noisy, possibly obsolete) payoff gradient to a
 per-player score matrix and maps scores back to the feasible set through the
 stable exponential projection. One engine, `advance`, does this for a stack of
-trajectories that share one update schedule: `run_async` drives it with a
-stack of one, on random update sets and delays; synchronous play (`run`) is its
-trivial schedule, where every player updates every epoch without delay; the
-rate experiments drive it with one trajectory per seed. A single run is
-inherently sequential; concurrency across runs is achieved with independent RNG
-streams spawned from the master seed
-(SeedSequence(seed).spawn -> [noise stream, scheduling stream]).
+trajectories that share one update schedule. One driver, `run_batch`, runs a
+list of seeds on it: as one stack under synchronous play (`run`, where every
+player updates every epoch without delay), else seed by seed, on random update
+sets and delays; `run_async` is `run_batch` of one. The rate experiments drive
+`advance` with one trajectory per seed. Each trajectory draws from its own RNG
+streams (SeedSequence(seed).spawn -> [noise stream, scheduling stream]).
 """
 
 from __future__ import annotations
@@ -356,6 +355,12 @@ class SeedNoise:
         self.pos += count
         return self.draws[:, self.pos - count : self.pos]
 
+    def keep(self, rows) -> None:
+        """Keep only the given seeds (row indices), each with its Generator and drawn normals."""
+        self.rngs = [self.rngs[r] for r in rows]
+        self.buffer = self.buffer[rows]
+        self.draws = self.buffer[:, : self.draws.shape[1]]
+
     def perturb(self, i: int, v: np.ndarray) -> np.ndarray:
         """Hermitian part of V + Z for player i's gradient stack V, one Z per seed."""
         model = self.model
@@ -485,39 +490,69 @@ def _log_record(game, config, actions, gamma, n):
 
 
 def run(game: GameModel, config: SolverConfig) -> RunTrace:
-    """Synchronous play: `run_async` on the trivial schedule.
-
-    Every player updates every epoch on current feedback (all probabilities 1,
-    no delay), so each player's update count is the epoch index.
-    """
-    return run_async(game, config, AsyncSchedule((1.0,) * game.n_players))
+    """Synchronous play of seed config.seed: every player updates every epoch on
+    current feedback, so each player's update count is the epoch index."""
+    return run_batch(game, config, [config.seed])[0]
 
 
 def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedule) -> RunTrace:
-    """One trajectory: `advance` on a stack of one, until the residual target or max_iters.
+    """One trajectory of seed config.seed: `run_batch` of one."""
+    return run_batch(game, config, [config.seed], async_schedule)[0]
 
-    The stopping residual is evaluated on noiseless gradients at every logging
-    checkpoint. A non-finite gradient or score, a game or domain error, or an
-    eigensolver failure ends the run with status "diverged" and the error's
-    message as diagnostic; the aborted epoch counts for no player.
-    Deterministic for a fixed config and seed.
+
+def run_batch(game: GameModel, config: SolverConfig, seeds,
+              async_schedule: AsyncSchedule | None = None) -> list[RunTrace]:
+    """One trace per seed of a non-empty sequence, each bit-identical to the seed's solo run.
+
+    A run stops at max_iters, or at a logging checkpoint whose residual, on
+    noiseless gradients, reaches stop_residual. A non-finite gradient or score,
+    a game or domain error, or an eigensolver failure ends it as "diverged",
+    with the error's message as diagnostic; the aborted epoch counts for no
+    player. The trivial schedule (the default), which never draws, runs the
+    seeds as one stack, which finished rows leave; `advance` then restarts from
+    state.n, exact without delays. Any other schedule runs each seed alone.
     """
-    async_schedule.check(game.n_players, config.max_iters)
-    noise_rng, sched_rng = map(np.random.default_rng, np.random.SeedSequence(config.seed).spawn(2))
-    state = initial_state(game, config.y0)
-    noise = SeedNoise(game, config.noise, [noise_rng], config.max_iters)
-    records: list[TraceRecord] = []
-    status, diagnostic = "max_iters", None
+    trivial = AsyncSchedule((1.0,) * game.n_players)
+    schedule = (async_schedule or trivial).check(game.n_players, config.max_iters)
+    if len(seeds) > 1 and schedule != trivial:
+        return [run_batch(game, config, [seed], schedule)[0] for seed in seeds]
+    streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
+    noise = SeedNoise(game, config.noise, [np.random.default_rng(s[0]) for s in streams],
+                      config.max_iters)
+    sched_rng = np.random.default_rng(streams[0][1])  # drawn only by a stack of one
+    state = initial_state(game, config.y0, len(seeds))
+    records, traces, live = [[] for _ in seeds], [None] * len(seeds), list(range(len(seeds)))
+
+    def finish(k, row, status, diagnostic=None):  # seed k, at this row of the stack
+        traces[k] = RunTrace(records[k], status, state.n - 1, seeds[k],
+                             tuple(a[row].copy() for a in state.actions), tuple(state.counts),
+                             diagnostic)
+
     try:
-        for n, gamma in advance(game, state, config.schedule, noise, config.max_iters,
-                                async_schedule, sched_rng):
-            if n % config.log_every == 0 or n == config.max_iters:
-                records.append(_log_record(game, config, [a[0] for a in state.actions], gamma, n))
-                if records[-1].nash_residual <= config.stop_residual:
-                    status = "converged"
+        while live:
+            for n, gamma in advance(game, state, config.schedule, noise, config.max_iters,
+                                    schedule, sched_rng):
+                if n % config.log_every and n != config.max_iters:
+                    continue
+                kept = []
+                for row, k in enumerate(live):
+                    records[k].append(_log_record(game, config, [a[row] for a in state.actions],
+                                                  gamma, n))
+                    if records[k][-1].nash_residual <= config.stop_residual:
+                        finish(k, row, "converged")
+                    elif n == config.max_iters:
+                        finish(k, row, "max_iters")
+                    else:
+                        kept.append(row)
+                if len(kept) < len(live):
+                    live = [live[row] for row in kept]
+                    state.scores = [y[kept] for y in state.scores]
+                    state.actions = [x[kept] for x in state.actions]
+                    noise.keep(kept)
                     break
     except (NonFiniteGradientError, DomainError, np.linalg.LinAlgError) as err:
-        status, diagnostic = "diverged", str(err)
-    return RunTrace(records, status, state.n - 1, config.seed,
-                    tuple(a[0].copy() for a in state.actions), tuple(state.counts),
-                    diagnostic=diagnostic)
+        if len(live) > 1:  # the error ends the stack: each unfinished seed reruns alone
+            return [t or run_batch(game, config, [seed], schedule)[0]
+                    for seed, t in zip(seeds, traces)]
+        finish(live[0], 0, "diverged", str(err))
+    return traces

@@ -370,12 +370,18 @@ class TestVerify:
         assert fit["gamma_b_flag"] is True and "bound" not in fit
         assert fit["gamma_b"] == report["strong_stability"]["b_hat"] > 0
 
-    def test_rate_mode_bad_schedule_one_line_error(self, tmp_path, capsys):
-        payload = self.rate_payload([10, 100, 316, 1000])
-        payload["solver"]["schedule"] = {"kind": "power_law", "exponent": 1.5}
-        cfg = write_cfg(tmp_path, payload)
-        assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_ERROR
-        assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
+    def test_rate_mode_bad_schedule_one_line_error(self, tmp_path, capsys, monkeypatch):
+        import mxl.cli
+
+        calls = []
+        monkeypatch.setattr(mxl.cli, "brute_force_ne", lambda *args, **kw: calls.append(1))
+        for reference in (None, "oracle"):  # the schedule is checked before any oracle runs
+            payload = self.rate_payload([10, 100, 316, 1000], reference=reference)
+            payload["solver"]["schedule"] = {"kind": "power_law", "exponent": 1.5}
+            cfg = write_cfg(tmp_path, payload)
+            assert main(["verify", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == EXIT_ERROR
+            assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
+        assert calls == []
 
     def test_async_section_rejected(self, tmp_path, capsys):
         payload = mac_payload()
@@ -485,7 +491,7 @@ class TestSweep:
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
         monkeypatch.setenv("MXL_WORKERS", "1")
-        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr(mxl.cli, "run_batch", lambda *args: pytest.fail("a cell ran"))
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == "error: power_law exponent must lie in (0, 1]\n"
@@ -508,7 +514,7 @@ class TestSweep:
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
         monkeypatch.setenv("MXL_WORKERS", "1")
-        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr(mxl.cli, "run_batch", lambda *args: pytest.fail("a cell ran"))
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -522,7 +528,7 @@ class TestSweep:
         cfg = write_cfg(tmp_path, payload)
         out = tmp_path / "out"
         monkeypatch.setenv("MXL_WORKERS", "1")
-        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr(mxl.cli, "run_batch", lambda *args: pytest.fail("a cell ran"))
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == f"error: experiment.seeds must be at least 1, got {seeds}\n"
@@ -556,7 +562,7 @@ class TestSweep:
         cfg = write_cfg(tmp_path, self.exponent_sweep(section))
         out = tmp_path / "out"
         monkeypatch.setenv("MXL_WORKERS", "1")
-        monkeypatch.setattr(mxl.cli, "run_async", lambda *args: pytest.fail("a cell ran"))
+        monkeypatch.setattr(mxl.cli, "run_batch", lambda *args: pytest.fail("a cell ran"))
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"

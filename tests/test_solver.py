@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mxl.families import EeGame, MacGame, scalar_profile, synth_channels
+import mxl.solver
+from mxl.families import (
+    EeGame,
+    MacGame,
+    MetricLearningProblem,
+    make_cluster_dataset,
+    scalar_profile,
+    synth_channels,
+)
 from mxl.games import LinearGame, ZeroGame, nash_residual
 from mxl.solver import (
     AsyncSchedule,
@@ -18,9 +26,11 @@ from mxl.solver import (
     relative_sigma,
     run,
     run_async,
+    run_batch,
 )
 from helpers import block_slices, random_hermitian
 from mxl.spectral import (
+    DomainError,
     Spectrahedron,
     hermiticity_defect,
     hermitize,
@@ -378,6 +388,101 @@ def test_run_async_equals_per_trajectory_reference(name):
     assert [(r.n, r.utilities, r.nash_residual) for r in trace.records] == rows
     assert all(np.array_equal(a, b) for a, b in zip(trace.final_actions, actions))
     assert trace.updates_per_player == counts
+
+
+def assert_same_trace(a, b):
+    """Two traces agree bit for bit: records (a nan step size included), ends and counts."""
+    rows = [[(r.n, r.step_size, r.utilities, r.nash_residual, r.kl_to_reference)
+             for r in t.records] for t in (a, b)]
+    assert repr(rows[0]) == repr(rows[1])
+    assert (a.status, a.iterations, a.seed, a.diagnostic, a.updates_per_player) == (
+        b.status, b.iterations, b.seed, b.diagnostic, b.updates_per_player)
+    assert all(np.array_equal(x, y) for x, y in zip(a.final_actions, b.final_actions))
+
+
+def _metric_small():
+    points, labels = make_cluster_dataset(4, 16, n_classes=2, spread=0.6, seed=3)
+    return MetricLearningProblem(points, labels, margin=0.2, batch_size=8)
+
+
+POWER = StepSchedule.power_law(1.0, 0.5)
+# name: (game, solver config, async schedule or None, seeds)
+BATCH_CASES = {
+    "mac_gaussian": (mac_game, SolverConfig(POWER, NoiseModel.gaussian_hermitian(0.3),
+                                            max_iters=2000, stop_residual=1e-2, log_every=25),
+                     None, range(6)),
+    "ee_relative": (lambda: EeGame(synth_channels(2, 2, 2, 2, seed=8), pmax=2.0, pc=1.0),
+                    SolverConfig(StepSchedule.power_law(1.0, 0.6), NoiseModel.relative(0.5),
+                                 max_iters=1000, stop_residual=1e-2, log_every=25),
+                    None, range(5)),
+    "metric_drawing_oracle": (_metric_small, SolverConfig(
+        StepSchedule.constant(0.05), NoiseModel.gaussian_hermitian(0.1), max_iters=110,
+        stop_residual=0.0, log_every=25), None, range(3)),
+    "mac_reference_kl": (mac_game, SolverConfig(
+        POWER, NoiseModel.relative(0.5), max_iters=1000, stop_residual=1e-2, log_every=25,
+        reference_point=scalar_profile([1 / 3, 1 / 3])), None, range(4)),
+    "mac_async_delay": (mac_game, SolverConfig(POWER, NoiseModel.gaussian_hermitian(0.3),
+                                               max_iters=600, stop_residual=1e-2, log_every=25),
+                        AsyncSchedule((0.5, 0.7), delay_max=3), range(4)),
+    "mac_max_iters_off_log_grid": (mac_game, SolverConfig(
+        POWER, NoiseModel.gaussian_hermitian(0.3), max_iters=130, stop_residual=1e-2,
+        log_every=25), None, range(8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_run_batch_equals_solo_runs(name, monkeypatch):
+    make, cfg, schedule, seeds = BATCH_CASES[name]
+    game = make()
+    stacks = []
+    real_initial_state = mxl.solver.initial_state
+
+    def recording(game, y0=None, seeds=1):
+        stacks.append(seeds)
+        return real_initial_state(game, y0, seeds)
+
+    monkeypatch.setattr(mxl.solver, "initial_state", recording)
+    traces = run_batch(game, cfg, seeds, schedule)
+    # synchronous play shares one stack; an async schedule runs each seed alone
+    assert stacks == ([1] * len(seeds) if schedule else [len(seeds)])
+    monkeypatch.undo()
+    solo_schedule = schedule or AsyncSchedule((1.0,) * game.n_players)
+    for seed, trace in zip(seeds, traces):
+        solo = run_async(game, SolverConfig(**{**vars(cfg), "seed": seed}), solo_schedule)
+        assert_same_trace(trace, solo)
+    if name in ("mac_gaussian", "ee_relative"):  # rows leave the stack at different epochs
+        assert len({t.iterations for t in traces}) > 2
+    if name == "mac_max_iters_off_log_grid":
+        assert {t.status for t in traces} == {"converged", "max_iters"}
+        assert {t.records[-1].n for t in traces if t.status == "max_iters"} == {130}
+    if name == "mac_reference_kl":
+        assert all(r.kl_to_reference is not None for t in traces for r in t.records)
+
+
+class Cliff(MacGame):
+    """MAC whose gradient fails for the whole stack once a row's player-1 power is below 0.25."""
+
+    def gradient_stack(self, i, actions):
+        low = actions[0][:, 0, 0].real
+        if (low < 0.25).any():
+            raise DomainError(f"player 1 power {low.min():.17g} below 0.25")
+        return super().gradient_stack(i, actions)
+
+
+@pytest.mark.parametrize("seeds", [(1, 2, 4, 7, 9, 15), (1, 4)], ids=["four-live", "one-live"])
+def test_run_batch_one_diverging_row(seeds):
+    # solo, seed 4 diverges at epoch 166; seeds 1 and 2 converge at 20 and 40, 9 and 15
+    # later, and 7 runs to max_iters: the stack fails with four rows live, or with one
+    game = Cliff(2, "quadratic", b=1.0, c=2.0)
+    cfg = SolverConfig(StepSchedule.constant(0.1), NoiseModel.gaussian_hermitian(0.5),
+                       max_iters=300, stop_residual=1e-2, log_every=10)
+    traces = run_batch(game, cfg, seeds)
+    for seed, trace in zip(seeds, traces):
+        assert_same_trace(trace, run_async(game, SolverConfig(**{**vars(cfg), "seed": seed}),
+                                           AsyncSchedule((1.0, 1.0))))
+    diverged = [t for t in traces if t.status == "diverged"]
+    assert [t.seed for t in diverged] == [4] and diverged[0].iterations == 166
+    assert diverged[0].diagnostic.startswith("player 1 power 0.24")
 
 
 def ref_perturb(noise, i, v):
