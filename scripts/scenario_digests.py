@@ -167,6 +167,10 @@ SCENARIOS = {
                   "solver": _solver(110, schedule={"kind": "constant", "gamma0": 0.05},
                                     noise=_gaussian(0.1)),
                   "experiment": _sweep(3, {"solver.noise.sigma": [0.0, 0.1]}, threshold=0.0)}),
+    "sweep_mac3_log_relative": (
+        "sweep", {"game": {"kind": "mac", "players": 3, "utility": "log", "a": 1.0},
+                  "solver": _solver(500, noise=_relative(0.0)),
+                  "experiment": _sweep(4, {"solver.noise.level": [0.75, 1.0]}, threshold=1e-3)}),
     "verify_mac_rate": (
         "verify", {"game": MAC, "solver": _solver(3000, noise=_relative(0.5)),
                    "experiment": {"mode": "rate", "seeds": 6,

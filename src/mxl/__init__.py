@@ -7,13 +7,11 @@ from .spectral import (
     entropy_conjugate,
     entropy_gradient,
     fenchel_coupling,
-    herm_expm,
     hermitize,
     mirror_map,
     nuclear_norm,
     quantum_kl,
     trace_inner,
-    von_neumann_entropy,
 )
 from .games import (
     BilinearGame,

@@ -124,9 +124,13 @@ def _defaults(kind: str) -> dict:
 
 
 def _check_value(key: str, value, default) -> None:
-    """A key whose default is a number takes an int or a float, one whose default is a
-    list takes a list; null defaults are free-form."""
-    if (isinstance(default, (int, float)) and not isinstance(default, bool)
+    """A key whose default is a bool takes true or false, one whose default is a number
+    takes an int or a float, one whose default is a list takes a list; null defaults are
+    free-form."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {json.dumps(value)}")
+    elif (isinstance(default, (int, float))
             and (isinstance(value, bool) or not isinstance(value, (int, float)))):
         raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
     if isinstance(default, list) and not isinstance(value, list):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import GameModel
-from .spectral import DomainError, Spectrahedron, _dagger, hermitize
+from .spectral import DomainError, Spectrahedron, _dagger, hermitize, ordered_sum
 
 FIXTURE_VERSION = 1
 
@@ -39,9 +39,6 @@ class MacGame(GameModel):
         self.b, self.c, self.a = float(b), float(c), float(a)
         super().__init__([Spectrahedron(1, 1.0) for _ in range(n_players)])
 
-    def _levels(self, actions) -> np.ndarray:
-        return np.array([float(x[0, 0].real) for x in actions])
-
     def _base_utility(self, x: float) -> float:
         if self.utility_kind == "quadratic":
             return self.b * x - 0.5 * self.c * x * x
@@ -61,36 +58,14 @@ class MacGame(GameModel):
                 free = free * (1.0 - x)
         return 1.0 - free
 
-    def contention(self, i: int, actions) -> float:
-        return float(self._contention_of(i, self._levels(actions)))
-
-    def utility(self, i, actions) -> float:
-        x = self._levels(actions)
-        return self._base_utility(x[i]) - x[i] * self.contention(i, actions)
+    def utility_stack(self, i, actions) -> np.ndarray:
+        x = [a[:, 0, 0].real for a in actions]
+        return self._base_utility(x[i]) - x[i] * self._contention_of(i, x)
 
     def gradient_stack(self, i, actions) -> np.ndarray:
         x = [a[:, 0, 0].real for a in actions]
         g = self._base_slope(x[i]) - self._contention_of(i, x)
         return g.astype(complex)[:, None, None]
-
-    def symmetric_equilibrium(self) -> float:
-        """Symmetric first-order point U'(x) = q(x) solved by bisection."""
-        def foc(x):
-            q = 1.0 - (1.0 - x) ** (self.n_players - 1)
-            return self._base_slope(x) - q
-
-        lo, hi = 0.0, 1.0
-        if foc(lo) <= 0:
-            return 0.0
-        if foc(hi) >= 0:
-            return 1.0
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if foc(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
 
 
 def scalar_profile(values) -> tuple:
@@ -150,17 +125,10 @@ def mahalanobis_gaps(x: np.ndarray, points: np.ndarray, triples: np.ndarray,
     return np.einsum("ti,ij,tj->t", da, xr, da) - np.einsum("ti,ij,tj->t", dk, xr, dk) - margin
 
 
-def metric_objective(x: np.ndarray, points: np.ndarray, triples: np.ndarray,
-                     margin: float, delta: float = 0.1) -> float:
-    """Hinge-penalised triple loss plus the Frobenius pull toward the identity."""
-    gaps = mahalanobis_gaps(x, points, triples, margin)
-    reg = float(np.linalg.norm(np.asarray(x).real - np.eye(x.shape[0])) ** 2)
-    return float(np.sum(smooth_hinge(gaps, delta))) + reg
-
-
 def metric_gradient(x: np.ndarray, points: np.ndarray, triples: np.ndarray,
                     margin: float, delta: float = 0.1) -> np.ndarray:
-    """Gradient of metric_objective in X (minimisation sense)."""
+    """Gradient in X (minimisation sense) of the hinge-penalised triple loss plus the
+    Frobenius pull toward the identity, sum_t hinge(gap_t) + ||X - I||_F^2."""
     gaps = mahalanobis_gaps(x, points, triples, margin)
     slopes = smooth_hinge_slope(gaps, delta)
     grad = 2.0 * (np.asarray(x).real - np.eye(x.shape[0]))
@@ -203,16 +171,13 @@ class MetricLearningProblem(GameModel):
         # expectation over a size-|W| uniform minibatch scales the triple sum
         return self.batch_size / self.n_triples
 
-    def full_objective(self, x) -> float:
-        return metric_objective(x, self.points, self.triples, self.margin, self.delta)
-
     def expected_objective(self, x) -> float:
         gaps = mahalanobis_gaps(x, self.points, self.triples, self.margin)
         reg = float(np.linalg.norm(np.asarray(x).real - np.eye(x.shape[0])) ** 2)
         return self._scale() * float(np.sum(smooth_hinge(gaps, self.delta))) + reg
 
-    def utility(self, i, actions) -> float:
-        return -self.expected_objective(actions[0])
+    def utility_stack(self, i, actions) -> np.ndarray:
+        return np.array([-self.expected_objective(x) for x in actions[0]])
 
     def _gradient(self, x) -> np.ndarray:
         full = metric_gradient(x, self.points, self.triples, self.margin, self.delta)
@@ -338,15 +303,6 @@ def _x_to_q(x: np.ndarray, tau, pc: float, pmax: float) -> np.ndarray:
     return x * (pc + tr_q) / kappa
 
 
-def _subcarrier_sum(values: np.ndarray):
-    """Sum over the last (subcarrier) axis, one term after another from 0.0, as a scalar
-    loop adds; `np.sum` adds pairwise and changes the last bits."""
-    total = 0.0
-    for s in range(values.shape[-1]):
-        total = total + values[..., s]
-    return total
-
-
 class EeGame(GameModel):
     """Energy-efficiency game in transformed coordinates.
 
@@ -354,7 +310,7 @@ class EeGame(GameModel):
     subcarrier). Utilities equal the physical energy efficiency (achievable rate
     over circuit-plus-radiated power) of the inverse-transformed covariances;
     interference enters through the received covariance I + sum_j H Q_j H^dag.
-    Utility (a stack of one) and gradient are one array formula over profile stacks and
+    Utility and gradient are one array formula each over profile stacks and
     subcarriers, in a per-subcarrier loop's operation order and so bit for bit its values.
     Every evaluation first maps each player's subcarrier blocks to covariance blocks
     (`_covariance_blocks`, which checks each block, not the whole matrix), once per
@@ -419,13 +375,12 @@ class EeGame(GameModel):
             sign_w, logdet_w = np.linalg.slogdet(w)
             if not ((sign_a.real > 0).all() and (sign_w.real > 0).all()):
                 raise DomainError("received covariance lost definiteness")
-        return h, k, a, _subcarrier_sum(logdet_a.real - logdet_w.real)
+        return h, k, a, ordered_sum(logdet_a.real - logdet_w.real)
 
-    def utility(self, i, actions) -> float:
-        stacks = [np.asarray(a)[None] for a in actions]
-        covariances = [self._covariance_blocks(x) for x in stacks]
-        phi, psi = self._prefactors(np.trace(stacks[i], axis1=-2, axis2=-1).real)
-        return float(phi[0] * self._received(i, stacks[i], covariances, psi)[-1][0])
+    def utility_stack(self, i, actions) -> np.ndarray:
+        covariances = [self._covariance_blocks(x) for x in actions]
+        phi, psi = self._prefactors(np.trace(actions[i], axis1=-2, axis2=-1).real)
+        return phi * self._received(i, actions[i], covariances, psi)[-1]
 
     def gradient_stack(self, i, actions) -> np.ndarray:
         return self.gradient_stacks(actions, (i,))[0]
@@ -443,7 +398,7 @@ class EeGame(GameModel):
         psi_slope = self.pc * self.pmax * self.pmax / (d * d)
 
         h, k, a, log_sum = self._received(i, x, covariances, psi)
-        trace_sum = _subcarrier_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
+        trace_sum = ordered_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
         grad = np.zeros(np.shape(x), dtype=complex)
         # h[None] has a's ndim, so numpy 1.x also solves it as matrices, not as vectors
         self._domain.diagonal_blocks(grad)[...] = ((phi * psi)[:, None, None, None]
@@ -460,7 +415,7 @@ class EeGame(GameModel):
         h = self.channels.links[i, i]
         w = self._mui(i, blocks)
         a = w + h @ blocks[i] @ _dagger(h)
-        return float(_subcarrier_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
+        return float(ordered_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
 
     def energy_efficiency(self, i: int, q_profile) -> float:
         """Rate over total consumed power, evaluated directly in covariances."""

@@ -35,12 +35,12 @@ class PlayerSpec:
 class GameModel(ABC):
     """N-player game with individually concave utilities and exact payoff gradients.
 
-    A game defines `utility(i, actions)` and one gradient formula,
-    `gradient_stack(i, actions)`: player i's exact payoff gradients for a stack
-    of profiles, in the convention d/dt u(X + tZ) = tr(Z V). There `actions[j]`
-    stacks player j's actions as an (S, d, d) array, and entry s of the result
-    depends on profile s only. `payoff_gradient(i, actions)`, the gradient at
-    one profile, is its stack of one; a subclass may not redefine it.
+    A game defines one formula each, `utility_stack(i, actions)` and
+    `gradient_stack(i, actions)`: player i's utilities and exact payoff gradients
+    (d/dt u(X + tZ) = tr(Z V)) for a stack of profiles. There `actions[j]` stacks
+    player j's actions as an (S, d, d) array, and entry s of a result depends on
+    profile s only. `utility` and `payoff_gradient`, at one profile, are their
+    stacks of one; a subclass may redefine neither.
     `gradient_stacks(actions, players)` gives the stacks of several players at
     one profile stack, by default one `gradient_stack` each; a game overrides it
     to share work between players, with each row as `gradient_stack` gives it. Oracles
@@ -51,9 +51,10 @@ class GameModel(ABC):
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        if "payoff_gradient" in vars(cls):
-            raise TypeError(f"{cls.__name__} defines payoff_gradient; define gradient_stack "
-                            "instead (payoff_gradient is its stack of one)")
+        for name, stacked in (("payoff_gradient", "gradient_stack"), ("utility", "utility_stack")):
+            if name in vars(cls):
+                raise TypeError(f"{cls.__name__} defines {name}; define {stacked} "
+                                f"instead ({name} is its stack of one)")
 
     def __init__(self, domains):
         self.players = tuple(PlayerSpec(i + 1, d) for i, d in enumerate(domains))
@@ -69,10 +70,14 @@ class GameModel(ABC):
         return tuple(p.domain for p in self.players)
 
     @abstractmethod
-    def utility(self, i: int, actions) -> float: ...
+    def utility_stack(self, i: int, actions) -> np.ndarray: ...
 
     @abstractmethod
     def gradient_stack(self, i: int, actions) -> np.ndarray: ...
+
+    def utility(self, i: int, actions) -> float:
+        """Player i's utility at one profile: `utility_stack` on a stack of one."""
+        return float(self.utility_stack(i, [np.asarray(a)[None] for a in actions])[0])
 
     def payoff_gradient(self, i: int, actions) -> np.ndarray:
         """Player i's exact gradient at one profile: `gradient_stack` on a stack of one."""
@@ -134,21 +139,27 @@ class StabilityReport(Report):
         return {**super().to_dict(), "passed": self.passed()}
 
 
-def nash_residual(game: GameModel, actions) -> float:
+def nash_residual(game: GameModel, actions):
     """Worst unilateral first-order improvement over exact linear maximization.
 
     For each player the best linear response value on the spectrahedron is
     A * max(lambda_max(V), 0); the residual is the largest gap to the current
     payoff inner product. Zero (up to tolerance) iff the profile satisfies the
-    first-order equilibrium conditions.
+    first-order equilibrium conditions. One profile gives a float, (S, d, d) stacks
+    one residual per profile. A non-finite gradient raises DomainError naming its player.
     """
-    game.require_feasible(actions)
-    worst = 0.0
-    for i, (spec, v) in enumerate(zip(game.players, game.gradient_profile(actions))):
-        top = float(np.linalg.eigvalsh(hermitize(v))[-1])
-        gap = spec.domain.trace_bound * max(top, 0.0) - trace_inner(actions[i], v)
-        worst = max(worst, gap)
-    return worst
+    single = np.ndim(actions[0]) == 2
+    stacks = [np.asarray(a)[None] if single else np.asarray(a) for a in actions]
+    game.require_feasible(stacks)
+    worst = np.zeros(len(stacks[0]))
+    gradients = game.gradient_stacks(stacks, range(game.n_players))
+    for spec, x, v in zip(game.players, stacks, gradients):
+        if not np.isfinite(v).all():
+            raise DomainError(f"non-finite gradient for player {spec.pid} in the Nash residual")
+        top = np.linalg.eigvalsh(hermitize(v))[:, -1]  # of whole matrices, as blocks change bits
+        gap = spec.domain.trace_bound * np.maximum(top, 0.0) - trace_inner(x, v)
+        worst = np.where(gap > worst, gap, worst)  # Python's max(worst, gap), per profile
+    return float(worst[0]) if single else worst
 
 
 def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, draws: int = 1):
@@ -218,11 +229,7 @@ def hessian_quadratic_form(game: GameModel, actions, direction, eps: float = 1e-
     for attempt in range(4):
         up = tuple(x + eps * z for x, z in zip(actions, direction))
         dn = tuple(x - eps * z for x, z in zip(actions, direction))
-        feasible = all(
-            p.domain.contains(u) and p.domain.contains(d)
-            for p, u, d in zip(game.players, up, dn)
-        )
-        if feasible:
+        if all(p.domain.contains(np.stack([u, d])) for p, u, d in zip(game.players, up, dn)):
             vu = game.gradient_profile(up)
             vd = game.gradient_profile(dn)
             return sum(
@@ -278,8 +285,8 @@ def finite_diff_gradient_check(
 class ZeroGame(GameModel):
     """Degenerate game with identically zero utilities."""
 
-    def utility(self, i, actions) -> float:
-        return 0.0
+    def utility_stack(self, i, actions) -> np.ndarray:
+        return np.zeros(len(actions[i]))
 
     def gradient_stack(self, i, actions) -> np.ndarray:
         return np.zeros(np.shape(actions[i]), dtype=complex)
@@ -296,7 +303,7 @@ class LinearGame(GameModel):
             Spectrahedron(c.shape[0], a) for c, a in zip(self._c, trace_bounds)
         )
 
-    def utility(self, i, actions) -> float:
+    def utility_stack(self, i, actions) -> np.ndarray:
         return trace_inner(self._c[i], actions[i])
 
     def gradient_stack(self, i, actions) -> np.ndarray:
@@ -315,10 +322,8 @@ class BilinearGame(GameModel):
         self.threshold = float(threshold)
         super().__init__([Spectrahedron(1, 1.0), Spectrahedron(1, 1.0)])
 
-    def utility(self, i, actions) -> float:
-        xi = float(actions[i][0, 0].real)
-        xj = float(actions[1 - i][0, 0].real)
-        return xi * (xj - self.threshold)
+    def utility_stack(self, i, actions) -> np.ndarray:
+        return actions[i][:, 0, 0].real * (actions[1 - i][:, 0, 0].real - self.threshold)
 
     def gradient_stack(self, i, actions) -> np.ndarray:
         return (actions[1 - i].real - self.threshold).astype(complex)

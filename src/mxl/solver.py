@@ -24,6 +24,7 @@ from .spectral import (
     OFF_BLOCK_TOL,
     DomainError,
     Spectrahedron,
+    _float_or_stack,
     block_noise,
     exp_projection,
     hermitize,
@@ -147,10 +148,15 @@ class NoiseModel:
         return cls("pareto", tail_index=tail_index, scale=scale)
 
 
-def relative_sigma(v: np.ndarray, level: float) -> float:
-    """Sigma giving a Gaussian Hermitian draw Frobenius magnitude level*||V||_F."""
-    dim = v.shape[0]
-    return level * float(np.linalg.norm(v)) / np.sqrt(dim)
+def relative_sigma(v: np.ndarray, level: float):
+    """Sigma giving a Gaussian Hermitian draw Frobenius magnitude level*||V||_F, per matrix
+    of an (..., d, d) stack (a float for one matrix). Each norm is np.linalg.norm's, bit
+    for bit: the dot products of the real and of the imaginary parts, added."""
+    v = np.asarray(v)
+    flat = v.reshape(v.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+    return _float_or_stack(level * norms / np.sqrt(v.shape[-1]))
 
 
 def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,
@@ -371,16 +377,10 @@ class SeedNoise:
             return hermitize(np.stack([
                 inject_noise(vs, model, rng, domain) for vs, rng in zip(v, self.rngs)
             ]))
-        dim = v.shape[-1]
         sigma = model.sigma
         if model.kind == "relative":
-            # each seed's Frobenius norm as np.linalg.norm computes it, bit for bit:
-            # the dot products of the real and of the imaginary parts, added
-            flat = v.reshape(len(v), 1, -1)
-            re, im = flat.real, flat.imag
-            norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))
-            sigma = model.level * norms[..., None] / np.sqrt(dim)
-        n, m = domain.blocks, dim // domain.blocks
+            sigma = relative_sigma(v, model.level)[:, None, None, None]
+        n, m = domain.blocks, v.shape[-1] // domain.blocks
         blocks = block_noise(self._next(self.widths[i]).reshape(-1, n, 2, m, m), sigma,
                              model.hermitian)
         if n == 1:
@@ -480,13 +480,14 @@ def profile_kl(game: GameModel, reference, actions) -> float:
     return total
 
 
-def _log_record(game, config, actions, gamma, n):
-    residual = nash_residual(game, actions)
-    utilities = tuple(game.utility(i, actions) for i in range(game.n_players))
-    kl = None
+def _log_record(game, config, actions, gamma, n) -> list[TraceRecord]:
+    """Epoch n's records, one per profile of the (S, d, d) stacks `actions`, in Python floats."""
+    residuals = nash_residual(game, actions).tolist()
+    utilities = zip(*[game.utility_stack(i, actions).tolist() for i in range(game.n_players)])
+    kls = [None] * len(residuals)
     if config.reference_point is not None:
-        kl = profile_kl(game, config.reference_point, actions)
-    return TraceRecord(n, gamma, utilities, residual, kl)
+        kls = profile_kl(game, config.reference_point, actions).tolist()
+    return [TraceRecord(n, gamma, u, r, kl) for u, r, kl in zip(utilities, residuals, kls)]
 
 
 def run(game: GameModel, config: SolverConfig) -> RunTrace:
@@ -535,10 +536,10 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
                 if n % config.log_every and n != config.max_iters:
                     continue
                 kept = []
-                for row, k in enumerate(live):
-                    records[k].append(_log_record(game, config, [a[row] for a in state.actions],
-                                                  gamma, n))
-                    if records[k][-1].nash_residual <= config.stop_residual:
+                logged = _log_record(game, config, state.actions, gamma, n)
+                for row, (k, record) in enumerate(zip(live, logged)):
+                    records[k].append(record)
+                    if record.nash_residual <= config.stop_residual:
                         finish(k, row, "converged")
                     elif n == config.max_iters:
                         finish(k, row, "max_iters")

@@ -65,11 +65,10 @@ def trace_inner(a: np.ndarray, b: np.ndarray) -> float:
     return _float_or_stack(np.einsum("...ij,...ji->...", a, b).real)
 
 
-def herm_expm(h: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a Hermitian matrix via eigendecomposition."""
-    h = require_hermitian(h)
-    w, u = np.linalg.eigh(h)
-    return hermitize((u * np.exp(w)) @ _dagger(u))
+def ordered_sum(v: np.ndarray):
+    """Sum over the last axis, one term after another from 0.0, as a scalar loop adds (`np.sum`
+    adds pairwise and changes the last bits); `+ 0.0` reads a total of -0.0 terms as +0.0."""
+    return np.cumsum(v, axis=-1)[..., -1] + 0.0
 
 
 def nuclear_norm(h: np.ndarray) -> float:
@@ -176,8 +175,9 @@ class Spectrahedron:
         return float(np.max(np.linalg.norm(np.asarray(x)[..., self.off_block], axis=-1)))
 
     def contains(self, x: np.ndarray) -> bool:
+        """Whether x is a member, or for an (..., dim, dim) stack whether every matrix is."""
         x = np.asarray(x)
-        if x.shape != (self.dim, self.dim):
+        if x.shape[-2:] != (self.dim, self.dim):
             return False
         if not np.isfinite(x).all():
             return False
@@ -186,10 +186,10 @@ class Spectrahedron:
         if self.off_block_mass(x) > OFF_BLOCK_TOL:
             return False
         # the spectrum of a block-diagonal matrix is that of its blocks
-        w = np.linalg.eigvalsh(hermitize(self.diagonal_blocks(x)))
+        w = np.linalg.eigvalsh(hermitize(self.diagonal_blocks(x))).reshape(x.shape[:-1])
         if w.min() < -PSD_TOL:
             return False
-        return float(np.sum(np.abs(w))) <= self.trace_bound + PSD_TOL
+        return bool((np.sum(np.abs(w), axis=-1) <= self.trace_bound + PSD_TOL).all())
 
     def require_member(self, x: np.ndarray, name: str = "action") -> np.ndarray:
         if not self.contains(x):
@@ -239,17 +239,9 @@ def _xlogx_sum(w: np.ndarray) -> float:
     return float(np.sum(w * np.log(w)))
 
 
-def von_neumann_entropy(x: np.ndarray, domain: Spectrahedron) -> float:
-    """Entropy tr(X log X) + (1 - tr X) log(1 - tr X) on the unit spectrahedron.
-
-    General trace bounds are handled by rescaling X by the bound; 0 log 0 = 0.
-    """
-    domain.require_member(x, name="entropy argument")
-    return _entropy_of(x, domain.trace_bound)
-
-
 def _entropy_of(x: np.ndarray, bound: float) -> float:
-    """Unchecked body of :func:`von_neumann_entropy` for a member with trace bound `bound`."""
+    """Entropy tr(Z log Z) + (1 - tr Z) log(1 - tr Z) of Z = X / bound, unchecked, for a member
+    X of a spectrahedron with trace bound `bound`; 0 log 0 = 0."""
     w = np.linalg.eigvalsh(hermitize(np.asarray(x, dtype=complex))) / bound
     w = np.clip(w, 0.0, None)
     slack = max(0.0, 1.0 - float(w.sum()))
@@ -335,9 +327,7 @@ def quantum_kl(xref: np.ndarray, x: np.ndarray) -> float:
     weights = np.clip(np.einsum("...ji,jk,...ki->...i", u.conj(), xref, u).real, 0.0, None)
     null = mu <= 1e-300
     infinite = np.any(null & (weights > 1e-12), axis=-1)
-    # cumsum adds the cross terms one after another, as a scalar loop does (np.sum is pairwise)
-    terms = np.where(null, 0.0, weights * np.log(np.where(null, 1.0, mu)))
-    cross = np.cumsum(terms, axis=-1)[..., -1]
+    cross = ordered_sum(np.where(null, 0.0, weights * np.log(np.where(null, 1.0, mu))))
 
     s_ref = max(0.0, 1.0 - float(np.trace(xref).real))
     s_x = np.maximum(0.0, 1.0 - np.trace(x, axis1=-2, axis2=-1).real)

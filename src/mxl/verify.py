@@ -41,11 +41,9 @@ def _best_response_grid(game: GameModel, i: int, actions, levels: int = 65,
     if slope(bound) >= 0.0:
         return np.array([[bound]], dtype=complex)
     grid = np.linspace(0.0, bound, levels)
-    vals = []
-    for g in grid:
-        work[i] = np.array([[g]], dtype=complex)
-        vals.append(game.utility(i, tuple(work)))
-    k = int(np.argmax(vals))
+    stacks = [np.broadcast_to(a, (levels, 1, 1)) for a in work]
+    stacks[i] = grid.astype(complex)[:, None, None]
+    k = int(np.argmax(game.utility_stack(i, stacks)))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, levels - 1)]
     for _ in range(bisections):

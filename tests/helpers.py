@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from mxl.spectral import hermitize
+from mxl.families import EeGame, MacGame, MetricLearningProblem, mahalanobis_gaps, smooth_hinge
+from mxl.games import BilinearGame, LinearGame, ZeroGame
+from mxl.spectral import DomainError, _entropy_of, hermitize
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -85,3 +87,134 @@ def ref_profile_kl(game, reference, actions) -> float:
         a = spec.domain.trace_bound
         total += ref_quantum_kl(np.asarray(ref) / a, np.asarray(x) / a)
     return total
+
+
+# Functions only the tests use, kept out of the package.
+
+def herm_expm(h: np.ndarray) -> np.ndarray:
+    """Matrix exponential of a Hermitian matrix via eigendecomposition."""
+    w, u = np.linalg.eigh(h)
+    return hermitize((u * np.exp(w)) @ u.conj().T)
+
+
+def von_neumann_entropy(x: np.ndarray, domain) -> float:
+    """Entropy tr(X log X) + (1 - tr X) log(1 - tr X) on the unit spectrahedron, X rescaled
+    by the domain's trace bound; DomainError unless X is a member."""
+    domain.require_member(x, name="entropy argument")
+    return _entropy_of(x, domain.trace_bound)
+
+
+def metric_objective(x: np.ndarray, points: np.ndarray, triples: np.ndarray,
+                     margin: float, delta: float = 0.1) -> float:
+    """Hinge-penalised triple loss plus the Frobenius pull toward the identity."""
+    gaps = mahalanobis_gaps(x, points, triples, margin)
+    reg = float(np.linalg.norm(np.asarray(x).real - np.eye(x.shape[0])) ** 2)
+    return float(np.sum(smooth_hinge(gaps, delta))) + reg
+
+
+def full_objective(problem: MetricLearningProblem, x) -> float:
+    """A metric-learning problem's objective on the full set of triples."""
+    return metric_objective(x, problem.points, problem.triples, problem.margin, problem.delta)
+
+
+def contention(game: MacGame, i: int, actions) -> float:
+    """Player i's collision contention 1 - prod_{j != i}(1 - x_j) at one profile."""
+    return float(game._contention_of(i, [float(x[0, 0].real) for x in actions]))
+
+
+def symmetric_equilibrium(game: MacGame) -> float:
+    """A MAC game's symmetric first-order point U'(x) = q(x), solved by bisection."""
+    def foc(x):
+        q = 1.0 - (1.0 - x) ** (game.n_players - 1)
+        return game._base_slope(x) - q
+
+    lo, hi = 0.0, 1.0
+    if foc(lo) <= 0:
+        return 0.0
+    if foc(hi) >= 0:
+        return 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if foc(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+# The per-profile EE formula with its subcarrier loops that the stacked one replaced. The
+# stacked one keeps its operation order, so it must match bit for bit.
+
+def ref_x_to_q(x, pc, pmax):
+    x = hermitize(np.asarray(x, dtype=complex))
+    tau = float(np.trace(x).real)
+    w = np.linalg.eigvalsh(x)
+    if w[0] < -1e-10 or tau > 1.0 + 1e-10:
+        raise DomainError("argument must be PSD with trace <= 1")
+    kappa = (pc + pmax) / pmax
+    tr_q = tau * pc / (kappa - tau)
+    return x * (pc + tr_q) / kappa
+
+
+def ref_mui(game, i, actions):
+    n_rx = game.channels.n_rx
+    w = [np.eye(n_rx, dtype=complex) for _ in range(game.channels.n_subcarriers)]
+    for j in range(game.n_players):
+        if j == i:
+            continue
+        qj = ref_x_to_q(actions[j], game.pc, game.pmax)
+        for s, sl in enumerate(block_slices(game.domains[j])):
+            h = game.channels.links[j, i, s]
+            w[s] = w[s] + h @ qj[sl, sl] @ h.conj().T
+    return w
+
+
+def ref_received(game, i, actions, psi):
+    out, total = [], 0.0
+    for s, (w, sl) in enumerate(zip(ref_mui(game, i, actions), block_slices(game.domains[i]))):
+        h = game.channels.links[i, i, s]
+        k = h @ np.asarray(actions[i])[sl, sl] @ h.conj().T
+        a = w + psi * k
+        sign_a, logdet_a = np.linalg.slogdet(a)
+        sign_w, logdet_w = np.linalg.slogdet(w)
+        if not (sign_a.real > 0 and sign_w.real > 0):
+            raise DomainError("received covariance lost definiteness")
+        total += float(logdet_a.real - logdet_w.real)
+        out.append((h, k, a))
+    return out, total
+
+
+# The per-profile utilities and Nash residual that the stacked ones replaced, kept as
+# references: every row of a stacked evaluation must equal them bit for bit.
+
+def ref_utility(game, i: int, actions) -> float:
+    """Player i's utility at one profile, by each family's scalar formula."""
+    if isinstance(game, ZeroGame):
+        return 0.0
+    if isinstance(game, LinearGame):
+        return ref_trace_inner(game._c[i], actions[i])
+    if isinstance(game, BilinearGame):
+        xi = float(actions[i][0, 0].real)
+        xj = float(actions[1 - i][0, 0].real)
+        return xi * (xj - game.threshold)
+    if isinstance(game, MacGame):
+        x = np.array([float(a[0, 0].real) for a in actions])
+        return game._base_utility(x[i]) - x[i] * contention(game, i, actions)
+    if isinstance(game, MetricLearningProblem):
+        return -game.expected_objective(actions[0])
+    if isinstance(game, EeGame):
+        phi, psi = game._prefactors(float(np.trace(np.asarray(actions[i])).real))
+        return phi * ref_received(game, i, actions, psi)[1]
+    raise TypeError(f"no reference utility for {type(game).__name__}")
+
+
+def ref_nash_residual(game, actions) -> float:
+    """The per-profile Nash residual: a membership check, one gradient and one eigvalsh per
+    player, and Python's max over the players' gaps."""
+    game.require_feasible(actions)
+    worst = 0.0
+    for i, (spec, v) in enumerate(zip(game.players, game.gradient_profile(actions))):
+        top = float(np.linalg.eigvalsh(hermitize(v))[-1])
+        gap = spec.domain.trace_bound * max(top, 0.0) - ref_trace_inner(actions[i], v)
+        worst = max(worst, gap)
+    return worst

@@ -187,6 +187,16 @@ class TestRun:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_non_bool_hermitian_one_line_error(self, tmp_path, capsys, value):
+        payload = mac_payload(noise={"kind": "gaussian", "sigma": 0.2, "hermitian": value})
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: solver.noise.hermitian must be true or false, got {json.dumps(value)}\n")
+
     def test_keys_defaulting_to_null_stay_free_form(self, tmp_path):
         payload = {"game": {"kind": "metric", "trace_cap": None, "features": 3.0},
                    "solver": {"reference": "none"}, "async": {"probabilities": None},
@@ -518,6 +528,20 @@ class TestSweep:
         assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_non_bool_grid_value_rejected_before_any_cell_runs(self, tmp_path, capsys,
+                                                               monkeypatch):
+        payload = mac_payload(noise={"kind": "gaussian", "sigma": 0.2})
+        payload["experiment"] = {"mode": "sweep", "seeds": 2,
+                                 "grid": {"solver.noise.hermitian": [True, "false"]}}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        monkeypatch.setattr(mxl.cli, "run_batch", lambda *args: pytest.fail("a cell ran"))
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            'error: solver.noise.hermitian must be true or false, got "false"\n')
 
     @pytest.mark.parametrize("seeds", [0, -1])
     def test_seeds_below_one_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,

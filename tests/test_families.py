@@ -10,7 +10,6 @@ from mxl.families import (
     MetricLearningProblem,
     make_cluster_dataset,
     metric_gradient,
-    metric_objective,
     scalar_profile,
     similarity_triples,
     smooth_hinge,
@@ -25,15 +24,25 @@ from mxl.solver import NoiseModel, SolverConfig, StepSchedule, run
 from mxl.spectral import DomainError, Spectrahedron, hermitize, mirror_map
 from mxl.verify import brute_force_ne
 
-from helpers import block_slices, concavity_violations
+from helpers import (
+    block_slices,
+    concavity_violations,
+    contention,
+    full_objective,
+    metric_objective,
+    ref_received,
+    ref_utility,
+    ref_x_to_q,
+    symmetric_equilibrium,
+)
 
 
 class TestMacGame:
     def test_contention_two_players(self):
         game = MacGame(2)
         x = scalar_profile([0.2, 0.7])
-        assert game.contention(0, x) == pytest.approx(0.7)
-        assert game.contention(1, x) == pytest.approx(0.2)
+        assert contention(game, 0, x) == pytest.approx(0.7)
+        assert contention(game, 1, x) == pytest.approx(0.2)
 
     def test_no_contention_gradient_is_base_slope(self):
         game = MacGame(3, "quadratic", b=1.0, c=2.0)
@@ -61,14 +70,14 @@ class TestMacGame:
     def test_closed_form_equilibrium(self):
         game = MacGame(2, "quadratic", b=1.0, c=2.0)
         # FOC: b - c x - x = 0 at the symmetric point
-        assert game.symmetric_equilibrium() == pytest.approx(1 / 3, abs=1e-9)
+        assert symmetric_equilibrium(game) == pytest.approx(1 / 3, abs=1e-9)
         oracle = brute_force_ne(game, tol=1e-8)
         for a in oracle:
             assert float(a[0, 0].real) == pytest.approx(1 / 3, abs=1e-6)
 
     def test_log_utility_family(self):
         game = MacGame(2, "log", a=1.0)
-        xstar = game.symmetric_equilibrium()
+        xstar = symmetric_equilibrium(game)
         # oracle: a/(1+x) = x  =>  x = (sqrt(1+4a)-1)/2
         assert xstar == pytest.approx((math.sqrt(5) - 1) / 2, abs=1e-9)
         assert concavity_violations(game, 0, 100, seed=2) == 0
@@ -150,7 +159,11 @@ class TestMetricLearning:
     def test_full_objective_consistency(self, problem):
         x = np.eye(5, dtype=complex) * 0.3
         direct = metric_objective(x, problem.points, problem.triples, problem.margin)
-        assert problem.full_objective(x) == pytest.approx(direct)
+        assert full_objective(problem, x) == pytest.approx(direct)
+        # a minibatch of every triple scales the hinge sum by 1: the utility is -objective
+        whole = MetricLearningProblem(problem.points, problem.labels, margin=problem.margin,
+                                      trace_cap=2.5, batch_size=problem.n_triples)
+        assert whole.utility(0, (x,)) == pytest.approx(-direct)
 
     def test_empty_batch_rejected(self):
         pts, labels = make_cluster_dataset(3, 8, seed=0)
@@ -231,53 +244,6 @@ def effective_channels(game, i, actions):
     vals, vecs = np.linalg.eigh(hermitize(game._mui(i, covariances)))
     w_isqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return w_isqrt @ game.channels.links[i, i]
-
-
-# The per-profile formula with its subcarrier loops that the stacked EE formula
-# replaced. The stacked one keeps its operation order, so it must match bit for bit.
-
-def ref_x_to_q(x, pc, pmax):
-    x = hermitize(np.asarray(x, dtype=complex))
-    tau = float(np.trace(x).real)
-    w = np.linalg.eigvalsh(x)
-    if w[0] < -1e-10 or tau > 1.0 + 1e-10:
-        raise DomainError("argument must be PSD with trace <= 1")
-    kappa = (pc + pmax) / pmax
-    tr_q = tau * pc / (kappa - tau)
-    return x * (pc + tr_q) / kappa
-
-
-def ref_mui(game, i, actions):
-    n_rx = game.channels.n_rx
-    w = [np.eye(n_rx, dtype=complex) for _ in range(game.channels.n_subcarriers)]
-    for j in range(game.n_players):
-        if j == i:
-            continue
-        qj = ref_x_to_q(actions[j], game.pc, game.pmax)
-        for s, sl in enumerate(block_slices(game.domains[j])):
-            h = game.channels.links[j, i, s]
-            w[s] = w[s] + h @ qj[sl, sl] @ h.conj().T
-    return w
-
-
-def ref_received(game, i, actions, psi):
-    out, total = [], 0.0
-    for s, (w, sl) in enumerate(zip(ref_mui(game, i, actions), block_slices(game.domains[i]))):
-        h = game.channels.links[i, i, s]
-        k = h @ np.asarray(actions[i])[sl, sl] @ h.conj().T
-        a = w + psi * k
-        sign_a, logdet_a = np.linalg.slogdet(a)
-        sign_w, logdet_w = np.linalg.slogdet(w)
-        if not (sign_a.real > 0 and sign_w.real > 0):
-            raise DomainError("received covariance lost definiteness")
-        total += float(logdet_a.real - logdet_w.real)
-        out.append((h, k, a))
-    return out, total
-
-
-def ref_utility(game, i, actions):
-    phi, psi = game._prefactors(float(np.trace(np.asarray(actions[i])).real))
-    return phi * ref_received(game, i, actions, psi)[1]
 
 
 def ref_gradient(game, i, actions):

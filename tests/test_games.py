@@ -28,7 +28,7 @@ from mxl.games import (
 from mxl.spectral import DomainError, Spectrahedron, hermitize
 from mxl.verify import brute_force_ne
 
-from helpers import concavity_violations, ref_trace_inner
+from helpers import concavity_violations, ref_nash_residual, ref_trace_inner, ref_utility
 
 
 class OwnQuadraticGame(LinearGame):
@@ -37,9 +37,9 @@ class OwnQuadraticGame(LinearGame):
     def __init__(self, dim=2):
         super().__init__([np.zeros((dim, dim))])
 
-    def utility(self, i, actions):
+    def utility_stack(self, i, actions):
         x = actions[0]
-        return -0.5 * float(np.trace(x @ x).real)
+        return -0.5 * np.trace(x @ x, axis1=-2, axis2=-1).real
 
     def gradient_stack(self, i, actions):
         return -np.array(actions[0], dtype=complex)
@@ -93,6 +93,49 @@ def test_subclass_defining_payoff_gradient_rejected():
         class Scalar(LinearGame):
             def payoff_gradient(self, i, actions):
                 return np.zeros((1, 1), dtype=complex)
+
+
+def test_subclass_defining_utility_rejected():
+    with pytest.raises(TypeError, match="utility_stack"):
+        class Scalar(LinearGame):
+            def utility(self, i, actions):
+                return 0.0
+
+
+@pytest.mark.parametrize("n_stack", [1, 5])
+@pytest.mark.parametrize("name", sorted(STACK_GAMES))
+def test_utility_stack_and_residual_rows_equal_per_profile_references(name, n_stack):
+    game = STACK_GAMES[name]()
+    rng = np.random.default_rng(29)
+    profiles = [game.sample_profile(rng) for _ in range(n_stack)]
+    stacks = [np.stack([p[j] for p in profiles]) for j in range(game.n_players)]
+    residuals = nash_residual(game, stacks)
+    assert residuals.shape == (n_stack,)
+    for s, profile in enumerate(profiles):
+        single = nash_residual(game, profile)
+        assert type(single) is float
+        assert single.hex() == float(residuals[s]).hex() == ref_nash_residual(game, profile).hex()
+    for i in range(game.n_players):
+        u = game.utility_stack(i, stacks)
+        assert u.shape == (n_stack,)
+        for s, profile in enumerate(profiles):
+            single = game.utility(i, profile)
+            assert type(single) is float
+            assert single.hex() == float(u[s]).hex() == float(ref_utility(game, i, profile)).hex()
+
+
+def test_nash_residual_of_a_stack_checks_every_row():
+    game = MacGame(3)
+    stacks = [np.stack(a) for a in zip(scalar_profile([0.2, 0.3, 0.4]),
+                                       scalar_profile([0.5, 1.5, 0.1]))]
+    with pytest.raises(DomainError, match="action of player 2 is not a member"):
+        nash_residual(game, stacks)
+    nan = NanGradients([Spectrahedron(1, 1.0)] * 2)
+    stacks = [np.stack(a) for a in zip(scalar_profile([0.2, 0.3]), scalar_profile([0.5, 0.8]))]
+    with pytest.raises(DomainError, match="non-finite gradient for player 2"):
+        nash_residual(nan, stacks)
+    with pytest.raises(DomainError, match="non-finite gradient for player 1"):
+        nash_residual(nan, scalar_profile([0.9, 0.1]))
 
 
 def test_player_ids_contiguous():
@@ -268,8 +311,8 @@ def ref_check_monotonicity(game, samples, seed):
 class NanGradients(GameModel):
     """Exact gradients that are NaN wherever a player's level exceeds 0.7."""
 
-    def utility(self, i, actions):
-        return 0.0
+    def utility_stack(self, i, actions):
+        return np.zeros(len(actions[i]))
 
     def gradient_stack(self, i, actions):
         x = actions[i].real

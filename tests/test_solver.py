@@ -485,6 +485,40 @@ def test_run_batch_one_diverging_row(seeds):
     assert diverged[0].diagnostic.startswith("player 1 power 0.24")
 
 
+class NanAbove(LinearGame):
+    """u = x on [0, 1], whose gradient is NaN wherever x > 0.9."""
+
+    def __init__(self):
+        super().__init__([[[1.0]]])
+
+    def gradient_stack(self, i, actions):
+        return np.where(actions[i].real > 0.9, math.nan, 1.0).astype(complex)
+
+
+NAN_RESIDUAL = "non-finite gradient for player 1 in the Nash residual"
+
+
+def test_non_finite_gradient_at_a_log_point_diverges():
+    # x passes 0.9 in epoch 3, and that epoch's log point reads the gradient there first
+    cfg = SolverConfig(StepSchedule.constant(1.0), max_iters=10, stop_residual=0.0, log_every=1)
+    trace = run(NanAbove(), cfg)
+    assert (trace.status, trace.iterations, len(trace.records)) == ("diverged", 3, 2)
+    assert trace.diagnostic == NAN_RESIDUAL
+
+
+def test_non_finite_gradient_at_a_log_point_ends_only_its_row():
+    game = NanAbove()
+    cfg = SolverConfig(StepSchedule.constant(0.05), NoiseModel.gaussian_hermitian(2.0),
+                       max_iters=40, stop_residual=0.0, log_every=1)
+    seeds = (1, 3, 6)
+    traces = run_batch(game, cfg, seeds)
+    for seed, trace in zip(seeds, traces):
+        assert_same_trace(trace, run(game, SolverConfig(**{**vars(cfg), "seed": seed})))
+    assert [(t.status, t.iterations) for t in traces] == [
+        ("max_iters", 40), ("diverged", 30), ("max_iters", 40)]
+    assert traces[1].diagnostic == NAN_RESIDUAL
+
+
 def ref_perturb(noise, i, v):
     """SeedNoise.perturb's per-block loop for buffered noise, drawing through noise._next."""
     model, domain = noise.model, noise.game.players[i].domain

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from helpers import (
     block_slices,
+    herm_expm,
     random_hermitian,
     ref_entropy_of,
     ref_log_conjugate_from_eigs,
     ref_quantum_kl,
     ref_trace_inner,
+    von_neumann_entropy,
 )
 from mxl.spectral import (
     HERMITIAN_TOL,
@@ -27,43 +28,17 @@ from mxl.spectral import (
     entropy_gradient,
     fenchel_coupling,
     haar_unitary,
-    herm_expm,
     hermiticity_defect,
     hermitize,
     mirror_map,
     nuclear_norm,
+    ordered_sum,
     quantum_kl,
     trace_inner,
-    von_neumann_entropy,
 )
 
 UNIT2 = Spectrahedron(2, 1.0)
 UNIT3 = Spectrahedron(3, 1.0)
-
-
-def test_herm_expm_zero_is_identity():
-    assert np.allclose(herm_expm(np.zeros((2, 2))), np.eye(2))
-
-
-def test_herm_expm_diagonal():
-    h = np.diag([math.log(2), math.log(3)]).astype(complex)
-    assert np.allclose(herm_expm(h), np.diag([2.0, 3.0]))
-
-
-def test_herm_expm_matches_scaling_squaring_oracle(rng):
-    # independent oracle: scipy's Pade/scaling-squaring expm
-    for _ in range(20):
-        h = random_hermitian(4, rng, scale=2.0)
-        ours = herm_expm(h)
-        ref = scipy.linalg.expm(h)
-        assert np.linalg.norm(ours - ref) / np.linalg.norm(ref) < 1e-10
-
-
-def test_herm_expm_rejects_bad_input():
-    with pytest.raises(DomainError):
-        herm_expm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(DomainError):
-        herm_expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_hermitize_fixed_point_and_antisymmetric_part(rng):
@@ -581,6 +556,44 @@ def test_stacked_norms_and_entropy_equal_per_matrix_formulas(name):
         for bound in (1.0, 2.0):
             got, expected = _entropy_of(x * bound, bound), ref_entropy_of(x * bound, bound)
             assert got == expected and type(got) is type(expected)
+
+
+@pytest.mark.parametrize("name", sorted(STACK_DOMAINS))
+def test_contains_reads_every_matrix_of_a_stack(name):
+    dom = STACK_DOMAINS[name]
+    rng = np.random.default_rng(67)
+    members = np.stack([dom.sample(rng) for _ in range(4)])
+    assert dom.contains(members) and dom.contains(members[None])
+    bad = {"trace": 2.0 * dom.trace_bound / dom.dim * np.eye(dom.dim, dtype=complex),
+           "non_psd": -0.1 * np.eye(dom.dim, dtype=complex), "non_hermitian": members[0].copy(),
+           "non_finite": members[0].copy()}
+    bad["non_hermitian"][0, 0] += 0.01j
+    bad["non_finite"][-1, -1] = np.nan
+    for x in bad.values():
+        assert not dom.contains(x)
+        for k in range(len(members)):
+            stack = members.copy()
+            stack[k] = x
+            assert not dom.contains(stack) and not dom.contains(stack[None])
+    assert not dom.contains(members[..., :1]) or dom.dim == 1
+    assert not dom.contains(members[0, 0])
+
+
+def test_ordered_sum_adds_left_to_right_from_zero(rng):
+    def loop(v):
+        total = 0.0
+        for term in v:
+            total = total + term
+        return float(total)
+
+    cases = [rng.standard_normal(17) * 10.0 ** rng.integers(-8, 8, 17), np.full(4, -0.0),
+             np.array([-0.0]), np.array([-0.0, 0.0, -0.0]), np.array([1e16, 1.0, -1e16, 1.0])]
+    for v in cases:
+        assert float(ordered_sum(v)).hex() == loop(v).hex()
+    stack = np.stack([cases[0][:4], cases[1], cases[4]])
+    assert [float(t).hex() for t in ordered_sum(stack)] == [loop(r).hex() for r in stack]
+    # every term -0.0: the loop from 0.0 gives +0.0, and so does the sum
+    assert math.copysign(1.0, ordered_sum(np.full(3, -0.0))) == 1.0
 
 
 def test_stacked_checks_read_the_whole_stack(rng):

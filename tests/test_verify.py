@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mxl.games
-from helpers import ref_profile_kl, ref_trace_inner
+from helpers import ref_profile_kl, ref_trace_inner, symmetric_equilibrium
 from mxl.families import (
     EeGame,
     MacGame,
@@ -62,11 +62,9 @@ def test_brute_force_reports_cycling():
     game = BilinearGame(threshold=0.5)
 
     class Stubborn(BilinearGame):
-        def utility(self, i, actions):
-            xi = float(actions[i][0, 0].real)
-            xj = float(actions[1 - i][0, 0].real)
+        def utility_stack(self, i, actions):
             sign = 1.0 if i == 0 else -1.0
-            return sign * xi * (xj - 0.5)
+            return sign * actions[i][:, 0, 0].real * (actions[1 - i][:, 0, 0].real - 0.5)
 
         def gradient_stack(self, i, actions):
             sign = 1.0 if i == 0 else -1.0
@@ -196,7 +194,7 @@ class Stubborn(BilinearGame):
 
 def _mac3():
     game = MacGame(3, "quadratic", b=1.0, c=2.0)
-    return game, scalar_profile([game.symmetric_equilibrium()] * 3)
+    return game, scalar_profile([symmetric_equilibrium(game)] * 3)
 
 
 def _linear2():
@@ -258,8 +256,8 @@ class TestBatchedEqualsSequential:
 
     def test_non_finite_gradient_same_player_and_step(self):
         class Blowup(GameModel):
-            def utility(self, i, actions):
-                return 0.0
+            def utility_stack(self, i, actions):
+                return np.zeros(len(actions[i]))
 
             def gradient_stack(self, i, actions):
                 x = actions[i].real
@@ -301,8 +299,8 @@ class NanGradients(GameModel):
     """Gradients 0.3 - x_i (a positive margin at x* = 0.3) that are NaN wherever a
     player's level exceeds 0.7."""
 
-    def utility(self, i, actions):
-        return 0.0
+    def utility_stack(self, i, actions):
+        return np.zeros(len(actions[i]))
 
     def gradient_stack(self, i, actions):
         x = actions[i].real
