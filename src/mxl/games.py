@@ -101,8 +101,13 @@ class GameModel(ABC):
         for spec, x in zip(self.players, actions):
             spec.domain.require_member(x, name=f"action of player {spec.pid}")
 
-    def sample_profile(self, rng: np.random.Generator):
-        return tuple(p.domain.sample(rng) for p in self.players)
+    def sample_profile(self, rng: np.random.Generator, count: int | None = None):
+        """A random profile, or per-player (count, d, d) stacks of `count` profiles drawn one
+        after another, as `count` calls would draw them."""
+        if count is None:
+            return tuple(p.domain.sample(rng) for p in self.players)
+        drawn = [[p.domain._draw(rng) for p in self.players] for _ in range(count)]
+        return [p.domain._members(d) for p, d in zip(self.players, zip(*drawn))]
 
     def center_profile(self):
         return tuple(p.domain.center() for p in self.players)
@@ -139,18 +144,20 @@ class StabilityReport(Report):
         return {**super().to_dict(), "passed": self.passed()}
 
 
-def nash_residual(game: GameModel, actions):
+def nash_residual(game: GameModel, actions, checked: bool = True):
     """Worst unilateral first-order improvement over exact linear maximization.
 
     For each player the best linear response value on the spectrahedron is
     A * max(lambda_max(V), 0); the residual is the largest gap to the current
     payoff inner product. Zero (up to tolerance) iff the profile satisfies the
     first-order equilibrium conditions. One profile gives a float, (S, d, d) stacks
-    one residual per profile. A non-finite gradient raises DomainError naming its player.
+    one residual per profile. A non-finite gradient raises DomainError naming its player;
+    a profile known to be feasible may skip the membership check (`checked=False`).
     """
     single = np.ndim(actions[0]) == 2
     stacks = [np.asarray(a)[None] if single else np.asarray(a) for a in actions]
-    game.require_feasible(stacks)
+    if checked:
+        game.require_feasible(stacks)
     worst = np.zeros(len(stacks[0]))
     gradients = game.gradient_stacks(stacks, range(game.n_players))
     for spec, x, v in zip(game.players, stacks, gradients):
@@ -169,8 +176,8 @@ def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, draw
     floats = draws * sum(2 * p.domain.dim ** 2 for p in game.players)
     size = max(1, CHUNK_FLOATS // floats)
     for start in range(0, samples, size):
-        drawn = [game.sample_profile(rng) for _ in range(min(size, samples - start) * draws)]
-        yield [[np.stack(a) for a in zip(*drawn[k::draws])] for k in range(draws)]
+        drawn = game.sample_profile(rng, min(size, samples - start) * draws)
+        yield [[np.ascontiguousarray(x[k::draws]) for x in drawn] for k in range(draws)]
 
 
 def check_monotonicity(game: GameModel, samples: int, seed: int = 0) -> StabilityReport:

@@ -3,7 +3,8 @@
 Each epoch adds a (possibly noisy, possibly obsolete) payoff gradient to a
 per-player score matrix and maps scores back to the feasible set through the
 stable exponential projection. One engine, `advance`, does this for a stack of
-trajectories that share one update schedule. One driver, `run_batch`, runs a
+trajectories that share one update schedule, one step per group of players with
+equal domains, on their (G, S, d, d) stack. One driver, `run_batch`, runs a
 list of seeds on it: as one stack under synchronous play (`run`, where every
 player updates every epoch without delay), else seed by seed, on random update
 sets and delays; `run_async` is `run_batch` of one. The rate experiments drive
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -328,17 +330,19 @@ class SeedNoise:
     standard normals (noise `gaussian` or `relative`, and a gradient that draws
     nothing), each seed's normals are drawn ahead, up to CHUNK_STEPS steps'
     worth at a time, and handed out from a flat cursor in the order the players
-    update. A Generator yields the same stream however its draws are grouped,
-    so every perturbation equals the one `inject_noise` would draw, bit for
-    bit, whichever players update. The noise blocks are written through one
-    view of the diagonal blocks (a single block is added as it is). Otherwise
-    `inject_noise` runs seed by seed, right after each player's gradient.
+    update (one draw per epoch, sliced per player). A Generator yields the same
+    stream however its draws are grouped, so every perturbation equals the one
+    `inject_noise` would draw, bit for bit, whichever players update. The noise blocks
+    are written through one view of the diagonal blocks (a single block is added as it
+    is). Otherwise (`each`) `inject_noise` runs seed by seed, player by player in update
+    order, a drawing oracle's right after its gradient.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
         self.game, self.model, self.rngs = game, model, list(rngs)
         self.drawing = type(game).stochastic_gradient is not GameModel.stochastic_gradient
         self.chunked = model.kind in ("gaussian", "relative") and not self.drawing
+        self.each = model.kind != "none" and not self.chunked  # drawn seed by seed, per player
         self.widths = [2 * p.domain.dim ** 2 // p.domain.blocks for p in game.players]
         width = sum(self.widths)
         chunk = max(1, min(CHUNK_STEPS, steps, CHUNK_FLOATS // max(len(self.rngs) * width, 1)))
@@ -367,24 +371,26 @@ class SeedNoise:
         self.buffer = self.buffer[rows]
         self.draws = self.buffer[:, : self.draws.shape[1]]
 
-    def perturb(self, i: int, v: np.ndarray) -> np.ndarray:
-        """Hermitian part of V + Z for player i's gradient stack V, one Z per seed."""
+    def perturb(self, i: int, v: np.ndarray, normals: np.ndarray | None = None) -> np.ndarray:
+        """Hermitian part of V + Z for player i's gradient stack V, one Z per seed, or for a
+        (G, S, d, d) stack V of G players on i's domain, with their normals (G, S, width)."""
         model = self.model
         if model.kind == "none":
             return hermitize(v)
         domain = self.game.players[i].domain
-        if not self.chunked:
-            return hermitize(np.stack([
-                inject_noise(vs, model, rng, domain) for vs, rng in zip(v, self.rngs)
-            ]))
+        if not self.chunked:  # an overflow leaves a non-finite score, which `advance` reports
+            with np.errstate(over="ignore", invalid="ignore"):
+                return hermitize(np.stack([
+                    inject_noise(vs, model, rng, domain) for vs, rng in zip(v, self.rngs)]))
         sigma = model.sigma
         if model.kind == "relative":
-            sigma = relative_sigma(v, model.level)[:, None, None, None]
+            sigma = relative_sigma(v, model.level)[..., None, None, None]
         n, m = domain.blocks, v.shape[-1] // domain.blocks
-        blocks = block_noise(self._next(self.widths[i]).reshape(-1, n, 2, m, m), sigma,
+        normals = self._next(self.widths[i]) if normals is None else normals
+        blocks = block_noise(normals.reshape(v.shape[:-2] + (n, 2, m, m)), sigma,
                              model.hermitian)
         if n == 1:
-            return hermitize(v + blocks[:, 0])
+            return hermitize(v + blocks[..., 0, :, :])
         return hermitize(v + domain.block_diagonal(blocks))
 
 
@@ -401,11 +407,13 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     their step size is indexed by their own update count. Without delays, and
     when the game's gradient oracle draws nothing, one `gradient_stacks` call
     gives the epoch's gradients; otherwise each player's is taken in turn,
-    interleaved with its noise as a drawing oracle's stream needs. All
-    trajectories share the update set, the delays and the counts; trajectory s
-    draws only from `noise.rngs[s]`. An epoch is committed, and counts for its players,
-    only once every updated score is finite: otherwise it raises
-    NonFiniteGradientError (for a non-finite gradient) or DomainError.
+    interleaved with its noise as a drawing oracle's stream needs. Players with equal
+    domains form a group: one perturbation (buffered normals from one draw per epoch,
+    in update order), score update, check and exponential projection on a (G, S, d, d)
+    stack. All trajectories share the update set, the delays and the counts; trajectory
+    s draws only from `noise.rngs[s]`. An epoch is committed only once every updated
+    score is finite: otherwise it raises NonFiniteGradientError (for a non-finite
+    gradient) or DomainError, for the first such player in update order.
     """
     schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
     probs, d_max = schedule.probabilities, schedule.delay_max
@@ -413,7 +421,49 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     everyone = range(game.n_players)
     all_update = all(p == 1.0 for p in probs)
     batched = d_max == 0 and not noise.drawing
+    group_of = [game.domains.index(p.domain) for p in game.players]  # equal domains, one group
+    plans = {}
     history = [tuple(state.actions)]  # history[k] is the profile k epochs ago
+
+    def scores(players, gradients, perturbed, n):
+        """Step sizes of `players`, and (domain, members, new scores) per group, once valid."""
+        key = tuple(players)
+        if key not in plans:  # the groups of this update set, and where each one's normals end
+            groups = {}
+            for k, i in enumerate(players):
+                groups.setdefault(group_of[i], []).append(k)
+            plans[key] = ([(game.players[players[ks[0]]].domain, ks, [players[k] for k in ks])
+                           for ks in groups.values()],
+                          list(accumulate(noise.widths[i] for i in players)))
+        groups, ends = plans[key]
+        gammas, out, valid = [step_schedule.at(state.counts[i] + 1) for i in players], [], True
+        draws = noise._next(ends[-1]) if noise.chunked and ends else None
+        # an overflow or NaN here leaves a non-finite score, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            for domain, ks, members in groups:
+                g = [gammas[k] for k in ks]
+                g = g[0] if g.count(g[0]) == len(g) else np.array(g)[:, None, None, None]
+                if perturbed is None:
+                    normals = None if draws is None else np.array(
+                        [draws[:, ends[k] - noise.widths[members[0]] : ends[k]] for k in ks])
+                    w = noise.perturb(members[0], np.array([gradients[k] for k in ks]), normals)
+                else:
+                    w = np.array([perturbed[k] for k in ks])
+                y = np.array([state.scores[i] for i in members]) + g * w
+                valid = (valid and np.isfinite(y).all()
+                         and domain.off_block_mass(y) <= OFF_BLOCK_TOL)
+                out.append((domain, members, y))
+        if not valid:
+            rows = {i: y[j] for _, members, y in out for j, i in enumerate(members)}
+            for k, i in enumerate(players):  # each player's own check, in update order
+                if not np.isfinite(rows[i]).all():
+                    if not np.isfinite(gradients[k]).all():
+                        raise NonFiniteGradientError(i, n)
+                    raise DomainError("score has non-finite entries")
+                if game.players[i].domain.off_block_mass(rows[i]) > OFF_BLOCK_TOL:
+                    raise DomainError("score must be block-diagonal for a block-structured domain")
+        return gammas, out
+
     for n in range(state.n, steps + 1):
         if schedule.mode == "single":
             update_set = [int(sched_rng.choice(game.n_players, p=weights))]
@@ -421,54 +471,38 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
             update_set = everyone
         else:
             update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
-        gamma = float("nan")
-        scores = []
-        if batched:
-            gradients = game.gradient_stacks(history[0], update_set)
+        perturbed = [] if noise.each else None  # noise drawn seed by seed, in update order
+        gradients = game.gradient_stacks(history[0], update_set) if batched else []
         for k, i in enumerate(update_set):
-            if batched:
-                v = gradients[k]
-            else:
+            if not batched:
                 if d_max == 0:
                     delayed = history[0]
                 else:
-                    lags = sched_rng.integers(0, d_max + 1, size=game.n_players)
-                    delayed = tuple(
-                        history[min(int(lag), len(history) - 1)][j] for j, lag in enumerate(lags)
-                    )
-                if noise.drawing:
-                    v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
-                                  for s, rng in enumerate(noise.rngs)])
-                else:
-                    v = game.gradient_stack(i, delayed)
-            gamma = step_schedule.at(state.counts[i] + 1)
-            # an overflow or NaN here leaves a non-finite score, which _checked_score reports
-            with np.errstate(over="ignore", invalid="ignore"):
-                y = state.scores[i] + gamma * noise.perturb(i, v)
-            scores.append(_checked_score(y, v, game.players[i].domain, i, n))
-        actions = [exp_projection(y, game.players[i].domain) for i, y in zip(update_set, scores)]
-        for i, y, x in zip(update_set, scores, actions):
-            state.scores[i], state.actions[i] = y, x
-            state.counts[i] += 1
+                    lags = sched_rng.integers(0, d_max + 1, size=game.n_players).tolist()
+                    last = len(history) - 1
+                    delayed = tuple([history[min(lag, last)][j] for j, lag in enumerate(lags)])
+                try:
+                    if noise.drawing:
+                        v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
+                                      for s, rng in enumerate(noise.rngs)])
+                    else:
+                        v = game.gradient_stack(i, delayed)
+                except (DomainError, np.linalg.LinAlgError):  # an earlier invalid score first
+                    scores(update_set[:k], gradients, perturbed, n)
+                    raise
+                gradients.append(v)
+            if perturbed is not None:
+                perturbed.append(noise.perturb(i, gradients[k]))
+        gammas, groups = scores(update_set, gradients, perturbed, n) if update_set else ([], [])
+        actions = [exp_projection(y, domain) for domain, _, y in groups]
+        for (_, members, y), x in zip(groups, actions):
+            for i, yk, xk in zip(members, y, x):
+                state.scores[i], state.actions[i] = yk, xk
+                state.counts[i] += 1
         state.n = n + 1
         history.insert(0, tuple(state.actions))
         del history[d_max + 1 :]
-        yield n, gamma
-
-
-def _checked_score(y: np.ndarray, v: np.ndarray, domain, i: int, n: int) -> np.ndarray:
-    """Player i's updated score stack at epoch n, once it is finite and block-diagonal.
-
-    A non-finite gradient V makes the score non-finite, so one check on the
-    score covers both; V is inspected only to name the cause.
-    """
-    if not np.isfinite(y).all():
-        if not np.isfinite(v).all():
-            raise NonFiniteGradientError(i, n)
-        raise DomainError("score has non-finite entries")
-    if domain.off_block_mass(y) > OFF_BLOCK_TOL:
-        raise DomainError("score must be block-diagonal for a block-structured domain")
-    return y
+        yield n, gammas[-1] if gammas else float("nan")
 
 
 def profile_kl(game: GameModel, reference, actions) -> float:
@@ -482,7 +516,7 @@ def profile_kl(game: GameModel, reference, actions) -> float:
 
 def _log_record(game, config, actions, gamma, n) -> list[TraceRecord]:
     """Epoch n's records, one per profile of the (S, d, d) stacks `actions`, in Python floats."""
-    residuals = nash_residual(game, actions).tolist()
+    residuals = nash_residual(game, actions, checked=False).tolist()
     utilities = zip(*[game.utility_stack(i, actions).tolist() for i in range(game.n_players)])
     kls = [None] * len(residuals)
     if config.reference_point is not None:

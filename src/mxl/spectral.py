@@ -83,14 +83,6 @@ def dual_norm(h: np.ndarray) -> float:
     return _float_or_stack(np.maximum(np.abs(w[..., 0]), np.abs(w[..., -1])))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def block_noise(normals: np.ndarray, sigma=1.0, hermitian: bool = True) -> np.ndarray:
     """(..., b, b) Gaussian blocks from (..., 2, b, b) standard normals (real parts, then
     imaginary parts) at scale sigma, a float or an array broadcasting against the blocks.
@@ -213,11 +205,24 @@ class Spectrahedron:
         lam, bases = self._eigh_blocks(hermitize(np.asarray(x, dtype=complex)))
         return self._assemble(_project_capped_simplex(lam, self.trace_bound), bases)
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Random member: Dirichlet eigenvalues over the capped simplex, Haar basis per block."""
-        lam = self.trace_bound * rng.dirichlet(np.ones(self.dim + 1))[: self.dim]
+    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+        """Random member, or a (count, dim, dim) stack drawn in turn: Dirichlet eigenvalues
+        over the capped simplex, Haar basis per block (one batched QR)."""
+        out = self._members([self._draw(rng) for _ in range(1 if count is None else count)])
+        return out[0] if count is None else out
+
+    def _draw(self, rng: np.random.Generator):
+        """One sample's draws: its Dirichlet eigenvalues, then its blocks' normals."""
         m = self.dim // self.blocks
-        return self._assemble(lam, np.array([haar_unitary(m, rng) for _ in range(self.blocks)]))
+        return (self.trace_bound * rng.dirichlet(np.ones(self.dim + 1))[: self.dim],
+                rng.standard_normal((self.blocks, 2, m, m)))
+
+    def _members(self, draws) -> np.ndarray:
+        """Members from `_draw`'s draws; Haar bases by phase-corrected QR of Ginibre blocks."""
+        lam, normals = (np.array(a) for a in zip(*draws))
+        q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0))
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        return self._assemble(lam, q * (d / np.abs(d))[..., None, :])
 
     def sample_direction(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius Gaussian Hermitian direction respecting the block structure."""

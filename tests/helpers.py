@@ -4,7 +4,8 @@ import numpy as np
 
 from mxl.families import EeGame, MacGame, MetricLearningProblem, mahalanobis_gaps, smooth_hinge
 from mxl.games import BilinearGame, LinearGame, ZeroGame
-from mxl.spectral import DomainError, _entropy_of, hermitize
+from mxl.solver import AsyncSchedule, NonFiniteGradientError
+from mxl.spectral import OFF_BLOCK_TOL, DomainError, _entropy_of, exp_projection, hermitize
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -90,6 +91,13 @@ def ref_profile_kl(game, reference, actions) -> float:
 
 
 # Functions only the tests use, kept out of the package.
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via phase-corrected QR of a complex Ginibre matrix."""
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 def herm_expm(h: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via eigendecomposition."""
@@ -218,3 +226,68 @@ def ref_nash_residual(game, actions) -> float:
         gap = spec.domain.trace_bound * max(top, 0.0) - ref_trace_inner(actions[i], v)
         worst = max(worst, gap)
     return worst
+
+
+# The sampler and the learning epoch that the batched ones replaced, kept as references.
+
+def ref_sample(domain, rng: np.random.Generator) -> np.ndarray:
+    """One random member: Dirichlet eigenvalues, then one Haar unitary per block, assembled
+    block by block."""
+    lam = domain.trace_bound * rng.dirichlet(np.ones(domain.dim + 1))[: domain.dim]
+    out = np.zeros((domain.dim, domain.dim), dtype=complex)
+    for sl in block_slices(domain):
+        u = haar_unitary(sl.stop - sl.start, rng)
+        out[sl, sl] = (u * lam[sl]) @ u.conj().T
+    return hermitize(out)
+
+
+def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, sched_rng=None):
+    """`solver.advance` player by player: each updating player takes its own noise draw
+    (`noise.perturb(i, v)`), score update, checks and exponential projection, in update order."""
+    schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
+    probs, d_max = schedule.probabilities, schedule.delay_max
+    weights = np.array(probs) / sum(probs)
+    history = [tuple(state.actions)]
+    for n in range(state.n, steps + 1):
+        if schedule.mode == "single":
+            update_set = [int(sched_rng.choice(game.n_players, p=weights))]
+        elif all(p == 1.0 for p in probs):
+            update_set = range(game.n_players)
+        else:
+            update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
+        gamma, scores = float("nan"), []
+        batched = d_max == 0 and not noise.drawing
+        if batched:
+            gradients = game.gradient_stacks(history[0], update_set)
+        for k, i in enumerate(update_set):
+            if batched:
+                v = gradients[k]
+            else:
+                delayed = history[0]
+                if d_max:
+                    lags = sched_rng.integers(0, d_max + 1, size=game.n_players)
+                    delayed = tuple(history[min(int(lag), len(history) - 1)][j]
+                                    for j, lag in enumerate(lags))
+                if noise.drawing:
+                    v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
+                                  for s, rng in enumerate(noise.rngs)])
+                else:
+                    v = game.gradient_stack(i, delayed)
+            gamma = step_schedule.at(state.counts[i] + 1)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = state.scores[i] + gamma * noise.perturb(i, v)
+            if not np.isfinite(y).all():
+                if not np.isfinite(v).all():
+                    raise NonFiniteGradientError(i, n)
+                raise DomainError("score has non-finite entries")
+            if game.players[i].domain.off_block_mass(y) > OFF_BLOCK_TOL:
+                raise DomainError("score must be block-diagonal for a block-structured domain")
+            scores.append(y)
+        actions = [exp_projection(y, game.players[i].domain) for i, y in zip(update_set, scores)]
+        for i, y, x in zip(update_set, scores, actions):
+            state.scores[i], state.actions[i] = y, x
+            state.counts[i] += 1
+        state.n = n + 1
+        history.insert(0, tuple(state.actions))
+        del history[d_max + 1 :]
+        yield n, gamma

@@ -322,7 +322,7 @@ class TestEeGame:
     def test_unitary_covariance(self, game, rng):
         # conjugating the action per subcarrier while rotating the effective
         # channels consistently leaves the utility unchanged
-        from mxl.spectral import haar_unitary
+        from helpers import haar_unitary
 
         x = tuple(0.9 * d.sample(rng) + 0.1 * d.center() for d in game.domains)
         h_eff = effective_channels(game, 0, x)

@@ -138,6 +138,41 @@ def test_nash_residual_of_a_stack_checks_every_row():
         nash_residual(nan, scalar_profile([0.9, 0.1]))
 
 
+def test_unchecked_nash_residual_skips_only_the_membership_check(monkeypatch):
+    from mxl.solver import SolverConfig, StepSchedule, run
+
+    game = MacGame(3)
+    rng = np.random.default_rng(4)
+    stacks = [np.stack(a) for a in zip(*[game.sample_profile(rng) for _ in range(5)])]
+    assert np.array_equal(nash_residual(game, stacks, checked=False), nash_residual(game, stacks))
+    outside = [np.stack(a) for a in zip(scalar_profile([0.2, 0.3, 0.4]),
+                                        scalar_profile([0.5, 1.5, 0.1]))]
+    assert np.isfinite(nash_residual(game, outside, checked=False)).all()
+    nan = NanGradients([Spectrahedron(1, 1.0)] * 2)
+    with pytest.raises(DomainError, match="non-finite gradient for player 1"):
+        nash_residual(nan, scalar_profile([0.9, 0.1]), checked=False)
+    # the solver's log points read actions the projection just made: no membership check
+    calls = []
+    real_contains = Spectrahedron.contains
+    monkeypatch.setattr(Spectrahedron, "contains",
+                        lambda self, x: calls.append(1) or real_contains(self, x))
+    trace = run(game, SolverConfig(StepSchedule.power_law(1.0, 0.5), max_iters=30, log_every=1))
+    assert len(trace.records) == 30 and not calls
+    nash_residual(game, stacks)
+    assert len(calls) == game.n_players
+
+
+def test_sample_profile_count_equals_per_profile_loop():
+    game = ZeroGame([Spectrahedron(1, 1.0), Spectrahedron(3, 2.0),
+                     Spectrahedron(4, 1.0, blocks=2)])
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    stacks = game.sample_profile(rng, 6)
+    ref = [game.sample_profile(ref_rng) for _ in range(6)]
+    for i, x in enumerate(stacks):
+        assert np.array_equal(x, np.stack([profile[i] for profile in ref]))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_player_ids_contiguous():
     game = MacGame(3)
     assert [p.pid for p in game.players] == [1, 2, 3]

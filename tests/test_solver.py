@@ -28,7 +28,7 @@ from mxl.solver import (
     run_async,
     run_batch,
 )
-from helpers import block_slices, random_hermitian
+from helpers import block_slices, random_hermitian, ref_advance
 from mxl.spectral import (
     DomainError,
     Spectrahedron,
@@ -713,3 +713,111 @@ def test_trace_csv_and_summary_format(tmp_path):
     assert summary["status"] == "max_iters"
     assert summary["iterations"] == 100
     assert summary["seed"] == 1
+
+
+class Coupled(LinearGame):
+    """Three players on domains of dim 2 (A = 1), dim 3 (A = 2) and dim 2 (A = 1), so the
+    groups are {1, 3} and {2}: u_i = tr(C_i X_i) - 0.3 tr(X_i) (sum of the others' traces).
+
+    Once player 2's trace passes `level`, the gradients of the players in `nan` turn NaN
+    and that of player `failing` raises DomainError.
+    """
+
+    def __init__(self, nan=(), failing=None, level=1.2):
+        super().__init__([np.diag([1.0, 0.2]), np.diag([2.0, 1.5, 0.5]), np.diag([0.4, 0.9])],
+                         trace_bounds=[1.0, 2.0, 1.0])
+        self.nan, self.failing, self.level = nan, failing, level
+
+    def _others(self, i, actions):
+        traces = [np.trace(a, axis1=-2, axis2=-1).real for a in actions]
+        return sum(t for j, t in enumerate(traces) if j != i), traces[1] > self.level
+
+    def utility_stack(self, i, actions):
+        others, _ = self._others(i, actions)
+        own = np.trace(actions[i], axis1=-2, axis2=-1).real
+        return super().utility_stack(i, actions) - 0.3 * own * others
+
+    def gradient_stack(self, i, actions):
+        others, past = self._others(i, actions)
+        v = self._c[i] - 0.3 * others[:, None, None] * np.eye(len(self._c[i]))
+        if i == self.failing and past.any():
+            raise DomainError("gradient oracle failed")
+        return np.where(past[:, None, None], np.nan, v) if i in self.nan else v
+
+
+class NoisyCoupled(Coupled):
+    """Coupled with a gradient oracle that draws."""
+
+    def stochastic_gradient(self, i, actions, rng):
+        v = self.payoff_gradient(i, actions)
+        return v + 0.1 * rng.standard_normal() * np.eye(len(v))
+
+
+GROUP_SCHEDULES = {
+    "sync": None,
+    "bernoulli": AsyncSchedule((0.6, 0.7, 0.5), delay_max=3),
+    "single": AsyncSchedule((0.6, 0.7, 0.5), mode="single"),
+}
+GROUP_NOISES = {
+    "none": NoiseModel.none(),
+    "gaussian": NoiseModel.gaussian_hermitian(0.4),
+    "gaussian_raw": NoiseModel.gaussian_hermitian(0.4, hermitian=False),
+    "relative": NoiseModel.relative(0.5),
+    "pareto": NoiseModel.pareto_tail(1.5, 0.2),
+}
+
+
+def _advance_pair(game, model, schedule, n_seeds, steps, engine):
+    """Run `engine` (the solver's advance or the per-player reference) from fresh state."""
+    state = initial_state(game, None, n_seeds)
+    noise = SeedNoise(game, model, [np.random.default_rng(40 + s) for s in range(n_seeds)], steps)
+    sched_rng = np.random.default_rng(9)
+    steps_out = [(n, repr(g), [x.copy() for x in state.actions])
+                 for n, g in engine(game, state, POWER, noise, steps, schedule, sched_rng)]
+    rng_states = [r.bit_generator.state for r in [*noise.rngs, sched_rng]]
+    return steps_out, state, rng_states
+
+
+@pytest.mark.parametrize("n_seeds", [1, 4])
+@pytest.mark.parametrize("noise_name", list(GROUP_NOISES))
+@pytest.mark.parametrize("schedule_name", list(GROUP_SCHEDULES))
+@pytest.mark.parametrize("game_kind", [Coupled, NoisyCoupled])
+def test_grouped_epoch_equals_per_player_loop(game_kind, schedule_name, noise_name, n_seeds):
+    game = game_kind(level=np.inf)
+    assert game.domains[0] == game.domains[2] != game.domains[1]  # groups {1, 3} and {2}
+    runs = [_advance_pair(game, GROUP_NOISES[noise_name], GROUP_SCHEDULES[schedule_name],
+                          n_seeds, 60, engine) for engine in (mxl.solver.advance, ref_advance)]
+    (steps, state, rngs), (ref_steps, ref_state, ref_rngs) = runs
+    assert [(n, g) for n, g, _ in steps] == [(n, g) for n, g, _ in ref_steps]
+    for (_, _, xs), (_, _, ref_xs) in zip(steps, ref_steps):
+        assert all(np.array_equal(x, r) for x, r in zip(xs, ref_xs))
+    assert all(np.array_equal(y, r) for y, r in zip(state.scores, ref_state.scores))
+    assert (state.counts, state.n) == (ref_state.counts, ref_state.n)
+    assert rngs == ref_rngs
+    if schedule_name == "bernoulli":  # the members of group {1, 3} step at different sizes
+        assert state.counts[0] != state.counts[2]
+
+
+@pytest.mark.parametrize("schedule_name", [*GROUP_SCHEDULES, "delayed_all"])
+@pytest.mark.parametrize("nan, failing", [((1,), None), ((2,), None), ((1, 2), None),
+                                          ((0,), 2), ((), 2)],
+                         ids=["player2_nan", "player3_nan", "players2_3_nan",
+                              "player1_nan_player3_fails", "player3_fails"])
+def test_grouped_epoch_diverges_as_per_player_loop(nan, failing, schedule_name, monkeypatch):
+    # "delayed_all": everyone updates every epoch, each gradient taken in turn (delays)
+    schedule = GROUP_SCHEDULES.get(schedule_name, AsyncSchedule((1.0,) * 3, delay_max=1))
+    level = -1.0 if failing is not None else 1.2  # a failing oracle fails from epoch 1
+    cfg = SolverConfig(POWER, NoiseModel.gaussian_hermitian(0.3), max_iters=80,
+                       stop_residual=0.0, log_every=5)
+    seeds = [1, 2, 3, 4] if schedule is None else [2]
+    traces = run_batch(Coupled(nan, failing, level), cfg, seeds, schedule)
+    monkeypatch.setattr(mxl.solver, "advance", ref_advance)
+    ref = run_batch(Coupled(nan, failing, level), cfg, seeds, schedule)
+    for trace, ref_trace in zip(traces, ref):
+        assert trace.status == "diverged"
+        assert_same_trace(trace, ref_trace)
+    if schedule_name == "delayed_all" and failing is not None:
+        # player 3's oracle fails after player 1's gradient turned NaN in the same epoch
+        expected = ("non-finite gradient for player 1 at iteration 1" if nan
+                    else "gradient oracle failed")
+        assert [t.diagnostic for t in traces] == [expected]

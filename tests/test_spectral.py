@@ -5,8 +5,10 @@ import pytest
 
 from helpers import (
     block_slices,
+    haar_unitary,
     herm_expm,
     random_hermitian,
+    ref_sample,
     ref_entropy_of,
     ref_log_conjugate_from_eigs,
     ref_quantum_kl,
@@ -27,7 +29,6 @@ from mxl.spectral import (
     entropy_conjugate,
     entropy_gradient,
     fenchel_coupling,
-    haar_unitary,
     hermiticity_defect,
     hermitize,
     mirror_map,
@@ -610,3 +611,20 @@ def test_stacked_checks_read_the_whole_stack(rng):
         dual_norm(bad)
     with pytest.raises(DomainError, match="square"):
         dual_norm(good[:, :2])
+
+
+@pytest.mark.parametrize("dom", [
+    Spectrahedron(1, 1.0), Spectrahedron(3, 2.0), Spectrahedron(4, 1.0, blocks=2),
+    Spectrahedron(64, 1.5, blocks=16),
+], ids=["dim1", "dim3", "dim4_2blocks", "dim64_16blocks"])
+def test_sample_count_equals_single_calls_bit_for_bit(dom):
+    for count in (1, 2, 7):
+        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        stack = dom.sample(rng, count)
+        assert stack.shape == (count, dom.dim, dom.dim)
+        assert np.array_equal(stack, np.stack([ref_sample(dom, ref_rng) for _ in range(count)]))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    single, one = dom.sample(np.random.default_rng(5)), dom.sample(np.random.default_rng(5), 1)
+    assert single.shape == (dom.dim, dom.dim)
+    assert np.array_equal(one[0], single)
+    assert np.array_equal(single, ref_sample(dom, np.random.default_rng(5)))
