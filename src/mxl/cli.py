@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from itertools import product
 from pathlib import Path
@@ -126,7 +128,12 @@ def _defaults(kind: str) -> dict:
 def _check_value(key: str, value, default) -> None:
     """A key whose default is a bool takes true or false, one whose default is a number
     takes an int or a float, one whose default is a list takes a list; null defaults are
-    free-form."""
+    free-form. No number, nor any number in a list, may be NaN or infinite (JSON as Python
+    reads it accepts NaN and Infinity)."""
+    for k, item in enumerate(value if isinstance(value, list) else [value]):
+        if isinstance(item, float) and not math.isfinite(item):
+            where = f"{key}[{k}]" if isinstance(value, list) else key
+            raise ConfigError(f"{where} must be a finite number, got {json.dumps(item)}")
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {json.dumps(value)}")
@@ -465,8 +472,12 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
 
     workers = int(os.environ.get("MXL_WORKERS", "0")) or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_sweep_cell, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_run_sweep_cell, tasks))
+        except BrokenProcessPool as err:
+            print(f"error: sweep worker crashed ({err})", file=sys.stderr)
+            return EXIT_ERROR
     else:
         results = [_run_sweep_cell(t) for t in tasks]
     rows = [(overrides, r["fraction"], r["median"]) for overrides, r in zip(cells, results)]

@@ -315,6 +315,7 @@ class EeGame(GameModel):
     Every evaluation first maps each player's subcarrier blocks to covariance blocks
     (`_covariance_blocks`, which checks each block, not the whole matrix), once per
     profile stack: `gradient_stacks` shares them between all receivers it evaluates.
+    The conjugate-transposed links are taken once per game.
     """
 
     def __init__(self, channels: ChannelSet, pmax: float = 2.0, pc: float = 0.1):
@@ -325,6 +326,7 @@ class EeGame(GameModel):
         self.pc = float(pc)
         m, s = channels.n_tx, channels.n_subcarriers
         self._domain = Spectrahedron(m * s, 1.0, blocks=s)
+        self._links_dagger = _dagger(channels.links)  # [j, i] is _dagger(channels.links[j, i])
         super().__init__([self._domain] * channels.n_users)
 
     # -- helpers ------------------------------------------------------------
@@ -351,8 +353,7 @@ class EeGame(GameModel):
         w = np.eye(self.channels.n_rx, dtype=complex)
         for j, q in enumerate(covariances):
             if j != i:
-                h = self.channels.links[j, i]
-                w = w + h @ q @ _dagger(h)
+                w = w + self.channels.links[j, i] @ q @ self._links_dagger[j, i]
         return w
 
     # -- GameModel interface --------------------------------------------------
@@ -369,7 +370,7 @@ class EeGame(GameModel):
         h = self.channels.links[i, i]
         with np.errstate(over="ignore", invalid="ignore"):
             w = self._mui(i, covariances)
-            k = h @ self._domain.diagonal_blocks(x) @ _dagger(h)
+            k = h @ self._domain.diagonal_blocks(x) @ self._links_dagger[i, i]
             a = w + psi[:, None, None, None] * k
             sign_a, logdet_a = np.linalg.slogdet(a)
             sign_w, logdet_w = np.linalg.slogdet(w)
@@ -399,12 +400,12 @@ class EeGame(GameModel):
 
         h, k, a, log_sum = self._received(i, x, covariances, psi)
         trace_sum = ordered_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
-        grad = np.zeros(np.shape(x), dtype=complex)
         # h[None] has a's ndim, so numpy 1.x also solves it as matrices, not as vectors
-        self._domain.diagonal_blocks(grad)[...] = ((phi * psi)[:, None, None, None]
-                                                   * (_dagger(h) @ np.linalg.solve(a, h[None])))
+        blocks = ((phi * psi)[:, None, None, None]
+                  * (self._links_dagger[i, i] @ np.linalg.solve(a, h[None])))
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
-        return hermitize(grad + scalar[:, None, None] * np.eye(self._domain.dim, dtype=complex))
+        eye = np.eye(self.channels.n_tx, dtype=complex)
+        return self._domain.block_diagonal(hermitize(blocks + scalar[:, None, None, None] * eye))
 
     # -- physical-coordinate oracles ------------------------------------------
 
@@ -412,9 +413,8 @@ class EeGame(GameModel):
         """Achievable rate of user i at covariance profile Q (nats); DomainError if Q is infeasible."""
         blocks = [self._domain.diagonal_blocks(_feasible_covariance(q, self.pmax))
                   for q in q_profile]
-        h = self.channels.links[i, i]
         w = self._mui(i, blocks)
-        a = w + h @ blocks[i] @ _dagger(h)
+        a = w + self.channels.links[i, i] @ blocks[i] @ self._links_dagger[i, i]
         return float(ordered_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
 
     def energy_efficiency(self, i: int, q_profile) -> float:

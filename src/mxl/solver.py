@@ -2,14 +2,20 @@
 
 Each epoch adds a (possibly noisy, possibly obsolete) payoff gradient to a
 per-player score matrix and maps scores back to the feasible set through the
-stable exponential projection. One engine, `advance`, does this for a stack of
-trajectories that share one update schedule, one step per group of players with
-equal domains, on their (G, S, d, d) stack. One driver, `run_batch`, runs a
-list of seeds on it: as one stack under synchronous play (`run`, where every
-player updates every epoch without delay), else seed by seed, on random update
-sets and delays; `run_async` is `run_batch` of one. The rate experiments drive
-`advance` with one trajectory per seed. Each trajectory draws from its own RNG
-streams (SeedSequence(seed).spawn -> [noise stream, scheduling stream]).
+stable exponential projection. Scores and actions live as the diagonal blocks
+of the player's domain (one block when it is unblocked): the noise, the score
+update, its checks and the projection all keep the blocks, so only a gradient
+can put mass outside them, and whole matrices are assembled only where
+something reads them (the profile a gradient is taken at, log points, rate
+checkpoints, final actions). One engine, `advance`, does this for a stack of
+trajectories that share one update schedule, one step per group of players
+with equal domains, on their (G, S, blocks, m, m) block stack. One driver,
+`run_batch`, runs a list of seeds on it: as one stack under synchronous play
+(`run`, where every player updates every epoch without delay), else seed by
+seed, on random update sets and delays; `run_async` is `run_batch` of one. The
+rate experiments drive `advance` with one trajectory per seed. Each trajectory
+draws from its own RNG streams (SeedSequence(seed).spawn -> [noise stream,
+scheduling stream]).
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from .spectral import (
     Spectrahedron,
     _float_or_stack,
     block_noise,
-    exp_projection,
+    exp_projection_blocks,
     hermitize,
     mirror_map,
     quantum_kl,
@@ -238,8 +244,10 @@ class SolverConfig:
 class SolverState:
     """A stack of trajectories sharing one update schedule.
 
-    Per player, `scores` and `actions` are (S, d, d) stacks; `counts` holds
-    each player's update count and `n` the index of the next epoch (1-based).
+    Per player, `scores` and `actions` are (S, blocks, m, m) stacks of the diagonal
+    blocks of the player's domain (an unblocked domain is one block), the only form
+    they are kept in; `dense_profile` assembles the (S, d, d) matrices. `counts`
+    holds each player's update count and `n` the index of the next epoch (1-based).
     """
 
     scores: list
@@ -307,17 +315,29 @@ def _fmt(x: float) -> str:
 
 
 def initial_state(game: GameModel, y0=None, seeds: int = 1) -> SolverState:
-    """Scores y0 (zero by default) and their projections, stacked for `seeds` trajectories."""
+    """Scores y0 (zero by default) and their projections, as block stacks for `seeds`
+    trajectories."""
+    domains = game.domains
     if y0 is None:
-        scores = [np.zeros((p.domain.dim, p.domain.dim), dtype=complex) for p in game.players]
+        scores = [np.zeros((d.dim, d.dim), dtype=complex) for d in domains]
     else:
         if len(y0) != game.n_players:
             raise ConfigurationError("y0 must provide one score matrix per player")
         scores = [hermitize(np.asarray(y, dtype=complex)) for y in y0]
-    actions = [mirror_map(y, p.domain) for y, p in zip(scores, game.players)]
-    return SolverState([np.repeat(y[None], seeds, axis=0) for y in scores],
-                       [np.repeat(x[None], seeds, axis=0) for x in actions],
+    actions = [mirror_map(y, d) for y, d in zip(scores, domains)]
+
+    def stacked(x, domain):
+        return np.repeat(domain.diagonal_blocks(x)[None], seeds, axis=0)
+
+    return SolverState([stacked(y, d) for y, d in zip(scores, domains)],
+                       [stacked(x, d) for x, d in zip(actions, domains)],
                        [0] * game.n_players)
+
+
+def dense_profile(game: GameModel, stacks) -> list:
+    """Per-player (..., d, d) stacks assembled from (..., blocks, m, m) block stacks, such as
+    a SolverState's actions (for an unblocked domain, a view)."""
+    return [p.domain.block_diagonal(x) for p, x in zip(game.players, stacks)]
 
 
 class SeedNoise:
@@ -333,9 +353,9 @@ class SeedNoise:
     update (one draw per epoch, sliced per player). A Generator yields the same
     stream however its draws are grouped, so every perturbation equals the one
     `inject_noise` would draw, bit for bit, whichever players update. The noise blocks
-    are written through one view of the diagonal blocks (a single block is added as it
-    is). Otherwise (`each`) `inject_noise` runs seed by seed, player by player in update
-    order, a drawing oracle's right after its gradient.
+    are added to the gradient's diagonal blocks. Otherwise (`each`) `inject_noise` runs
+    seed by seed, player by player in update order, a drawing oracle's right after its
+    gradient.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
@@ -372,16 +392,19 @@ class SeedNoise:
         self.draws = self.buffer[:, : self.draws.shape[1]]
 
     def perturb(self, i: int, v: np.ndarray, normals: np.ndarray | None = None) -> np.ndarray:
-        """Hermitian part of V + Z for player i's gradient stack V, one Z per seed, or for a
-        (G, S, d, d) stack V of G players on i's domain, with their normals (G, S, width)."""
+        """Hermitian part of V + Z, as its (..., blocks, m, m) diagonal blocks on player i's
+        domain, for player i's block-diagonal gradient stack V, one Z per seed, or for a
+        (G, S, d, d) stack V of G players on i's domain, with their normals (G, S, width).
+        A relative level is taken of V's whole matrices."""
         model = self.model
-        if model.kind == "none":
-            return hermitize(v)
         domain = self.game.players[i].domain
+        if model.kind == "none":
+            return hermitize(domain.diagonal_blocks(v))
         if not self.chunked:  # an overflow leaves a non-finite score, which `advance` reports
             with np.errstate(over="ignore", invalid="ignore"):
-                return hermitize(np.stack([
-                    inject_noise(vs, model, rng, domain) for vs, rng in zip(v, self.rngs)]))
+                v = np.stack([inject_noise(vs, model, rng, domain)
+                              for vs, rng in zip(v, self.rngs)])
+            return hermitize(domain.diagonal_blocks(v))
         sigma = model.sigma
         if model.kind == "relative":
             sigma = relative_sigma(v, model.level)[..., None, None, None]
@@ -389,9 +412,7 @@ class SeedNoise:
         normals = self._next(self.widths[i]) if normals is None else normals
         blocks = block_noise(normals.reshape(v.shape[:-2] + (n, 2, m, m)), sigma,
                              model.hermitian)
-        if n == 1:
-            return hermitize(v + blocks[..., 0, :, :])
-        return hermitize(v + domain.block_diagonal(blocks))
+        return hermitize(domain.diagonal_blocks(v) + blocks)
 
 
 def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
@@ -407,13 +428,17 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     their step size is indexed by their own update count. Without delays, and
     when the game's gradient oracle draws nothing, one `gradient_stacks` call
     gives the epoch's gradients; otherwise each player's is taken in turn,
-    interleaved with its noise as a drawing oracle's stream needs. Players with equal
-    domains form a group: one perturbation (buffered normals from one draw per epoch,
-    in update order), score update, check and exponential projection on a (G, S, d, d)
-    stack. All trajectories share the update set, the delays and the counts; trajectory
-    s draws only from `noise.rngs[s]`. An epoch is committed only once every updated
-    score is finite: otherwise it raises NonFiniteGradientError (for a non-finite
-    gradient) or DomainError, for the first such player in update order.
+    interleaved with its noise as a drawing oracle's stream needs. The profiles
+    gradients are taken at are dense: each epoch assembles its updated players'
+    actions once. Players with equal domains form a group: one off-block check of
+    the gradients, whose diagonal blocks are then read once, and one perturbation
+    (buffered normals from one draw per epoch, in update order), score update,
+    finiteness check and exponential projection on a (G, S, blocks, m, m) block
+    stack. All trajectories share the update set, the delays and the counts;
+    trajectory s draws only from `noise.rngs[s]`. An epoch is committed only once
+    every updated score is finite and every gradient block-diagonal: otherwise it
+    raises NonFiniteGradientError (for a non-finite gradient) or DomainError, for
+    the first such player in update order.
     """
     schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
     probs, d_max = schedule.probabilities, schedule.delay_max
@@ -423,10 +448,11 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     batched = d_max == 0 and not noise.drawing
     group_of = [game.domains.index(p.domain) for p in game.players]  # equal domains, one group
     plans = {}
-    history = [tuple(state.actions)]  # history[k] is the profile k epochs ago
+    history = [tuple(dense_profile(game, state.actions))]  # history[k]: the profile k epochs ago
 
     def scores(players, gradients, perturbed, n):
-        """Step sizes of `players`, and (domain, members, new scores) per group, once valid."""
+        """Step sizes of `players`, and (domain, members, new score blocks) per group, once
+        valid."""
         key = tuple(players)
         if key not in plans:  # the groups of this update set, and where each one's normals end
             groups = {}
@@ -442,25 +468,28 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
         with np.errstate(over="ignore", invalid="ignore"):
             for domain, ks, members in groups:
                 g = [gammas[k] for k in ks]
-                g = g[0] if g.count(g[0]) == len(g) else np.array(g)[:, None, None, None]
+                g = g[0] if g.count(g[0]) == len(g) else np.array(g)[:, None, None, None, None]
+                v = np.array([gradients[k] for k in ks])
+                # noise and projection keep the blocks: only a gradient can leave them
+                valid = valid and domain.off_block_mass(v) <= OFF_BLOCK_TOL
                 if perturbed is None:
                     normals = None if draws is None else np.array(
                         [draws[:, ends[k] - noise.widths[members[0]] : ends[k]] for k in ks])
-                    w = noise.perturb(members[0], np.array([gradients[k] for k in ks]), normals)
+                    w = noise.perturb(members[0], v, normals)
                 else:
                     w = np.array([perturbed[k] for k in ks])
                 y = np.array([state.scores[i] for i in members]) + g * w
-                valid = (valid and np.isfinite(y).all()
-                         and domain.off_block_mass(y) <= OFF_BLOCK_TOL)
+                valid = valid and np.isfinite(y).all()
                 out.append((domain, members, y))
         if not valid:
             rows = {i: y[j] for _, members, y in out for j, i in enumerate(members)}
             for k, i in enumerate(players):  # each player's own check, in update order
-                if not np.isfinite(rows[i]).all():
-                    if not np.isfinite(gradients[k]).all():
+                finite = np.isfinite(gradients[k]).all()
+                if not (finite and np.isfinite(rows[i]).all()):
+                    if not finite:
                         raise NonFiniteGradientError(i, n)
                     raise DomainError("score has non-finite entries")
-                if game.players[i].domain.off_block_mass(rows[i]) > OFF_BLOCK_TOL:
+                if not game.players[i].domain.off_block_mass(gradients[k]) <= OFF_BLOCK_TOL:
                     raise DomainError("score must be block-diagonal for a block-structured domain")
         return gammas, out
 
@@ -494,13 +523,15 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
             if perturbed is not None:
                 perturbed.append(noise.perturb(i, gradients[k]))
         gammas, groups = scores(update_set, gradients, perturbed, n) if update_set else ([], [])
-        actions = [exp_projection(y, domain) for domain, _, y in groups]
-        for (_, members, y), x in zip(groups, actions):
-            for i, yk, xk in zip(members, y, x):
-                state.scores[i], state.actions[i] = yk, xk
+        profile = list(history[0])
+        for domain, members, y in groups:
+            x = exp_projection_blocks(y, domain)
+            dense = domain.block_diagonal(x)
+            for j, i in enumerate(members):
+                state.scores[i], state.actions[i], profile[i] = y[j], x[j], dense[j]
                 state.counts[i] += 1
         state.n = n + 1
-        history.insert(0, tuple(state.actions))
+        history.insert(0, tuple(profile))
         del history[d_max + 1 :]
         yield n, gammas[-1] if gammas else float("nan")
 
@@ -559,9 +590,9 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
     records, traces, live = [[] for _ in seeds], [None] * len(seeds), list(range(len(seeds)))
 
     def finish(k, row, status, diagnostic=None):  # seed k, at this row of the stack
+        final = dense_profile(game, [a[row] for a in state.actions])
         traces[k] = RunTrace(records[k], status, state.n - 1, seeds[k],
-                             tuple(a[row].copy() for a in state.actions), tuple(state.counts),
-                             diagnostic)
+                             tuple(np.array(x) for x in final), tuple(state.counts), diagnostic)
 
     try:
         while live:
@@ -570,7 +601,7 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
                 if n % config.log_every and n != config.max_iters:
                     continue
                 kept = []
-                logged = _log_record(game, config, state.actions, gamma, n)
+                logged = _log_record(game, config, dense_profile(game, state.actions), gamma, n)
                 for row, (k, record) in enumerate(zip(live, logged)):
                     records[k].append(record)
                     if record.nash_residual <= config.stop_residual:

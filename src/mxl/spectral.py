@@ -7,7 +7,7 @@ symmetrisation is never silent (call :func:`hermitize` explicitly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,13 +119,12 @@ class Spectrahedron:
 
     `blocks` counts the diagonal blocks, each of size dim // blocks (1, the default,
     is the unblocked set); members are block-diagonal to within a tiny off-block
-    mass. Derived once: `off_block`, the entries outside the blocks (None for one block).
+    mass.
     """
 
     dim: int
     trace_bound: float = 1.0
     blocks: int = 1
-    off_block: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -136,22 +135,21 @@ class Spectrahedron:
         if not isinstance(n, (int, np.integer)) or n < 1 or self.dim % n:
             raise ValueError(f"blocks={n!r} must be a positive count of blocks dividing dim={self.dim}")
         object.__setattr__(self, "blocks", int(n))
-        off = None
-        if n > 1:
-            owner = np.repeat(np.arange(n), self.dim // n)  # the block of each index
-            off = owner[:, None] != owner
-            off.flags.writeable = False
-        object.__setattr__(self, "off_block", off)
 
     def diagonal_blocks(self, x: np.ndarray) -> np.ndarray:
         """The (..., blocks, m, m) diagonal blocks of an (..., dim, dim) stack, m = dim // blocks,
         as one view (writable when x is contiguous)."""
         n, m = self.blocks, self.dim // self.blocks
         x = np.asarray(x)
+        if n == 1:
+            return x[..., None, :, :]
         return np.einsum("...iaib->...iab", x.reshape(x.shape[:-2] + (n, m, n, m)))
 
     def block_diagonal(self, blocks: np.ndarray) -> np.ndarray:
-        """The (..., dim, dim) block-diagonal stack of (..., blocks, m, m) diagonal blocks."""
+        """The (..., dim, dim) block-diagonal stack of (..., blocks, m, m) diagonal blocks (for
+        one block, a view of it)."""
+        if self.blocks == 1:
+            return blocks[..., 0, :, :]
         out = np.zeros(blocks.shape[:-3] + (self.dim, self.dim), dtype=blocks.dtype)
         self.diagonal_blocks(out)[...] = blocks
         return out
@@ -161,10 +159,15 @@ class Spectrahedron:
         return np.eye(self.dim, dtype=complex) * (self.trace_bound / (self.dim + 1))
 
     def off_block_mass(self, x: np.ndarray) -> float:
-        """Largest Frobenius mass outside the diagonal blocks over a stack (..., dim, dim)."""
-        if self.off_block is None:
+        """Largest Frobenius mass outside the diagonal blocks over a stack (..., dim, dim),
+        exactly 0 when every entry there is 0: a copy with its diagonal blocks zeroed,
+        read as one dot product per matrix."""
+        if self.blocks == 1:
             return 0.0
-        return float(np.max(np.linalg.norm(np.asarray(x)[..., self.off_block], axis=-1)))
+        off = np.array(x, dtype=complex)
+        self.diagonal_blocks(off)[...] = 0.0
+        flat = off.view(float).reshape(off.shape[:-2] + (1, -1))
+        return float(np.sqrt(np.max(flat @ flat.swapaxes(-1, -2))))
 
     def contains(self, x: np.ndarray) -> bool:
         """Whether x is a member, or for an (..., dim, dim) stack whether every matrix is."""
@@ -191,14 +194,12 @@ class Spectrahedron:
     def _eigh_blocks(self, y: np.ndarray):
         """Block-order eigenvalues (..., dim) of a block-diagonal stack, from one batched eigh,
         and its blocks' (..., blocks, m, m) eigenbases."""
-        w, u = np.linalg.eigh(self.diagonal_blocks(y))
-        return w.reshape(w.shape[:-2] + (self.dim,)), u
+        return _block_eigh(self.diagonal_blocks(y))
 
     def _assemble(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Hermitian block-diagonal stack whose block k is U_k diag(lam_k) U_k^dag, lam_k
         being block k's stretch of the block-order eigenvalues lam (..., dim)."""
-        lam = lam.reshape(lam.shape[:-1] + (self.blocks, self.dim // self.blocks))
-        return hermitize(self.block_diagonal((u * lam[..., None, :]) @ _dagger(u)))
+        return self.block_diagonal(_block_assemble(lam, u))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection onto the set (blockwise eigenvalue projection)."""
@@ -229,6 +230,19 @@ class Spectrahedron:
         m = self.dim // self.blocks
         out = self.block_diagonal(block_noise(rng.standard_normal((self.blocks, 2, m, m))))
         return out / np.linalg.norm(out)
+
+
+def _block_eigh(blocks: np.ndarray):
+    """Block-order eigenvalues (..., dim) of (..., blocks, m, m) Hermitian blocks, from one
+    batched eigh, and the blocks' eigenbases."""
+    w, u = np.linalg.eigh(blocks)
+    return w.reshape(w.shape[:-2] + (w.shape[-2] * w.shape[-1],)), u
+
+
+def _block_assemble(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Hermitian blocks U_k diag(lam_k) U_k^dag of (..., blocks, m, m) eigenbases u, lam_k
+    being block k's stretch of the block-order eigenvalues lam (..., dim)."""
+    return hermitize((u * lam.reshape(u.shape[:-1])[..., None, :]) @ _dagger(u))
 
 
 def _log_conjugate_from_eigs(w: np.ndarray) -> np.ndarray:
@@ -297,19 +311,29 @@ def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
     """Unchecked core of :func:`mirror_map` for a stack (..., d, d) of scores.
 
     Scores must already be Hermitian, block-diagonal and of the domain's size.
-    A 1x1 score is its own eigenvalue, mapped without an eigendecomposition;
-    larger scores use one batched eigendecomposition of all the domain's
-    diagonal blocks.
+    Their diagonal blocks go through :func:`exp_projection_blocks`, and the image
+    is assembled once.
+    """
+    return domain.block_diagonal(exp_projection_blocks(domain.diagonal_blocks(y), domain))
+
+
+def exp_projection_blocks(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
+    """:func:`exp_projection` from the Hermitian (..., blocks, m, m) diagonal blocks of
+    scores to those of their images.
+
+    A 1x1 score is its own eigenvalue, mapped elementwise without an
+    eigendecomposition; larger scores use one batched eigendecomposition of all
+    the blocks, and one log-sum over each score's whole spectrum.
     """
     if domain.dim == 1:
-        lam = y[..., 0, :].real
-        out = np.zeros(y.shape, dtype=complex)
-        out[..., 0, :] = domain.trace_bound * np.exp(lam - _log_conjugate_from_eigs(lam))
-        return out
+        lam = y.real.ravel()
+        top = np.maximum(lam, 0.0)
+        lse = top + np.log(np.exp(-top) + np.exp(lam - top))
+        return (domain.trace_bound * np.exp(lam - lse)).astype(complex).reshape(y.shape)
 
-    lam, bases = domain._eigh_blocks(y)
+    lam, bases = _block_eigh(y)
     lse = _log_conjugate_from_eigs(np.sort(lam))
-    return domain._assemble(np.exp(lam - lse), bases) * domain.trace_bound
+    return _block_assemble(np.exp(lam - lse), bases) * domain.trace_bound
 
 
 def quantum_kl(xref: np.ndarray, x: np.ndarray) -> float:

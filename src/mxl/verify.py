@@ -11,6 +11,7 @@ from .solver import (
     SeedNoise,
     SolverConfig,
     advance,
+    dense_profile,
     initial_state,
     inject_noise,
     profile_kl,
@@ -250,7 +251,8 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     marks = {c: idx for idx, c in enumerate(checkpoints)}
     for n, _ in advance(game, state, config_template.schedule, noise, checkpoints[-1]):
         if n in marks:
-            table[:, marks[n]] = _profile_metric(game, xstar, state.actions, metric)
+            table[:, marks[n]] = _profile_metric(game, xstar, dense_profile(game, state.actions),
+                                                 metric)
 
     means, stderrs, slope, slope_stderr = _fit_table(table, checkpoints)
 

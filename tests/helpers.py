@@ -4,8 +4,15 @@ import numpy as np
 
 from mxl.families import EeGame, MacGame, MetricLearningProblem, mahalanobis_gaps, smooth_hinge
 from mxl.games import BilinearGame, LinearGame, ZeroGame
-from mxl.solver import AsyncSchedule, NonFiniteGradientError
-from mxl.spectral import OFF_BLOCK_TOL, DomainError, _entropy_of, exp_projection, hermitize
+from mxl.solver import AsyncSchedule, NonFiniteGradientError, inject_noise, relative_sigma
+from mxl.spectral import (
+    OFF_BLOCK_TOL,
+    DomainError,
+    _entropy_of,
+    block_noise,
+    exp_projection,
+    hermitize,
+)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -241,13 +248,37 @@ def ref_sample(domain, rng: np.random.Generator) -> np.ndarray:
     return hermitize(out)
 
 
+def ref_dense_perturb(noise, i, v):
+    """`SeedNoise.perturb` on whole matrices: the Hermitian part of V + Z for player i's
+    gradient stack V, drawn as the solver draws it."""
+    model = noise.model
+    if model.kind == "none":
+        return hermitize(v)
+    domain = noise.game.players[i].domain
+    if not noise.chunked:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return hermitize(np.stack([inject_noise(vs, model, rng, domain)
+                                       for vs, rng in zip(v, noise.rngs)]))
+    sigma = model.sigma
+    if model.kind == "relative":
+        sigma = relative_sigma(v, model.level)[..., None, None, None]
+    n, m = domain.blocks, v.shape[-1] // domain.blocks
+    normals = noise._next(noise.widths[i]).reshape(v.shape[:-2] + (n, 2, m, m))
+    return hermitize(v + domain.block_diagonal(block_noise(normals, sigma, model.hermitian)))
+
+
 def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, sched_rng=None):
-    """`solver.advance` player by player: each updating player takes its own noise draw
-    (`noise.perturb(i, v)`), score update, checks and exponential projection, in update order."""
+    """`solver.advance` player by player on whole matrices: each updating player takes its own
+    noise draw (`ref_dense_perturb`), score update, checks and exponential projection, in update
+    order. It reads the state's block stacks once and writes back the blocks of each epoch's
+    scores and actions."""
     schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
     probs, d_max = schedule.probabilities, schedule.delay_max
     weights = np.array(probs) / sum(probs)
-    history = [tuple(state.actions)]
+    domains = game.domains
+    dense = [[d.block_diagonal(x).copy() for d, x in zip(domains, stacks)]
+             for stacks in (state.scores, state.actions)]
+    history = [tuple(dense[1])]
     for n in range(state.n, steps + 1):
         if schedule.mode == "single":
             update_set = [int(sched_rng.choice(game.n_players, p=weights))]
@@ -275,19 +306,21 @@ def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, s
                     v = game.gradient_stack(i, delayed)
             gamma = step_schedule.at(state.counts[i] + 1)
             with np.errstate(over="ignore", invalid="ignore"):
-                y = state.scores[i] + gamma * noise.perturb(i, v)
+                y = dense[0][i] + gamma * ref_dense_perturb(noise, i, v)
             if not np.isfinite(y).all():
                 if not np.isfinite(v).all():
                     raise NonFiniteGradientError(i, n)
                 raise DomainError("score has non-finite entries")
-            if game.players[i].domain.off_block_mass(y) > OFF_BLOCK_TOL:
+            if domains[i].off_block_mass(y) > OFF_BLOCK_TOL:
                 raise DomainError("score must be block-diagonal for a block-structured domain")
             scores.append(y)
-        actions = [exp_projection(y, game.players[i].domain) for i, y in zip(update_set, scores)]
+        actions = [exp_projection(y, domains[i]) for i, y in zip(update_set, scores)]
         for i, y, x in zip(update_set, scores, actions):
-            state.scores[i], state.actions[i] = y, x
+            dense[0][i], dense[1][i] = y, x
+            state.scores[i] = np.ascontiguousarray(domains[i].diagonal_blocks(y))
+            state.actions[i] = np.ascontiguousarray(domains[i].diagonal_blocks(x))
             state.counts[i] += 1
         state.n = n + 1
-        history.insert(0, tuple(state.actions))
+        history.insert(0, tuple(dense[1]))
         del history[d_max + 1 :]
         yield n, gamma

@@ -187,6 +187,28 @@ class TestRun:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("solver.max_iters", float("inf"), "solver.max_iters must be a finite number, got Infinity"),
+        ("solver.noise.sigma", float("nan"), "solver.noise.sigma must be a finite number, got NaN"),
+        ("solver.schedule.gamma0", float("inf"),
+         "solver.schedule.gamma0 must be a finite number, got Infinity"),
+        ("game.b", float("-inf"), "game.b must be a finite number, got -Infinity"),
+        ("experiment.checkpoints", [100, float("inf")],
+         "experiment.checkpoints[1] must be a finite number, got Infinity"),
+    ], ids=["max_iters", "sigma", "gamma0", "game", "list_entry"])
+    def test_non_finite_number_one_line_error(self, tmp_path, capsys, path, value, message):
+        payload = mac_payload(noise={"kind": "gaussian", "sigma": 0.2})
+        node = payload
+        *parents, key = path.split(".")
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[key] = value
+        cfg = write_cfg(tmp_path, payload)  # json.dumps writes NaN and Infinity as such
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_non_bool_hermitian_one_line_error(self, tmp_path, capsys, value):
         payload = mac_payload(noise={"kind": "gaussian", "sigma": 0.2, "hermitian": value})
@@ -515,8 +537,12 @@ class TestSweep:
         ({"solver.seed": "1, 2"},
          "sweep grid values of 'solver.seed' must be a non-empty list, got \"1, 2\""),
         ({"experiment.checkpoints": [[10, 100], 5]}, "experiment.checkpoints must be a list, got 5"),
+        ({"solver.noise.sigma": [0.1, float("nan")]},
+         "solver.noise.sigma must be a finite number, got NaN"),
+        ({"solver.max_iters": [100, float("inf")]},
+         "solver.max_iters must be a finite number, got Infinity"),
     ], ids=["null", "string", "values_not_a_list", "second_values_not_a_list",
-            "values_a_string", "list_key_given_a_number"])
+            "values_a_string", "list_key_given_a_number", "nan", "infinity"])
     def test_non_number_grid_value_rejected_before_any_cell_runs(self, tmp_path, capsys,
                                                                  monkeypatch, grid, message):
         payload = mac_payload()
@@ -605,12 +631,27 @@ class TestSweep:
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_OK
         assert len(calls) == 2
 
+    def test_crashed_worker_one_line_error(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, self.exponent_sweep(max_iters=200))
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", "2")
+        monkeypatch.setattr(mxl.cli, "_run_sweep_cell", _die)  # workers fork with it patched
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not (out / "sweep.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep worker crashed") and err.count("\n") == 1
+
     def test_bad_grid_path_rejected(self, tmp_path):
         payload = mac_payload()
         payload["experiment"] = {"mode": "sweep", "seeds": 2,
                                  "grid": {"solver.nope.level": [0.1]}}
         cfg = write_cfg(tmp_path, payload)
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
+
+
+def _die(task):
+    """A sweep cell whose worker process dies without a word."""
+    os._exit(7)
 
 
 def test_load_config_strictness(tmp_path):

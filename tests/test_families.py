@@ -413,7 +413,10 @@ class TestEeGame:
     def test_only_the_subcarrier_blocks_enter(self, game, rng):
         # entries outside the blocks are neither checked nor used
         x = [0.9 * d.sample(rng) for d in game.domains]
-        noisy = [a + 0.5 * game.domains[0].off_block for a in x]
+        dom = game.domains[0]
+        off_block = np.ones((dom.dim, dom.dim))
+        dom.diagonal_blocks(off_block)[...] = 0.0
+        noisy = [a + 0.5 * off_block for a in x]
         assert np.linalg.eigvalsh(noisy[1])[0] < -0.1
         for i in range(2):
             assert game.utility(i, noisy) == game.utility(i, x)

@@ -572,7 +572,8 @@ def test_perturb_equals_per_block_loop_bit_for_bit(model, n_seeds):
         for i in players:
             dim = game.players[i].domain.dim
             v = np.stack([random_hermitian(dim, rng) for _ in range(n_seeds)])
-            assert np.array_equal(noise.perturb(i, v), ref_perturb(ref, i, v))
+            blocks = game.players[i].domain.diagonal_blocks(ref_perturb(ref, i, v))
+            assert np.array_equal(noise.perturb(i, v), blocks)
 
 
 def ref_inject_noise(v, model, rng, domain):
@@ -635,7 +636,7 @@ def test_y0_override():
     game = mac_game()
     y0 = scalar_profile([2.0, 2.0])
     state = initial_state(game, y0)
-    x = float(state.actions[0][0, 0, 0].real)
+    x = float(state.actions[0][0, 0, 0, 0].real)  # seed 0, block 0
     assert x == pytest.approx(math.exp(2) / (1 + math.exp(2)), rel=1e-12)
 
 
@@ -821,3 +822,51 @@ def test_grouped_epoch_diverges_as_per_player_loop(nan, failing, schedule_name, 
         expected = ("non-finite gradient for player 1 at iteration 1" if nan
                     else "gradient oracle failed")
         assert [t.diagnostic for t in traces] == [expected]
+
+
+EE_8X4X16 = EeGame(synth_channels(8, 4, 4, 16, pathloss_spread=1.0, seed=8), pmax=2.0, pc=1.0)
+
+
+@pytest.mark.parametrize("schedule", [None, AsyncSchedule((0.6, 0.9) * 4, delay_max=2)],
+                         ids=["sync", "bernoulli_delay2"])
+def test_block_epoch_equals_dense_loop_at_8x4x16(schedule):
+    # 16 blocks of 4x4 per player: every state array holds blocks, the reference whole matrices
+    game = EE_8X4X16
+    runs = [_advance_pair(game, NoiseModel.relative(0.5), schedule, 2, 12, engine)
+            for engine in (mxl.solver.advance, ref_advance)]
+    (steps, state, _), (ref_steps, ref_state, _) = runs
+    assert [(n, g) for n, g, _ in steps] == [(n, g) for n, g, _ in ref_steps]
+    for (_, _, xs), (_, _, ref_xs) in zip(steps, ref_steps):
+        assert all(x.shape == (2, 16, 4, 4) for x in xs)
+        assert all(np.array_equal(x, r) for x, r in zip(xs, ref_xs))
+    assert all(np.array_equal(y, r) for y, r in zip(state.scores, ref_state.scores))
+    # (the Generators may differ: a buffer refill falls at another point of an epoch's draws)
+    assert (state.counts, state.n) == (ref_state.counts, ref_state.n)
+
+
+class Leaky(ZeroGame):
+    """One player on two 2x2 blocks whose gradient has mass outside the blocks at every
+    profile whose first diagonal entry passes `level`."""
+
+    def __init__(self, level):
+        super().__init__([Spectrahedron(4, 1.0, blocks=2)])
+        self.level = level
+
+    def gradient_stack(self, i, actions):
+        v = np.repeat(np.diag([0.5, 0.1, -0.2, 0.3]).astype(complex)[None], len(actions[i]), 0)
+        past = actions[i][:, 0, 0].real > self.level
+        v[past, 0, 3] = v[past, 3, 0] = 0.25
+        return v
+
+
+@pytest.mark.parametrize("level", [0.0, 0.3])
+def test_off_block_gradient_diverges(level, monkeypatch):
+    cfg = SolverConfig(POWER, NoiseModel.gaussian_hermitian(0.3), max_iters=40,
+                       stop_residual=0.0, log_every=5)
+    traces = run_batch(Leaky(level), cfg, [1, 2])
+    monkeypatch.setattr(mxl.solver, "advance", ref_advance)
+    ref = run_batch(Leaky(level), cfg, [1, 2])
+    for trace, ref_trace in zip(traces, ref):
+        assert trace.status == "diverged" and (trace.iterations > 0) == (level > 0)
+        assert trace.diagnostic == "score must be block-diagonal for a block-structured domain"
+        assert_same_trace(trace, ref_trace)

@@ -259,9 +259,12 @@ class TestSpectrahedron:
         inside = np.zeros((6, 6), dtype=bool)
         for sl in (slice(0, 2), slice(2, 4), slice(4, 6)):
             inside[sl, sl] = True
-        assert np.array_equal(dom.off_block, ~inside)
+        for r, c in np.ndindex(6, 6):  # the entries outside the blocks carry off-block mass
+            x = np.zeros((6, 6), dtype=complex)
+            x[r, c] = 1.0
+            assert dom.off_block_mass(x) == (0.0 if inside[r, c] else 1.0)
         assert Spectrahedron(3, 1.0).blocks == 1
-        assert Spectrahedron(3, 1.0).off_block is None
+        assert Spectrahedron(3, 1.0).off_block_mass(np.ones((3, 3))) == 0.0
         twin = Spectrahedron(6, 1.0, blocks=np.int64(3))
         assert dom == twin and hash(dom) == hash(twin) and type(twin.blocks) is int
         assert repr(dom) == "Spectrahedron(dim=6, trace_bound=1.0, blocks=3)"
@@ -409,6 +412,24 @@ def test_block_paths_equal_per_block_loops_bit_for_bit(name):
                               ref_assemble(dom, lam, bases))
         assert np.array_equal(dom.sample_direction(np.random.default_rng(seed)),
                               ref_sample_direction(dom, np.random.default_rng(seed)))
+
+
+def ref_off_block_mass(domain, x):
+    """Largest norm of the entries outside the blocks, gathered through a boolean mask."""
+    owner = np.repeat(np.arange(domain.blocks), domain.dim // domain.blocks)
+    return float(np.max(np.linalg.norm(np.asarray(x)[..., owner[:, None] != owner], axis=-1)))
+
+
+@pytest.mark.parametrize("name", ["equal_2x2", "equal_4x16"])
+def test_off_block_mass_equals_gather_norm(name):
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(37)
+    members = block_scores(dom, rng, 6, 3.0)
+    assert dom.off_block_mass(members) == 0.0
+    assert all(dom.off_block_mass(x) == 0.0 for x in members)
+    dense = np.stack([random_hermitian(dom.dim, rng, scale) for scale in (1e-3, 1.0, 1e3)])
+    for x in (dense, dense[0], members[:3] + 1e-9 * dense, dense.real):
+        assert dom.off_block_mass(x) == pytest.approx(ref_off_block_mass(dom, x), rel=1e-13)
 
 
 def ref_contains(domain, x):
