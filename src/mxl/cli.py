@@ -2,8 +2,8 @@
 
 Subcommands: `mxl run|verify|sweep <config> --out <dir>`. Exit codes: 0 success,
 1 usage/config error, 2 non-convergence, 3 verification failure. A sweep cell
-runs its seeds as one `run_batch`, and the cells run in a process pool capped
-by the MXL_WORKERS environment variable.
+runs its seeds as one `run_batch`, and the cells run in a process pool of at
+most one worker per cell, capped by the MXL_WORKERS environment variable.
 """
 
 from __future__ import annotations
@@ -291,32 +291,43 @@ def _write_plot_data(trace, out_dir: Path) -> None:
             fh.write(f"{rec.n},{_fmt(rec.nash_residual)}\n")
 
 
-def cmd_run(config_path: str, out_dir: str, seed: int | None = None, quiet: bool = False) -> int:
+def _command(name: str, modes: tuple, config_path: str, out_dir: str, seed: int | None,
+             body) -> int:
+    """Load the config, check experiment.mode against `modes`, apply --seed and return
+    `body(resolved, out)`: the body does its work, then makes the output directory, then
+    writes. A config, solver, oracle, environment or file error ends in one `error:` line
+    and exit 1."""
+    wanted = f"== {modes[0]!r}" if len(modes) == 1 else "in {" + ", ".join(map(repr, modes)) + "}"
     try:
         resolved = load_config(config_path)
-        if resolved["experiment"]["mode"] != "run":
-            raise ConfigError("cmd_run requires experiment.mode == 'run'")
+        if resolved["experiment"]["mode"] not in modes:
+            raise ConfigError(f"{name} requires experiment.mode {wanted}")
         if seed is not None:
             resolved["solver"]["seed"] = int(seed)
-        trace = run_async(*_build_run(resolved))
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
+        return body(resolved, Path(out_dir))
+    except (ConfigurationError, ConvergenceError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
 
-    trace.config_echo = resolved
-    trace.to_csv(out / "trace.csv")
-    trace.write_summary(out / "summary.json")
-    _write_plot_data(trace, out)
-    if not quiet:
-        print(f"status={trace.status} iterations={trace.iterations} "
-              f"terminal_residual={trace.terminal_residual():.3e}")
-    if trace.status == "converged":
-        return EXIT_OK
-    if trace.status == "max_iters":
-        return EXIT_NO_CONVERGENCE
-    return EXIT_ERROR
+
+def cmd_run(config_path: str, out_dir: str, seed: int | None = None, quiet: bool = False) -> int:
+    def body(resolved: dict, out: Path) -> int:
+        trace = run_async(*_build_run(resolved))
+        out.mkdir(parents=True, exist_ok=True)
+        trace.config_echo = resolved
+        trace.to_csv(out / "trace.csv")
+        trace.write_summary(out / "summary.json")
+        _write_plot_data(trace, out)
+        if not quiet:
+            print(f"status={trace.status} iterations={trace.iterations} "
+                  f"terminal_residual={trace.terminal_residual():.3e}")
+        if trace.status == "converged":
+            return EXIT_OK
+        if trace.status == "max_iters":
+            return EXIT_NO_CONVERGENCE
+        return EXIT_ERROR
+
+    return _command("cmd_run", ("run",), config_path, out_dir, seed, body)
 
 
 def _verify_stability(game, resolved: dict) -> tuple[dict, bool]:
@@ -373,32 +384,25 @@ def _verify_rate(game, resolved: dict) -> tuple[dict, bool]:
 
 def cmd_verify(config_path: str, out_dir: str, seed: int | None = None,
                quiet: bool = False) -> int:
-    try:
-        resolved = load_config(config_path)
-        mode = resolved["experiment"]["mode"]
-        if mode not in ("stability", "rate"):
-            raise ConfigError("cmd_verify requires experiment.mode in {'stability', 'rate'}")
+    def body(resolved: dict, out: Path) -> int:
         if "async" in resolved:
             raise ConfigError("mxl verify runs synchronous play only; remove the async section")
-        if seed is not None:
-            resolved["solver"]["seed"] = int(seed)
+        mode = resolved["experiment"]["mode"]
         game = build_game(resolved["game"])
         verify = _verify_stability if mode == "stability" else _verify_rate
         report, ok = verify(game, resolved)
-        out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    report["mode"] = mode
-    report["passed"] = ok
-    report["config"] = resolved
-    with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if not quiet:
-        print(f"verify mode={mode} passed={ok}")
-    return EXIT_OK if ok else EXIT_VERIFY_FAILED
+        report["mode"] = mode
+        report["passed"] = ok
+        report["config"] = resolved
+        with open(out / "report.json", "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        if not quiet:
+            print(f"verify mode={mode} passed={ok}")
+        return EXIT_OK if ok else EXIT_VERIFY_FAILED
+
+    return _command("cmd_verify", ("stability", "rate"), config_path, out_dir, seed, body)
 
 
 def _set_path(cfg: dict, dotted: str, value) -> None:
@@ -439,11 +443,8 @@ def _run_sweep_cell(args):
 
 def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
               quiet: bool = False) -> int:
-    try:
-        resolved = load_config(config_path)
+    def body(resolved: dict, out: Path) -> int:
         exp = resolved["experiment"]
-        if exp["mode"] != "sweep":
-            raise ConfigError("cmd_sweep requires experiment.mode == 'sweep'")
         grid = exp["grid"]
         if not grid or not isinstance(grid, dict):
             raise ConfigError("sweep needs a non-empty experiment.grid")
@@ -451,48 +452,46 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"sweep grid values of {path!r} must be a non-empty list, "
                                   f"got {json.dumps(values)}")
-        if seed is not None:
-            resolved["solver"]["seed"] = int(seed)
         base_seed = int(resolved["solver"]["seed"])
         n_seeds = int(exp["seeds"])
         if n_seeds < 1:
             raise ConfigError(f"experiment.seeds must be at least 1, got {json.dumps(exp['seeds'])}")
         threshold = float(exp["threshold"])
+        asked = os.environ.get("MXL_WORKERS", "0")  # 0 is min(4, CPU count)
+        if not asked.isdecimal():
+            raise ConfigError(f"MXL_WORKERS must be an integer >= 0, got {asked!r}")
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))
         # fail fast: build every cell's run, oracle included, before any cell runs
         tasks = [(*_build_run(_sweep_cell(resolved, overrides, threshold)),
                   range(base_seed + 1000 * cell_idx, base_seed + 1000 * cell_idx + n_seeds))
                  for cell_idx, overrides in enumerate(cells)]
-        out = Path(out_dir)
+        workers = min(int(asked) or min(4, os.cpu_count() or 1), len(tasks))
+        if workers > 1:
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(_run_sweep_cell, tasks))
+            except BrokenProcessPool as err:
+                print(f"error: sweep worker crashed ({err})", file=sys.stderr)
+                return EXIT_ERROR
+        else:
+            results = [_run_sweep_cell(t) for t in tasks]
+        rows = [(overrides, r["fraction"], r["median"]) for overrides, r in zip(cells, results)]
+
         out.mkdir(parents=True, exist_ok=True)
-    except (ConfigError, ConfigurationError, ConvergenceError, ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
+        with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(paths) + ",seeds,converged_fraction,median_iterations\n")
+            for overrides, frac, med in rows:
+                cell_values = ",".join(_fmt(float(v)) if isinstance(v, (int, float)) else str(v)
+                                       for _, v in overrides)
+                fh.write(f"{cell_values},{n_seeds},{_fmt(frac)},{_fmt(med)}\n")
+        if not quiet:
+            for overrides, frac, med in rows:
+                label = " ".join(f"{p}={v}" for p, v in overrides)
+                print(f"{label}: converged {frac:.0%}, median iters {med:g}")
+        return EXIT_OK
 
-    workers = int(os.environ.get("MXL_WORKERS", "0")) or min(4, os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_run_sweep_cell, tasks))
-        except BrokenProcessPool as err:
-            print(f"error: sweep worker crashed ({err})", file=sys.stderr)
-            return EXIT_ERROR
-    else:
-        results = [_run_sweep_cell(t) for t in tasks]
-    rows = [(overrides, r["fraction"], r["median"]) for overrides, r in zip(cells, results)]
-
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(paths) + ",seeds,converged_fraction,median_iterations\n")
-        for overrides, frac, med in rows:
-            cell_values = ",".join(_fmt(float(v)) if isinstance(v, (int, float)) else str(v)
-                                   for _, v in overrides)
-            fh.write(f"{cell_values},{n_seeds},{_fmt(frac)},{_fmt(med)}\n")
-    if not quiet:
-        for overrides, frac, med in rows:
-            label = " ".join(f"{p}={v}" for p, v in overrides)
-            print(f"{label}: converged {frac:.0%}, median iters {med:g}")
-    return EXIT_OK
+    return _command("cmd_sweep", ("sweep",), config_path, out_dir, seed, body)
 
 
 def main(argv=None) -> int:

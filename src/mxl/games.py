@@ -101,13 +101,9 @@ class GameModel(ABC):
         for spec, x in zip(self.players, actions):
             spec.domain.require_member(x, name=f"action of player {spec.pid}")
 
-    def sample_profile(self, rng: np.random.Generator, count: int | None = None):
-        """A random profile, or per-player (count, d, d) stacks of `count` profiles drawn one
-        after another, as `count` calls would draw them."""
-        if count is None:
-            return tuple(p.domain.sample(rng) for p in self.players)
-        drawn = [[p.domain._draw(rng) for p in self.players] for _ in range(count)]
-        return [p.domain._members(d) for p, d in zip(self.players, zip(*drawn))]
+    def sample_profile(self, rng: np.random.Generator):
+        """A random profile."""
+        return tuple(p.domain.sample(rng) for p in self.players)
 
     def center_profile(self):
         return tuple(p.domain.center() for p in self.players)
@@ -134,7 +130,6 @@ class StabilityReport(Report):
     rng_seed: int
     violations: int = 0
     worst_value: float = float("-inf")
-    hessian_max_quadform: float | None = None
     radius: float | None = None
 
     def passed(self) -> bool:
@@ -170,14 +165,16 @@ def nash_residual(game: GameModel, actions, checked: bool = True):
 
 
 def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, draws: int = 1):
-    """Yield `samples` samples of `draws` profiles, drawn by `sample_profile` in the order of a
-    per-sample loop, as `draws` lists of per-player (B, d, d) stacks per batch of B samples;
+    """Yield `samples` samples of `draws` profiles, drawn in the order of a per-sample loop of
+    `sample_profile`, as `draws` lists of per-player (B, d, d) stacks per batch of B samples;
     a batch holds at most CHUNK_FLOATS floats of profiles, and at least one sample."""
     floats = draws * sum(2 * p.domain.dim ** 2 for p in game.players)
     size = max(1, CHUNK_FLOATS // floats)
     for start in range(0, samples, size):
-        drawn = game.sample_profile(rng, min(size, samples - start) * draws)
-        yield [[np.ascontiguousarray(x[k::draws]) for x in drawn] for k in range(draws)]
+        drawn = [[p.domain._draw(rng) for p in game.players]
+                 for _ in range(min(size, samples - start) * draws)]
+        stacks = [p.domain._members(d) for p, d in zip(game.players, zip(*drawn))]
+        yield [[np.ascontiguousarray(x[k::draws]) for x in stacks] for k in range(draws)]
 
 
 def check_monotonicity(game: GameModel, samples: int, seed: int = 0) -> StabilityReport:
@@ -256,7 +253,6 @@ def check_hessian_definiteness(
     """
     rng = np.random.default_rng(seed)
     report = StabilityReport(check="hessian", samples=samples, rng_seed=seed)
-    worst = float("-inf")
     for _ in range(samples):
         raw = game.sample_profile(rng)
         x = tuple(
@@ -264,11 +260,9 @@ def check_hessian_definiteness(
         )
         z = tuple(p.domain.sample_direction(rng) for p in game.players)
         q = hessian_quadratic_form(game, x, z, eps=eps)
-        worst = max(worst, q)
+        report.worst_value = max(report.worst_value, q)
         if q > VIOLATION_TOL:
             report.violations += 1
-    report.worst_value = worst
-    report.hessian_max_quadform = worst
     return report
 
 

@@ -191,26 +191,15 @@ class Spectrahedron:
             raise DomainError(f"{name} is not a member of Spectrahedron(dim={self.dim}, A={self.trace_bound})")
         return np.asarray(x)
 
-    def _eigh_blocks(self, y: np.ndarray):
-        """Block-order eigenvalues (..., dim) of a block-diagonal stack, from one batched eigh,
-        and its blocks' (..., blocks, m, m) eigenbases."""
-        return _block_eigh(self.diagonal_blocks(y))
-
-    def _assemble(self, lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Hermitian block-diagonal stack whose block k is U_k diag(lam_k) U_k^dag, lam_k
-        being block k's stretch of the block-order eigenvalues lam (..., dim)."""
-        return self.block_diagonal(_block_assemble(lam, u))
-
     def project(self, x: np.ndarray) -> np.ndarray:
         """Frobenius projection onto the set (blockwise eigenvalue projection)."""
-        lam, bases = self._eigh_blocks(hermitize(np.asarray(x, dtype=complex)))
-        return self._assemble(_project_capped_simplex(lam, self.trace_bound), bases)
+        lam, bases = _block_eigh(self.diagonal_blocks(hermitize(np.asarray(x, dtype=complex))))
+        return self.block_diagonal(
+            _block_assemble(_project_capped_simplex(lam, self.trace_bound), bases))
 
-    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
-        """Random member, or a (count, dim, dim) stack drawn in turn: Dirichlet eigenvalues
-        over the capped simplex, Haar basis per block (one batched QR)."""
-        out = self._members([self._draw(rng) for _ in range(1 if count is None else count)])
-        return out[0] if count is None else out
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
+        """Random member: Dirichlet eigenvalues over the capped simplex, Haar basis per block."""
+        return self._members([self._draw(rng)])[0]
 
     def _draw(self, rng: np.random.Generator):
         """One sample's draws: its Dirichlet eigenvalues, then its blocks' normals."""
@@ -219,11 +208,11 @@ class Spectrahedron:
                 rng.standard_normal((self.blocks, 2, m, m)))
 
     def _members(self, draws) -> np.ndarray:
-        """Members from `_draw`'s draws; Haar bases by phase-corrected QR of Ginibre blocks."""
+        """A stack of members from a list of `_draw`'s draws; Haar bases by phase-corrected QR."""
         lam, normals = (np.array(a) for a in zip(*draws))
         q, r = np.linalg.qr((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / np.sqrt(2.0))
         d = np.diagonal(r, axis1=-2, axis2=-1)
-        return self._assemble(lam, q * (d / np.abs(d))[..., None, :])
+        return self.block_diagonal(_block_assemble(lam, q * (d / np.abs(d))[..., None, :]))
 
     def sample_direction(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius Gaussian Hermitian direction respecting the block structure."""
@@ -304,22 +293,12 @@ def mirror_map(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
         raise DomainError(f"score shape {y.shape} does not match domain dim {domain.dim}")
     if domain.off_block_mass(y) > OFF_BLOCK_TOL:
         raise DomainError("score must be block-diagonal for a block-structured domain")
-    return exp_projection(y, domain)
-
-
-def exp_projection(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
-    """Unchecked core of :func:`mirror_map` for a stack (..., d, d) of scores.
-
-    Scores must already be Hermitian, block-diagonal and of the domain's size.
-    Their diagonal blocks go through :func:`exp_projection_blocks`, and the image
-    is assembled once.
-    """
     return domain.block_diagonal(exp_projection_blocks(domain.diagonal_blocks(y), domain))
 
 
 def exp_projection_blocks(y: np.ndarray, domain: Spectrahedron) -> np.ndarray:
-    """:func:`exp_projection` from the Hermitian (..., blocks, m, m) diagonal blocks of
-    scores to those of their images.
+    """Unchecked core of :func:`mirror_map`, from the Hermitian (..., blocks, m, m) diagonal
+    blocks of scores to those of their images.
 
     A 1x1 score is its own eigenvalue, mapped elementwise without an
     eigendecomposition; larger scores use one batched eigendecomposition of all

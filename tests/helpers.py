@@ -10,7 +10,6 @@ from mxl.spectral import (
     DomainError,
     _entropy_of,
     block_noise,
-    exp_projection,
     hermitize,
 )
 
@@ -95,6 +94,42 @@ def ref_profile_kl(game, reference, actions) -> float:
         a = spec.domain.trace_bound
         total += ref_quantum_kl(np.asarray(ref) / a, np.asarray(x) / a)
     return total
+
+
+# The per-block loops that the block layout replaced with one batched eigh and one batched
+# matmul, and the dense exponential projection built on them; the batched paths must give
+# their values bit for bit.
+
+def ref_eigh_blocks(domain, y):
+    pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in block_slices(domain)]
+    return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
+
+
+def ref_assemble(domain, lam, bases):
+    out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
+    for sl, u in zip(block_slices(domain), bases):
+        out[..., sl, sl] = (u * lam[..., None, sl]) @ u.conj().swapaxes(-1, -2)
+    return hermitize(out)
+
+
+def ref_exp_projection(y, domain):
+    """The exponential projection A exp(Y) / (1 + tr exp Y) of one score or a (..., d, d)
+    stack of block-diagonal Hermitian scores, block by block."""
+    if domain.dim == 1:
+        lam = y[..., 0, 0].real
+        m = np.maximum(lam, 0.0)
+        val = np.exp(lam - (m + np.log(np.exp(-m) + np.exp(lam - m))))
+        out = np.zeros(y.shape, dtype=complex)
+        out[..., 0, 0] = domain.trace_bound * val
+        return out
+    lam, bases = ref_eigh_blocks(domain, y)
+    all_w = np.sort(lam)
+    if y.ndim == 2:
+        lse = ref_log_conjugate_from_eigs(all_w)
+    else:
+        m = np.maximum(all_w[..., -1:], 0.0)
+        lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
+    return ref_assemble(domain, np.exp(lam - lse), bases) * domain.trace_bound
 
 
 # Functions only the tests use, kept out of the package.
@@ -314,7 +349,7 @@ def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, s
             if domains[i].off_block_mass(y) > OFF_BLOCK_TOL:
                 raise DomainError("score must be block-diagonal for a block-structured domain")
             scores.append(y)
-        actions = [exp_projection(y, domains[i]) for i, y in zip(update_set, scores)]
+        actions = [ref_exp_projection(y, domains[i]) for i, y in zip(update_set, scores)]
         for i, y, x in zip(update_set, scores, actions):
             dense[0][i], dense[1][i] = y, x
             state.scores[i] = np.ascontiguousarray(domains[i].diagonal_blocks(y))

@@ -287,6 +287,17 @@ class TestRun:
         assert echoed["solver"]["schedule"]["kind"] == "power_law"
         assert echoed["experiment"]["mode"] == "run"
 
+    def test_unwritable_output_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "trace.csv").mkdir(parents=True)
+        assert cmd_run(MAC_CFG, str(out), quiet=True) == EXIT_ERROR
+        assert_one_error_line(capsys, "trace.csv")
+
+
+def assert_one_error_line(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err
+
 
 class TestVerify:
     def test_stability_mode_on_mac(self, tmp_path):
@@ -302,7 +313,7 @@ class TestVerify:
         assert report["passed"] is True
         assert report["monotonicity"]["violations"] == 0
         assert report["variational_stability"]["violations"] == 0
-        assert report["hessian"]["hessian_max_quadform"] < 0
+        assert report["hessian"]["worst_value"] < 0
 
     def test_rate_mode_interior_instance(self, tmp_path):
         payload = {
@@ -346,6 +357,15 @@ class TestVerify:
     def test_wrong_mode_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, mac_payload())
         assert cmd_verify(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
+
+    def test_unwritable_output_one_line_error(self, tmp_path, capsys):
+        payload = {"game": {"kind": "mac", "players": 2, "b": 1.0, "c": 2.0},
+                   "experiment": {"mode": "stability", "samples": 20}}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        assert cmd_verify(cfg, str(out), quiet=True) == EXIT_ERROR
+        assert_one_error_line(capsys, "report.json")
 
     @staticmethod
     def rate_payload(checkpoints, reference=None):
@@ -640,6 +660,61 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("error: sweep worker crashed") and err.count("\n") == 1
+
+    def test_unwritable_output_one_line_error(self, tmp_path, capsys, monkeypatch):
+        cfg = write_cfg(tmp_path, self.exponent_sweep(max_iters=200))
+        out = tmp_path / "out"
+        (out / "sweep.csv").mkdir(parents=True)
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        assert cmd_sweep(cfg, str(out), quiet=True) == EXIT_ERROR
+        assert_one_error_line(capsys, "sweep.csv")
+
+    @pytest.mark.parametrize("workers", ["", "two", "-1", "1.5"])
+    def test_bad_worker_count_rejected_before_any_cell_runs(self, tmp_path, capsys, monkeypatch,
+                                                            workers):
+        cfg = write_cfg(tmp_path, self.exponent_sweep(max_iters=200))
+        out = tmp_path / "out"
+        monkeypatch.setenv("MXL_WORKERS", workers)
+        monkeypatch.setattr(mxl.cli, "run_batch", lambda *args: pytest.fail("a cell ran"))
+        assert main(["sweep", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: MXL_WORKERS must be an integer >= 0, got {workers!r}\n")
+
+    @pytest.mark.parametrize("workers, exponents, pool", [
+        ("8", [0.5, 1.0], [2]),
+        ("0", [0.5, 0.6, 0.7, 0.8, 1.0], [4]),
+        ("0", [0.5, 0.75, 1.0], [3]),
+        ("1", [0.5, 1.0], []),
+    ], ids=["many_workers_two_cells", "default_five_cells", "default_three_cells", "serial"])
+    def test_pool_capped_at_cell_count(self, tmp_path, monkeypatch, workers, exponents, pool):
+        sizes = []
+
+        class InlinePool:
+            """Records its worker count and maps in this process: no worker starts."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        payload = self.exponent_sweep(max_iters=200)
+        payload["experiment"]["grid"]["solver.schedule.exponent"] = exponents
+        cfg = write_cfg(tmp_path, payload)
+        monkeypatch.setattr(mxl.cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(mxl.cli.os, "cpu_count", lambda: 16)
+        monkeypatch.setenv("MXL_WORKERS", workers)
+        assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_OK
+        assert sizes == pool
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert len(lines) == len(exponents) + 1
 
     def test_bad_grid_path_rejected(self, tmp_path):
         payload = mac_payload()

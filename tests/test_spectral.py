@@ -8,6 +8,9 @@ from helpers import (
     haar_unitary,
     herm_expm,
     random_hermitian,
+    ref_assemble,
+    ref_eigh_blocks,
+    ref_exp_projection,
     ref_sample,
     ref_entropy_of,
     ref_log_conjugate_from_eigs,
@@ -15,19 +18,22 @@ from helpers import (
     ref_trace_inner,
     von_neumann_entropy,
 )
+from mxl.games import ZeroGame, sample_batches
 from mxl.spectral import (
     HERMITIAN_TOL,
     OFF_BLOCK_TOL,
     PSD_TOL,
     DomainError,
     Spectrahedron,
+    _block_assemble,
+    _block_eigh,
     _entropy_of,
     _log_conjugate_from_eigs,
     _project_capped_simplex,
     dual_norm,
-    exp_projection,
     entropy_conjugate,
     entropy_gradient,
+    exp_projection_blocks,
     fenchel_coupling,
     hermiticity_defect,
     hermitize,
@@ -326,39 +332,6 @@ def test_score_shift_trace_saturation():
     assert traces[-1] > 1.0 - 1e-12
 
 
-# The per-block loops that the block layout replaced with one batched eigh and one
-# batched matmul; the batched path must give their values bit for bit.
-
-def ref_eigh_blocks(domain, y):
-    pairs = [np.linalg.eigh(y[..., sl, sl]) for sl in block_slices(domain)]
-    return np.concatenate([w for w, _ in pairs], axis=-1), [u for _, u in pairs]
-
-
-def ref_assemble(domain, lam, bases):
-    out = np.zeros(lam.shape + lam.shape[-1:], dtype=complex)
-    for sl, u in zip(block_slices(domain), bases):
-        out[..., sl, sl] = (u * lam[..., None, sl]) @ u.conj().swapaxes(-1, -2)
-    return hermitize(out)
-
-
-def ref_exp_projection(y, domain):
-    if domain.dim == 1:
-        lam = y[..., 0, 0].real
-        m = np.maximum(lam, 0.0)
-        val = np.exp(lam - (m + np.log(np.exp(-m) + np.exp(lam - m))))
-        out = np.zeros(y.shape, dtype=complex)
-        out[..., 0, 0] = domain.trace_bound * val
-        return out
-    lam, bases = ref_eigh_blocks(domain, y)
-    all_w = np.sort(lam)
-    if y.ndim == 2:
-        lse = ref_log_conjugate_from_eigs(all_w)
-    else:
-        m = np.maximum(all_w[..., -1:], 0.0)
-        lse = m + np.log(np.exp(-m) + np.sum(np.exp(all_w - m), axis=-1, keepdims=True))
-    return ref_assemble(domain, np.exp(lam - lse), bases) * domain.trace_bound
-
-
 def ref_sample_direction(domain, rng):
     out = np.zeros((domain.dim, domain.dim), dtype=complex)
     for sl in block_slices(domain):
@@ -394,12 +367,14 @@ def test_block_paths_equal_per_block_loops_bit_for_bit(name):
     rng = np.random.default_rng(31)
     for scale in (0.5, 20.0, 1e4):
         y = block_scores(dom, rng, 5, scale)
-        assert np.array_equal(exp_projection(y, dom), ref_exp_projection(y, dom))
+        image = dom.block_diagonal(exp_projection_blocks(dom.diagonal_blocks(y), dom))
+        assert np.array_equal(image, ref_exp_projection(y, dom))
         assert np.array_equal(mirror_map(y[2], dom), ref_exp_projection(y[2], dom))
-        lam, bases = dom._eigh_blocks(y)
+        lam, bases = _block_eigh(dom.diagonal_blocks(y))
         ref_lam, ref_bases = ref_eigh_blocks(dom, y)
         assert np.array_equal(lam, ref_lam)
-        assert np.array_equal(dom._assemble(lam, bases), ref_assemble(dom, ref_lam, ref_bases))
+        assert np.array_equal(dom.block_diagonal(_block_assemble(lam, bases)),
+                              ref_assemble(dom, ref_lam, ref_bases))
         raw = random_hermitian(dom.dim, rng, scale=scale)
         ref_lam, ref_bases = ref_eigh_blocks(dom, hermitize(raw))
         ref = ref_assemble(dom, _project_capped_simplex(ref_lam, dom.trace_bound), ref_bases)
@@ -639,13 +614,19 @@ def test_stacked_checks_read_the_whole_stack(rng):
     Spectrahedron(64, 1.5, blocks=16),
 ], ids=["dim1", "dim3", "dim4_2blocks", "dim64_16blocks"])
 def test_sample_count_equals_single_calls_bit_for_bit(dom):
+    # sample_batches assembles each batch at once; its samples, in order, and the Generator
+    # state after them equal a loop of per-sample references (dim 64 splits into batches)
+    game = ZeroGame([dom])
     for count in (1, 2, 7):
-        rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
-        stack = dom.sample(rng, count)
-        assert stack.shape == (count, dom.dim, dom.dim)
-        assert np.array_equal(stack, np.stack([ref_sample(dom, ref_rng) for _ in range(count)]))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-    single, one = dom.sample(np.random.default_rng(5)), dom.sample(np.random.default_rng(5), 1)
+        for draws in (1, 2):
+            rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+            batches = list(sample_batches(game, rng, count, draws=draws))
+            stacks = [np.concatenate([b[k][0] for b in batches]) for k in range(draws)]
+            ref = [[ref_sample(dom, ref_rng) for _ in range(draws)] for _ in range(count)]
+            for k, stack in enumerate(stacks):
+                assert stack.shape == (count, dom.dim, dom.dim)
+                assert np.array_equal(stack, np.stack([pair[k] for pair in ref]))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+    single = dom.sample(np.random.default_rng(5))
     assert single.shape == (dom.dim, dom.dim)
-    assert np.array_equal(one[0], single)
     assert np.array_equal(single, ref_sample(dom, np.random.default_rng(5)))
