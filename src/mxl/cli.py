@@ -127,33 +127,43 @@ def _defaults(kind: str) -> dict:
 
 def _check_value(key: str, value, default) -> None:
     """A key whose default is a bool takes true or false, one whose default is a number
-    takes an int or a float, one whose default is a list takes a list; null defaults are
-    free-form. No number, nor any number in a list, may be NaN or infinite (JSON as Python
-    reads it accepts NaN and Infinity)."""
+    takes an int or a float (an integral one where the default is an int), one whose
+    default is a list takes a list of such numbers; a key whose default is null is checked
+    where it is read. No number, nor any number in a list, may be NaN or infinite (JSON as
+    Python reads it accepts NaN and Infinity)."""
     for k, item in enumerate(value if isinstance(value, list) else [value]):
+        where = f"{key}[{k}]" if isinstance(value, list) else key
         if isinstance(item, float) and not math.isfinite(item):
-            where = f"{key}[{k}]" if isinstance(value, list) else key
             raise ConfigError(f"{where} must be a finite number, got {json.dumps(item)}")
+        if isinstance(default, list) and isinstance(value, list):
+            _check_value(where, item, default[0])
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{key} must be true or false, got {json.dumps(value)}")
-    elif (isinstance(default, (int, float))
-            and (isinstance(value, bool) or not isinstance(value, (int, float)))):
-        raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+    elif isinstance(default, (int, float)):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number, got {json.dumps(value)}")
+        if isinstance(default, int) and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
     if isinstance(default, list) and not isinstance(value, list):
         raise ConfigError(f"{key} must be a list, got {json.dumps(value)}")
 
 
-def _merge_strict(section: str, raw: dict, defaults: dict) -> dict:
+def _merge_strict(section: str, raw, defaults: dict) -> dict:
+    """The section's defaults updated by `raw`, each value checked and each subsection
+    (a default that is itself an object) merged the same way."""
     if not isinstance(raw, dict):
         raise ConfigError(f"section {section!r} must be an object")
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {section!r}: {sorted(unknown)}")
-    for key, value in raw.items():
-        _check_value(f"{section}.{key}", value, defaults[key])
     out = copy.deepcopy(defaults)
-    out.update(raw)
+    for key, value in raw.items():
+        if isinstance(defaults[key], dict):
+            out[key] = _merge_strict(f"{section}.{key}", value, defaults[key])
+        else:
+            _check_value(f"{section}.{key}", value, defaults[key])
+            out[key] = value
     return out
 
 
@@ -179,27 +189,17 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(game_raw, dict) or "kind" not in game_raw:
         raise ConfigError(f"{path}: game section needs a 'kind'")
     kind = game_raw["kind"]
-    if kind not in _GAME_DEFAULTS:
+    if not isinstance(kind, str) or kind not in _GAME_DEFAULTS:
         raise ConfigError(f"{path}: unknown game kind {kind!r} (choose from {sorted(_GAME_DEFAULTS)})")
     defaults = _defaults(kind)
     game = _merge_strict("game", {k: v for k, v in game_raw.items() if k != "kind"},
                          defaults["game"])
     game["kind"] = kind
 
-    solver_raw = dict(raw.get("solver", {}))
-    sched_raw = solver_raw.pop("schedule", {})
-    noise_raw = solver_raw.pop("noise", {})
-    solver_defaults = defaults["solver"]
-    solver = _merge_strict("solver", solver_raw,
-                           {k: v for k, v in solver_defaults.items() if k not in ("schedule", "noise")})
-    solver["schedule"] = _merge_strict("solver.schedule", sched_raw, solver_defaults["schedule"])
-    solver["noise"] = _merge_strict("solver.noise", noise_raw, solver_defaults["noise"])
-
-    resolved = {"game": game, "solver": solver}
-    if "async" in raw:
-        resolved["async"] = _merge_strict("async", raw["async"], defaults["async"])
-    resolved["experiment"] = _merge_strict("experiment", raw.get("experiment", {}),
-                                           defaults["experiment"])
+    resolved = {"game": game}
+    for section in ("solver", "async", "experiment"):
+        if section in raw or section != "async":  # without an async section, synchronous play
+            resolved[section] = _merge_strict(section, raw.get(section, {}), defaults[section])
     return resolved
 
 
@@ -214,6 +214,8 @@ def build_game(game_cfg: dict):
             a=game_cfg["a"],
         )
     if kind == "ee":
+        if not isinstance(game_cfg["fixture"], (str, type(None))):
+            raise ConfigError("game.fixture must be null or a path")
         if game_cfg["fixture"]:
             channels = ChannelSet.from_json(Path(game_cfg["fixture"]).read_text(encoding="utf-8"))
         else:
@@ -226,6 +228,9 @@ def build_game(game_cfg: dict):
                 seed=int(game_cfg["channel_seed"]),
             )
         return EeGame(channels, pmax=game_cfg["pmax"], pc=game_cfg["pc"])
+    cap = game_cfg["trace_cap"]
+    if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, float))):
+        raise ConfigError("game.trace_cap must be null or a number")
     points, labels = make_cluster_dataset(
         int(game_cfg["features"]),
         int(game_cfg["points"]),
@@ -237,7 +242,7 @@ def build_game(game_cfg: dict):
         points,
         labels,
         margin=game_cfg["margin"],
-        trace_cap=game_cfg["trace_cap"],
+        trace_cap=cap,
         batch_size=int(game_cfg["batch"]),
     )
 
@@ -272,7 +277,8 @@ def _build_run(resolved: dict):
     probs = cfg["probabilities"]
     if probs is None:
         probs = [1.0] * game.n_players
-    if not isinstance(probs, list) or not all(isinstance(p, (int, float)) for p in probs):
+    if not isinstance(probs, list) or not all(
+            isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs):
         raise ConfigError("async.probabilities must be a list of numbers, one per player")
     schedule = AsyncSchedule(tuple(float(p) for p in probs), delay_max=int(cfg["delay_max"]),
                              mode=cfg["mode"])
@@ -353,7 +359,7 @@ def _verify_stability(game, resolved: dict) -> tuple[dict, bool]:
 def _verify_rate(game, resolved: dict) -> tuple[dict, bool]:
     exp = resolved["experiment"]
     seeds = int(exp["seeds"])
-    checkpoints = check_rate_protocol(seeds, exp["checkpoints"])  # before any work
+    checkpoints = check_rate_protocol(seeds, exp["checkpoints"], exp["metric"])  # before any work
     config = build_solver_config(resolved, game)
     xstar = config.reference_point or brute_force_ne(game, tol=1e-6)
     seed = int(resolved["solver"]["seed"])
@@ -417,6 +423,8 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     default = _defaults(cfg["game"]["kind"])
     for k in keys:
         default = default.get(k) if isinstance(default, dict) else None
+    if isinstance(default, dict):
+        raise ConfigError(f"{dotted} is a section, not a value")
     _check_value(dotted, value, default)
     node[keys[-1]] = value
 

@@ -92,6 +92,8 @@ def smooth_hinge_slope(t: np.ndarray, delta: float = 0.1) -> np.ndarray:
 def make_cluster_dataset(n_features: int, n_points: int, n_classes: int = 2,
                          spread: float = 0.6, seed: int = 0):
     """Gaussian class clusters around fixed-norm centers; returns (points, labels)."""
+    if n_classes < 1:
+        raise ValueError("n_classes must be >= 1")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((n_classes, n_features))
     centers *= 1.5 / np.maximum(np.linalg.norm(centers, axis=1, keepdims=True), 1e-12)

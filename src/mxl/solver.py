@@ -2,14 +2,14 @@
 
 Each epoch adds a (possibly noisy, possibly obsolete) payoff gradient to a
 per-player score matrix and maps scores back to the feasible set through the
-stable exponential projection. Scores and actions live as the diagonal blocks
-of the player's domain (one block when it is unblocked): the noise, the score
-update, its checks and the projection all keep the blocks, so only a gradient
-can put mass outside them, and whole matrices are assembled only where
-something reads them (the profile a gradient is taken at, log points, rate
-checkpoints, final actions). One engine, `advance`, does this for a stack of
-trajectories that share one update schedule, one step per group of players
-with equal domains, on their (G, S, blocks, m, m) block stack. One driver,
+stable exponential projection. Scores live as the diagonal blocks of the
+player's domain (one block when it is unblocked): the noise, the score update,
+its checks and the projection all keep the blocks, so only a gradient can put
+mass outside them. Actions live as whole matrices, the form every reader takes
+(the gradient oracle, log points, rate checkpoints, final actions). One engine,
+`advance`, does this for a stack of trajectories that share one update
+schedule, one step per group of players with equal domains, on their
+(G, S, blocks, m, m) block stack. One driver,
 `run_batch`, runs a list of seeds on it: as one stack under synchronous play
 (`run`, where every player updates every epoch without delay), else seed by
 seed, on random update sets and delays; `run_async` is `run_batch` of one. The
@@ -244,9 +244,10 @@ class SolverConfig:
 class SolverState:
     """A stack of trajectories sharing one update schedule.
 
-    Per player, `scores` and `actions` are (S, blocks, m, m) stacks of the diagonal
-    blocks of the player's domain (an unblocked domain is one block), the only form
-    they are kept in; `dense_profile` assembles the (S, d, d) matrices. `counts`
+    Per player, `scores` is the (S, blocks, m, m) stack of the diagonal blocks of the
+    player's domain (an unblocked domain is one block), the form the score update and
+    the exponential projection work on, and `actions` is the (S, d, d) stack of whole
+    matrices that the gradient oracle, the log points and the final trace read. `counts`
     holds each player's update count and `n` the index of the next epoch (1-based).
     """
 
@@ -315,8 +316,8 @@ def _fmt(x: float) -> str:
 
 
 def initial_state(game: GameModel, y0=None, seeds: int = 1) -> SolverState:
-    """Scores y0 (zero by default) and their projections, as block stacks for `seeds`
-    trajectories."""
+    """Scores y0 (zero by default) as block stacks and their projections as (S, d, d)
+    stacks, for S = `seeds` trajectories."""
     domains = game.domains
     if y0 is None:
         scores = [np.zeros((d.dim, d.dim), dtype=complex) for d in domains]
@@ -324,20 +325,11 @@ def initial_state(game: GameModel, y0=None, seeds: int = 1) -> SolverState:
         if len(y0) != game.n_players:
             raise ConfigurationError("y0 must provide one score matrix per player")
         scores = [hermitize(np.asarray(y, dtype=complex)) for y in y0]
-    actions = [mirror_map(y, d) for y, d in zip(scores, domains)]
-
-    def stacked(x, domain):
-        return np.repeat(domain.diagonal_blocks(x)[None], seeds, axis=0)
-
-    return SolverState([stacked(y, d) for y, d in zip(scores, domains)],
-                       [stacked(x, d) for x, d in zip(actions, domains)],
+    return SolverState([np.repeat(d.diagonal_blocks(y)[None], seeds, axis=0)
+                        for y, d in zip(scores, domains)],
+                       [np.repeat(mirror_map(y, d)[None], seeds, axis=0)
+                        for y, d in zip(scores, domains)],
                        [0] * game.n_players)
-
-
-def dense_profile(game: GameModel, stacks) -> list:
-    """Per-player (..., d, d) stacks assembled from (..., blocks, m, m) block stacks, such as
-    a SolverState's actions (for an unblocked domain, a view)."""
-    return [p.domain.block_diagonal(x) for p, x in zip(game.players, stacks)]
 
 
 class SeedNoise:
@@ -394,8 +386,8 @@ class SeedNoise:
     def perturb(self, i: int, v: np.ndarray, normals: np.ndarray | None = None) -> np.ndarray:
         """Hermitian part of V + Z, as its (..., blocks, m, m) diagonal blocks on player i's
         domain, for player i's block-diagonal gradient stack V, one Z per seed, or for a
-        (G, S, d, d) stack V of G players on i's domain, with their normals (G, S, width).
-        A relative level is taken of V's whole matrices."""
+        (G, S, d, d) stack V of G players on i's domain. Buffered noise takes its normals,
+        (..., S, width), from the caller. A relative level is taken of V's whole matrices."""
         model = self.model
         domain = self.game.players[i].domain
         if model.kind == "none":
@@ -409,7 +401,6 @@ class SeedNoise:
         if model.kind == "relative":
             sigma = relative_sigma(v, model.level)[..., None, None, None]
         n, m = domain.blocks, v.shape[-1] // domain.blocks
-        normals = self._next(self.widths[i]) if normals is None else normals
         blocks = block_noise(normals.reshape(v.shape[:-2] + (n, 2, m, m)), sigma,
                              model.hermitian)
         return hermitize(domain.diagonal_blocks(v) + blocks)
@@ -428,17 +419,17 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     their step size is indexed by their own update count. Without delays, and
     when the game's gradient oracle draws nothing, one `gradient_stacks` call
     gives the epoch's gradients; otherwise each player's is taken in turn,
-    interleaved with its noise as a drawing oracle's stream needs. The profiles
-    gradients are taken at are dense: each epoch assembles its updated players'
-    actions once. Players with equal domains form a group: one off-block check of
-    the gradients, whose diagonal blocks are then read once, and one perturbation
-    (buffered normals from one draw per epoch, in update order), score update,
-    finiteness check and exponential projection on a (G, S, blocks, m, m) block
-    stack. All trajectories share the update set, the delays and the counts;
-    trajectory s draws only from `noise.rngs[s]`. An epoch is committed only once
-    every updated score is finite and every gradient block-diagonal: otherwise it
-    raises NonFiniteGradientError (for a non-finite gradient) or DomainError, for
-    the first such player in update order.
+    interleaved with its noise as a drawing oracle's stream needs. Players with
+    equal domains form a group: one off-block check of the gradients, whose
+    diagonal blocks are then read once, and one perturbation (buffered normals
+    from one draw per epoch, in update order), score update, finiteness check and
+    exponential projection on a (G, S, blocks, m, m) block stack. Each member keeps
+    its score blocks and its action, assembled once as (S, d, d) matrices; the delay
+    history holds snapshots of the actions. All trajectories share the update set,
+    the delays and the counts; trajectory s draws only from `noise.rngs[s]`. An
+    epoch is committed only once every updated score is finite and every gradient
+    block-diagonal: otherwise it raises NonFiniteGradientError (for a non-finite
+    gradient) or DomainError, for the first such player in update order.
     """
     schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
     probs, d_max = schedule.probabilities, schedule.delay_max
@@ -448,7 +439,7 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     batched = d_max == 0 and not noise.drawing
     group_of = [game.domains.index(p.domain) for p in game.players]  # equal domains, one group
     plans = {}
-    history = [tuple(dense_profile(game, state.actions))]  # history[k]: the profile k epochs ago
+    history = [tuple(state.actions)]  # history[k]: the profile k epochs ago
 
     def scores(players, gradients, perturbed, n):
         """Step sizes of `players`, and (domain, members, new score blocks) per group, once
@@ -523,15 +514,13 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
             if perturbed is not None:
                 perturbed.append(noise.perturb(i, gradients[k]))
         gammas, groups = scores(update_set, gradients, perturbed, n) if update_set else ([], [])
-        profile = list(history[0])
         for domain, members, y in groups:
-            x = exp_projection_blocks(y, domain)
-            dense = domain.block_diagonal(x)
+            x = domain.block_diagonal(exp_projection_blocks(y, domain))
             for j, i in enumerate(members):
-                state.scores[i], state.actions[i], profile[i] = y[j], x[j], dense[j]
+                state.scores[i], state.actions[i] = y[j], x[j]
                 state.counts[i] += 1
         state.n = n + 1
-        history.insert(0, tuple(profile))
+        history.insert(0, tuple(state.actions))
         del history[d_max + 1 :]
         yield n, gammas[-1] if gammas else float("nan")
 
@@ -590,9 +579,9 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
     records, traces, live = [[] for _ in seeds], [None] * len(seeds), list(range(len(seeds)))
 
     def finish(k, row, status, diagnostic=None):  # seed k, at this row of the stack
-        final = dense_profile(game, [a[row] for a in state.actions])
         traces[k] = RunTrace(records[k], status, state.n - 1, seeds[k],
-                             tuple(np.array(x) for x in final), tuple(state.counts), diagnostic)
+                             tuple(np.array(x[row]) for x in state.actions),
+                             tuple(state.counts), diagnostic)
 
     try:
         while live:
@@ -601,7 +590,7 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
                 if n % config.log_every and n != config.max_iters:
                     continue
                 kept = []
-                logged = _log_record(game, config, dense_profile(game, state.actions), gamma, n)
+                logged = _log_record(game, config, state.actions, gamma, n)
                 for row, (k, record) in enumerate(zip(live, logged)):
                     records[k].append(record)
                     if record.nash_residual <= config.stop_residual:

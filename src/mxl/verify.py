@@ -11,7 +11,6 @@ from .solver import (
     SeedNoise,
     SolverConfig,
     advance,
-    dense_profile,
     initial_state,
     inject_noise,
     profile_kl,
@@ -187,14 +186,11 @@ class RateFit(Report):
 
 
 def _profile_metric(game: GameModel, xstar, actions, metric: str) -> float:
-    """The metric of a profile, or of each profile of per-player (S, d, d) stacks."""
+    """The metric ("kl", else "nuclear_distance") of a profile, or of each profile of
+    per-player (S, d, d) stacks."""
     if metric == "kl":
         return profile_kl(game, xstar, actions)
-    if metric == "nuclear_distance":
-        return sum(
-            nuclear_norm(np.asarray(a) - np.asarray(b)) for a, b in zip(actions, xstar)
-        )
-    raise ValueError(f"unknown metric {metric!r}")
+    return sum(nuclear_norm(np.asarray(a) - np.asarray(b)) for a, b in zip(actions, xstar))
 
 
 def _fit_table(table: np.ndarray, checkpoints):
@@ -212,9 +208,11 @@ def _fit_table(table: np.ndarray, checkpoints):
     return means, stderrs, float(coef[1]), float(np.sqrt(max(cov[1, 1], 0.0)))
 
 
-def check_rate_protocol(seeds: int, checkpoints) -> tuple:
+def check_rate_protocol(seeds: int, checkpoints, metric: str) -> tuple:
     """The checkpoints as ints, once there are >= 2 seeds and >= 4 strictly increasing
-    checkpoints from 1 up, spanning at least two decades."""
+    checkpoints from 1 up, spanning at least two decades, and the metric is known."""
+    if metric not in ("kl", "nuclear_distance"):
+        raise ValueError(f"unknown metric {metric!r}")
     checkpoints = tuple(int(c) for c in checkpoints)
     if (len(checkpoints) < 4 or checkpoints[0] < 1
             or any(a >= b for a, b in zip(checkpoints, checkpoints[1:]))):
@@ -240,7 +238,7 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     divergence bound gamma^2 V^2 / ((B gamma - 1) n) is evaluated pointwise;
     gamma*B <= 1 is flagged rather than silently accepted.
     """
-    checkpoints = check_rate_protocol(seeds, checkpoints)
+    checkpoints = check_rate_protocol(seeds, checkpoints, metric)
     game.require_feasible(xstar)
 
     table = np.zeros((seeds, len(checkpoints)))
@@ -251,8 +249,7 @@ def rate_experiment(game: GameModel, xstar, config_template: SolverConfig, seeds
     marks = {c: idx for idx, c in enumerate(checkpoints)}
     for n, _ in advance(game, state, config_template.schedule, noise, checkpoints[-1]):
         if n in marks:
-            table[:, marks[n]] = _profile_metric(game, xstar, dense_profile(game, state.actions),
-                                                 metric)
+            table[:, marks[n]] = _profile_metric(game, xstar, state.actions, metric)
 
     means, stderrs, slope, slope_stderr = _fit_table(table, checkpoints)
 

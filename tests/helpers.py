@@ -305,14 +305,14 @@ def ref_dense_perturb(noise, i, v):
 def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, sched_rng=None):
     """`solver.advance` player by player on whole matrices: each updating player takes its own
     noise draw (`ref_dense_perturb`), score update, checks and exponential projection, in update
-    order. It reads the state's block stacks once and writes back the blocks of each epoch's
-    scores and actions."""
+    order. It reads the state's score blocks once and writes back the blocks of each epoch's
+    scores and its whole actions."""
     schedule = async_schedule or AsyncSchedule((1.0,) * game.n_players)
     probs, d_max = schedule.probabilities, schedule.delay_max
     weights = np.array(probs) / sum(probs)
     domains = game.domains
-    dense = [[d.block_diagonal(x).copy() for d, x in zip(domains, stacks)]
-             for stacks in (state.scores, state.actions)]
+    dense = [[d.block_diagonal(y).copy() for d, y in zip(domains, state.scores)],
+             list(state.actions)]
     history = [tuple(dense[1])]
     for n in range(state.n, steps + 1):
         if schedule.mode == "single":
@@ -353,7 +353,7 @@ def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, s
         for i, y, x in zip(update_set, scores, actions):
             dense[0][i], dense[1][i] = y, x
             state.scores[i] = np.ascontiguousarray(domains[i].diagonal_blocks(y))
-            state.actions[i] = np.ascontiguousarray(domains[i].diagonal_blocks(x))
+            state.actions[i] = x
             state.counts[i] += 1
         state.n = n + 1
         history.insert(0, tuple(dense[1]))

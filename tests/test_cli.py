@@ -724,6 +724,68 @@ class TestSweep:
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
 
 
+EE, METRIC = {"kind": "ee"}, {"kind": "metric"}
+# id: (command, sections replacing those of a MAC config, the one error line's ending);
+# an experiment section adds to the command's mode and 2 seeds
+MALFORMED = {
+    "solver_number": ("run", {"solver": 5}, "section 'solver' must be an object"),
+    "solver_null": ("verify", {"solver": None}, "section 'solver' must be an object"),
+    "solver_string": ("sweep", {"solver": "ab"}, "section 'solver' must be an object"),
+    "solver_pairs": ("run", {"solver": [["max_iters", 5]]}, "section 'solver' must be an object"),
+    "grid_names_a_section": ("sweep", {"experiment": {"grid": {"solver.noise": [5]}}},
+                             "solver.noise is a section, not a value"),
+    "unhashable_kind": ("run", {"game": {"kind": ["mac"]}},
+                        "unknown game kind ['mac'] (choose from ['ee', 'mac', 'metric'])"),
+    "fixture_number": ("run", {"game": {**EE, "fixture": 5}},
+                       "game.fixture must be null or a path"),
+    "fixture_list": ("verify", {"game": {**EE, "fixture": ["a"]}},
+                     "game.fixture must be null or a path"),
+    "fixture_in_grid": ("sweep", {"game": EE, "experiment": {"grid": {"game.fixture": [None, 5]}}},
+                        "game.fixture must be null or a path"),
+    "trace_cap_list": ("run", {"game": {**METRIC, "trace_cap": [1]}},
+                       "game.trace_cap must be null or a number"),
+    "checkpoint_list": ("verify", {"experiment": {"checkpoints": [[1], 10, 100, 1000]}},
+                        "experiment.checkpoints[0] must be a number, got [1]"),
+    "checkpoint_null": ("verify", {"experiment": {"checkpoints": [1, None, 100, 1000]}},
+                        "experiment.checkpoints[1] must be a number, got null"),
+    "players_fraction": ("run", {"game": {"kind": "mac", "players": 1.5}},
+                         "game.players must be an integer, got 1.5"),
+    "delay_fraction": ("run", {"async": {"probabilities": [0.5, 0.5], "delay_max": 1.5}},
+                       "async.delay_max must be an integer, got 1.5"),
+    "players_fraction_in_grid": ("sweep", {"experiment": {"grid": {"game.players": [2.0, 1.5]}}},
+                                 "game.players must be an integer, got 1.5"),
+    "probabilities_bool": ("run", {"async": {"probabilities": [True, True]}},
+                           PROBABILITIES_NOT_A_LIST),
+    "unknown_metric": ("verify", {"experiment": {"metric": "bogus"}}, "unknown metric 'bogus'"),
+    "no_classes": ("run", {"game": {**METRIC, "classes": 0}}, "n_classes must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("command, sections, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_config_one_line_error_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                         sections, message):
+    mode = {"run": "run", "verify": "rate", "sweep": "sweep"}[command]
+    experiment = {"mode": mode, "seeds": 2, **sections.get("experiment", {})}
+    payload = {"game": {"kind": "mac", "players": 2}, "solver": {"max_iters": 50}, **sections,
+               "experiment": experiment}
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "out"
+    monkeypatch.setenv("MXL_WORKERS", "1")
+    for work in ("brute_force_ne", "run_async", "run_batch"):
+        monkeypatch.setattr(mxl.cli, work, lambda *args, **kw: pytest.fail("work ran"))
+    assert main([command, cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+
+
+def test_integral_float_accepted_where_the_default_is_an_int(tmp_path):
+    payload = {"game": {"kind": "mac", "players": 2.0},
+               "async": {"probabilities": [0.5, 0.5], "delay_max": 2.0}}
+    resolved = load_config(write_cfg(tmp_path, payload))
+    assert (resolved["game"]["players"], resolved["async"]["delay_max"]) == (2.0, 2.0)
+
+
 def _die(task):
     """A sweep cell whose worker process dies without a word."""
     os._exit(7)

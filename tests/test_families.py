@@ -165,6 +165,10 @@ class TestMetricLearning:
                                       trace_cap=2.5, batch_size=problem.n_triples)
         assert whole.utility(0, (x,)) == pytest.approx(-direct)
 
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError, match="n_classes must be >= 1"):
+            make_cluster_dataset(3, 8, n_classes=0)
+
     def test_empty_batch_rejected(self):
         pts, labels = make_cluster_dataset(3, 8, seed=0)
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from helpers import block_slices, random_hermitian, ref_advance
 from mxl.spectral import (
     DomainError,
     Spectrahedron,
+    exp_projection_blocks,
     hermiticity_defect,
     hermitize,
     mirror_map,
@@ -573,7 +574,7 @@ def test_perturb_equals_per_block_loop_bit_for_bit(model, n_seeds):
             dim = game.players[i].domain.dim
             v = np.stack([random_hermitian(dim, rng) for _ in range(n_seeds)])
             blocks = game.players[i].domain.diagonal_blocks(ref_perturb(ref, i, v))
-            assert np.array_equal(noise.perturb(i, v), blocks)
+            assert np.array_equal(noise.perturb(i, v, noise._next(noise.widths[i])), blocks)
 
 
 def ref_inject_noise(v, model, rng, domain):
@@ -636,7 +637,7 @@ def test_y0_override():
     game = mac_game()
     y0 = scalar_profile([2.0, 2.0])
     state = initial_state(game, y0)
-    x = float(state.actions[0][0, 0, 0, 0].real)  # seed 0, block 0
+    x = float(state.actions[0][0, 0, 0].real)  # seed 0
     assert x == pytest.approx(math.exp(2) / (1 + math.exp(2)), rel=1e-12)
 
 
@@ -830,18 +831,39 @@ EE_8X4X16 = EeGame(synth_channels(8, 4, 4, 16, pathloss_spread=1.0, seed=8), pma
 @pytest.mark.parametrize("schedule", [None, AsyncSchedule((0.6, 0.9) * 4, delay_max=2)],
                          ids=["sync", "bernoulli_delay2"])
 def test_block_epoch_equals_dense_loop_at_8x4x16(schedule):
-    # 16 blocks of 4x4 per player: every state array holds blocks, the reference whole matrices
+    # 16 blocks of 4x4 per player: the scores are held as blocks, the actions whole
     game = EE_8X4X16
     runs = [_advance_pair(game, NoiseModel.relative(0.5), schedule, 2, 12, engine)
             for engine in (mxl.solver.advance, ref_advance)]
     (steps, state, _), (ref_steps, ref_state, _) = runs
     assert [(n, g) for n, g, _ in steps] == [(n, g) for n, g, _ in ref_steps]
     for (_, _, xs), (_, _, ref_xs) in zip(steps, ref_steps):
-        assert all(x.shape == (2, 16, 4, 4) for x in xs)
+        assert all(x.shape == (2, 64, 64) for x in xs)
         assert all(np.array_equal(x, r) for x, r in zip(xs, ref_xs))
+    assert all(y.shape == (2, 16, 4, 4) for y in state.scores)
     assert all(np.array_equal(y, r) for y, r in zip(state.scores, ref_state.scores))
     # (the Generators may differ: a buffer refill falls at another point of an epoch's draws)
     assert (state.counts, state.n) == (ref_state.counts, ref_state.n)
+
+
+@pytest.mark.parametrize("delay_max", [None, 2], ids=["sync", "bernoulli_delay2"])
+@pytest.mark.parametrize("make_game", [lambda: Coupled(level=np.inf), lambda: EE_8X4X16, mac_game],
+                         ids=["coupled", "ee_8x4x16", "mac"])
+def test_actions_are_the_projection_of_the_scores(make_game, delay_max):
+    # scores stay (S, blocks, m, m) blocks; each action is their projection, as (S, d, d)
+    game = make_game()
+    schedule = None if delay_max is None else AsyncSchedule(
+        ((0.6, 0.9) * game.n_players)[: game.n_players], delay_max=delay_max)
+    state = initial_state(game, None, 2)
+    noise = SeedNoise(game, NoiseModel.relative(0.5), [np.random.default_rng(s) for s in (3, 4)],
+                      10)
+    for _ in mxl.solver.advance(game, state, POWER, noise, 10, schedule,
+                                np.random.default_rng(5)):
+        for domain, y, x in zip(game.domains, state.scores, state.actions):
+            m = domain.dim // domain.blocks
+            assert y.shape == (2, domain.blocks, m, m)
+            assert x.shape == (2, domain.dim, domain.dim)
+            assert np.array_equal(x, domain.block_diagonal(exp_projection_blocks(y, domain)))
 
 
 class Leaky(ZeroGame):

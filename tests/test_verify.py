@@ -20,7 +20,6 @@ from mxl.solver import (
     NonFiniteGradientError,
     SolverConfig,
     StepSchedule,
-    dense_profile,
     initial_state,
     inject_noise,
 )
@@ -175,8 +174,8 @@ def sequential_rate(game, xstar, cfg, seeds, checkpoints, metric):
     for s, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(seeds)):
         rng = np.random.default_rng(child)
         state = initial_state(game, cfg.y0)
-        scores, actions = (dense_profile(game, [a[0] for a in stacks])
-                           for stacks in (state.scores, state.actions))
+        scores = [p.domain.block_diagonal(y[0]) for p, y in zip(game.players, state.scores)]
+        actions = [x[0] for x in state.actions]
         for n in range(1, checkpoints[-1] + 1):
             scores, actions = sequential_step(
                 game, scores, actions, cfg.schedule.at(n), n, cfg.noise, rng)
