@@ -188,6 +188,15 @@ SCENARIOS = {
                                             "experiment": {"mode": "stability", "samples": 200}}),
     "verify_ee_stability_2000": ("verify", {"game": EE, "solver": _solver(),
                                             "experiment": {"mode": "stability", "samples": 2000}}),
+    "verify_ee_3x2x4_stability": (
+        "verify", {"game": {**EE, "users": 3, "subcarriers": 4}, "solver": _solver(),
+                   "experiment": {"mode": "stability", "samples": 300}}),
+    "verify_mac3_log_stability": (
+        "verify", {"game": {"kind": "mac", "players": 3, "utility": "log", "a": 0.8},
+                   "solver": _solver(), "experiment": {"mode": "stability", "samples": 300}}),
+    "verify_metric_stability": (
+        "verify", {"game": {"kind": "metric", "features": 4, "points": 16}, "solver": _solver(),
+                   "experiment": {"mode": "stability", "samples": 200}}),
 }
 
 

@@ -412,6 +412,9 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None = None,
 
 
 def _set_path(cfg: dict, dotted: str, value) -> None:
+    if dotted in ("game.kind", "solver.stop_residual"):
+        raise ConfigError(f"sweep grid path {dotted!r} is fixed by the base config's game kind "
+                          "or experiment.threshold")
     keys = dotted.split(".")
     node = cfg
     for k in keys[:-1]:

@@ -244,10 +244,17 @@ class ChannelSet:
     @classmethod
     def from_json(cls, text: str) -> "ChannelSet":
         payload = json.loads(text)
-        if payload.get("version") != FIXTURE_VERSION or payload.get("kind") != "channels":
+        if (not isinstance(payload, dict) or payload.get("version") != FIXTURE_VERSION
+                or payload.get("kind") != "channels"):
             raise ValueError("not a recognised channel fixture")
+        if missing := {"seed", "dims", "gains", "entries_re", "entries_im"} - set(payload):
+            raise ValueError(f"channel fixture misses {sorted(missing)}")
         re, im, gains = (np.array(payload[key], dtype=float)
                          for key in ("entries_re", "entries_im", "gains"))
+        if (re.ndim != 5 or im.shape != re.shape or min(re.shape) < 1 or re.shape[1] != re.shape[0]
+                or gains.shape != re.shape[:2] or payload["dims"] != list(re.shape)):
+            raise ValueError("channel fixture entries must share one (users, users, subcarriers, "
+                             "rx, tx) shape of sizes >= 1 that dims repeats, with gains (users, users)")
         if not all(np.isfinite(a).all() for a in (re, im, gains)):
             raise ValueError("channel fixture has non-finite entries or gains")
         return cls(links=re + 1j * im, gains=gains, seed=int(payload["seed"]))

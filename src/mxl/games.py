@@ -90,11 +90,6 @@ class GameModel(ABC):
     def stochastic_gradient(self, i: int, actions, rng: np.random.Generator) -> np.ndarray:
         return self.payoff_gradient(i, actions)
 
-    def gradient_profile(self, actions) -> list[np.ndarray]:
-        """Every player's exact gradient at one profile, from one `gradient_stacks` call."""
-        stacks = [np.asarray(a)[None] for a in actions]
-        return [v[0] for v in self.gradient_stacks(stacks, range(self.n_players))]
-
     def require_feasible(self, actions) -> None:
         if len(actions) != self.n_players:
             raise DomainError(f"profile has {len(actions)} actions for {self.n_players} players")
@@ -135,6 +130,12 @@ class StabilityReport(Report):
     def passed(self) -> bool:
         return self.violations == 0
 
+    def add(self, values) -> None:
+        """Fold in a batch of sampled values as a per-sample loop would: the largest value
+        is the first of equal maxima, and never a NaN."""
+        self.worst_value = max([self.worst_value, *values.tolist()])
+        self.violations += int(np.count_nonzero(values > VIOLATION_TOL))
+
     def to_dict(self) -> dict:
         return {**super().to_dict(), "passed": self.passed()}
 
@@ -164,17 +165,22 @@ def nash_residual(game: GameModel, actions, checked: bool = True):
     return float(worst[0]) if single else worst
 
 
-def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, draws: int = 1):
-    """Yield `samples` samples of `draws` profiles, drawn in the order of a per-sample loop of
-    `sample_profile`, as `draws` lists of per-player (B, d, d) stacks per batch of B samples;
-    a batch holds at most CHUNK_FLOATS floats of profiles, and at least one sample."""
-    floats = draws * sum(2 * p.domain.dim ** 2 for p in game.players)
+def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, parts: str):
+    """Yield `samples` samples, each drawn part by part in the order of `parts`, as a per-sample
+    loop draws them: "x" a profile (`sample_profile`), "z" one unit direction per player
+    (`sample_direction`), "u" one uniform number (`rng.random()`). A batch of B samples comes
+    with one entry per part: a list of per-player (B, d, d) stacks, or a (B,) array for "u".
+    It holds at most CHUNK_FLOATS floats of matrices, and at least one sample."""
+    floats = sum(c != "u" for c in parts) * sum(2 * d.dim ** 2 for d in game.domains)
     size = max(1, CHUNK_FLOATS // floats)
+    draw = {"x": Spectrahedron._draw, "z": Spectrahedron._draw_direction}
+    assemble = {"x": Spectrahedron._members, "z": Spectrahedron._directions}
     for start in range(0, samples, size):
-        drawn = [[p.domain._draw(rng) for p in game.players]
-                 for _ in range(min(size, samples - start) * draws)]
-        stacks = [p.domain._members(d) for p, d in zip(game.players, zip(*drawn))]
-        yield [[np.ascontiguousarray(x[k::draws]) for x in stacks] for k in range(draws)]
+        drawn = [[rng.random() if c == "u" else [draw[c](d, rng) for d in game.domains]
+                  for c in parts] for _ in range(min(size, samples - start))]
+        yield [np.array(part) if c == "u" else  # part: one draw per sample of the batch
+               [assemble[c](d, x) for d, x in zip(game.domains, zip(*part))]
+               for c, part in zip(parts, zip(*drawn))]
 
 
 def check_monotonicity(game: GameModel, samples: int, seed: int = 0) -> StabilityReport:
@@ -184,24 +190,10 @@ def check_monotonicity(game: GameModel, samples: int, seed: int = 0) -> Stabilit
     rng = np.random.default_rng(seed)
     report = StabilityReport(check="monotonicity", samples=samples, rng_seed=seed)
     everyone = range(game.n_players)
-    for xa, xb in sample_batches(game, rng, samples, draws=2):
+    for xa, xb in sample_batches(game, rng, samples, "xx"):
         va, vb = game.gradient_stacks(xa, everyone), game.gradient_stacks(xb, everyone)
-        val = sum(trace_inner(xb[i] - xa[i], vb[i] - va[i]) for i in everyone)
-        # as a per-sample max: the first of equal values, and never a NaN
-        report.worst_value = max([report.worst_value, *val.tolist()])
-        report.violations += int(np.count_nonzero(val > VIOLATION_TOL))
+        report.add(sum(trace_inner(xb[i] - xa[i], vb[i] - va[i]) for i in everyone))
     return report
-
-
-def _sample_near(game: GameModel, xstar, radius: float, rng: np.random.Generator):
-    if radius <= 0:
-        return tuple(np.array(x, dtype=complex) for x in xstar)
-    dirs = [p.domain.sample_direction(rng) for p in game.players]
-    total = sum(nuclear_norm(d) for d in dirs)
-    t = radius * rng.random() / max(total, 1e-300)
-    return tuple(
-        p.domain.project(x + t * d) for p, x, d in zip(game.players, xstar, dirs)
-    )
 
 
 def check_variational_stability(
@@ -213,32 +205,36 @@ def check_variational_stability(
     report = StabilityReport(
         check="variational_stability", samples=samples, rng_seed=seed, radius=radius
     )
-    for _ in range(samples):
-        x = _sample_near(game, xstar, radius, rng)
-        v = game.gradient_profile(x)
-        val = sum(trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
-        report.worst_value = max(report.worst_value, val)
-        if val > VIOLATION_TOL:
-            report.violations += 1
+    everyone = range(game.n_players)
+    for z, u in sample_batches(game, rng, samples, "zu"):
+        if radius > 0:
+            t = (radius * u / np.maximum(sum(nuclear_norm(d) for d in z), 1e-300))[:, None, None]
+            x = [p.domain.project(xs + t * d) for p, xs, d in zip(game.players, xstar, z)]
+        else:
+            x = [np.repeat(np.asarray(xs, dtype=complex)[None], len(u), axis=0) for xs in xstar]
+        v = game.gradient_stacks(x, everyone)
+        report.add(sum(trace_inner(x[i] - xstar[i], v[i]) for i in everyone))
     return report
 
 
-def hessian_quadratic_form(game: GameModel, actions, direction, eps: float = 1e-5) -> float:
-    """Symmetrised directional curvature tr(Z (V(X+eZ) - V(X-eZ)))/(2e).
+def hessian_quadratic_form(game: GameModel, actions, direction, eps: float = 1e-5):
+    """Symmetrised directional curvature tr(Z (V(X+eZ) - V(X-eZ)))/(2e), a float at one
+    profile X and direction Z, one value per profile for per-player (S, d, d) stacks of both.
 
-    Shrinks eps up to three times if the perturbed profiles leave the domain,
-    then raises.
+    Shrinks eps up to three times if a perturbed profile leaves the domain (on a stack,
+    for the whole stack), then raises.
     """
-    game.require_feasible(actions)
+    single = np.ndim(actions[0]) == 2
+    x = [np.asarray(a)[None] if single else np.asarray(a) for a in actions]
+    game.require_feasible(x)
+    everyone = range(game.n_players)
     for attempt in range(4):
-        up = tuple(x + eps * z for x, z in zip(actions, direction))
-        dn = tuple(x - eps * z for x, z in zip(actions, direction))
+        up = [a + eps * z for a, z in zip(x, direction)]
+        dn = [a - eps * z for a, z in zip(x, direction)]
         if all(p.domain.contains(np.stack([u, d])) for p, u, d in zip(game.players, up, dn)):
-            vu = game.gradient_profile(up)
-            vd = game.gradient_profile(dn)
-            return sum(
-                trace_inner(direction[i], vu[i] - vd[i]) for i in range(game.n_players)
-            ) / (2.0 * eps)
+            vu, vd = game.gradient_stacks(up, everyone), game.gradient_stacks(dn, everyone)
+            q = sum(trace_inner(direction[i], vu[i] - vd[i]) for i in everyone) / (2.0 * eps)
+            return float(q[0]) if single else q
         eps /= 10.0
     raise DomainError("perturbed profile infeasible even after shrinking eps 3 times")
 
@@ -253,16 +249,9 @@ def check_hessian_definiteness(
     """
     rng = np.random.default_rng(seed)
     report = StabilityReport(check="hessian", samples=samples, rng_seed=seed)
-    for _ in range(samples):
-        raw = game.sample_profile(rng)
-        x = tuple(
-            0.98 * xi + 0.02 * p.domain.center() for xi, p in zip(raw, game.players)
-        )
-        z = tuple(p.domain.sample_direction(rng) for p in game.players)
-        q = hessian_quadratic_form(game, x, z, eps=eps)
-        report.worst_value = max(report.worst_value, q)
-        if q > VIOLATION_TOL:
-            report.violations += 1
+    for raw, z in sample_batches(game, rng, samples, "xz"):
+        x = [0.98 * xi + 0.02 * p.domain.center() for xi, p in zip(raw, game.players)]
+        report.add(hessian_quadratic_form(game, x, z, eps=eps))
     return report
 
 

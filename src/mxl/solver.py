@@ -35,6 +35,7 @@ from .spectral import (
     _float_or_stack,
     block_noise,
     exp_projection_blocks,
+    frobenius_norm,
     hermitize,
     mirror_map,
     quantum_kl,
@@ -158,13 +159,8 @@ class NoiseModel:
 
 def relative_sigma(v: np.ndarray, level: float):
     """Sigma giving a Gaussian Hermitian draw Frobenius magnitude level*||V||_F, per matrix
-    of an (..., d, d) stack (a float for one matrix). Each norm is np.linalg.norm's, bit
-    for bit: the dot products of the real and of the imaginary parts, added."""
-    v = np.asarray(v)
-    flat = v.reshape(v.shape[:-2] + (1, -1))
-    re, im = flat.real, flat.imag
-    norms = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
-    return _float_or_stack(level * norms / np.sqrt(v.shape[-1]))
+    of an (..., d, d) stack (a float for one matrix)."""
+    return _float_or_stack(level * frobenius_norm(v) / np.sqrt(np.shape(v)[-1]))
 
 
 def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,

@@ -71,6 +71,14 @@ def ordered_sum(v: np.ndarray):
     return np.cumsum(v, axis=-1)[..., -1] + 0.0
 
 
+def frobenius_norm(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm per matrix of an (..., d, d) stack, as an (...) array: np.linalg.norm's
+    bit for bit, the dot products of the real and of the imaginary parts, added."""
+    flat = np.asarray(a).reshape(np.shape(a)[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    return np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0]
+
+
 def nuclear_norm(h: np.ndarray) -> float:
     """Sum of absolute eigenvalues, per matrix of a Hermitian (..., d, d) stack."""
     h = require_hermitian(h)
@@ -98,19 +106,17 @@ def block_noise(normals: np.ndarray, sigma=1.0, hermitian: bool = True) -> np.nd
 
 
 def _project_capped_simplex(lam: np.ndarray, bound: float) -> np.ndarray:
-    """Euclidean projection of a real vector onto {λ >= 0, sum λ <= bound}."""
+    """Euclidean projection of each real vector lam[..., :] onto {λ >= 0, sum λ <= bound}."""
     clipped = np.maximum(lam, 0.0)
-    total = clipped.sum()
-    if total <= bound:
+    inside = (clipped.sum(axis=-1) <= bound)[..., None]
+    if inside.all():
         return clipped
-    # water level for the equality face sum = bound
-    srt = np.sort(lam)[::-1]
-    csum = np.cumsum(srt)
-    k = np.arange(1, lam.size + 1)
-    theta = (csum - bound) / k
-    valid = srt - theta > 0
-    level = theta[np.nonzero(valid)[0][-1]]
-    return np.maximum(lam - level, 0.0)
+    # water level for the equality face sum = bound, at the last valid k (k = 1 always is)
+    srt = np.sort(lam, axis=-1)[..., ::-1]
+    theta = (np.cumsum(srt, axis=-1) - bound) / np.arange(1, lam.shape[-1] + 1)
+    last = lam.shape[-1] - 1 - np.argmax((srt - theta > 0)[..., ::-1], axis=-1)
+    level = np.take_along_axis(theta, last[..., None], axis=-1)
+    return np.where(inside, clipped, np.maximum(lam - level, 0.0))
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,8 @@ class Spectrahedron:
         return np.asarray(x)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Frobenius projection onto the set (blockwise eigenvalue projection)."""
+        """Frobenius projection onto the set (blockwise eigenvalue projection), per matrix of
+        an (..., dim, dim) stack."""
         lam, bases = _block_eigh(self.diagonal_blocks(hermitize(np.asarray(x, dtype=complex))))
         return self.block_diagonal(
             _block_assemble(_project_capped_simplex(lam, self.trace_bound), bases))
@@ -216,9 +223,17 @@ class Spectrahedron:
 
     def sample_direction(self, rng: np.random.Generator) -> np.ndarray:
         """Unit-Frobenius Gaussian Hermitian direction respecting the block structure."""
+        return self._directions(self._draw_direction(rng))
+
+    def _draw_direction(self, rng: np.random.Generator) -> np.ndarray:
+        """One direction's draws: its blocks' (blocks, 2, m, m) normals."""
         m = self.dim // self.blocks
-        out = self.block_diagonal(block_noise(rng.standard_normal((self.blocks, 2, m, m))))
-        return out / np.linalg.norm(out)
+        return rng.standard_normal((self.blocks, 2, m, m))
+
+    def _directions(self, normals) -> np.ndarray:
+        """The unit direction of one `_draw_direction` draw, or the (S, d, d) stack of a list of S."""
+        out = self.block_diagonal(block_noise(np.asarray(normals)))
+        return out / frobenius_norm(out)[..., None, None]
 
 
 def _block_eigh(blocks: np.ndarray):

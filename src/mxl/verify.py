@@ -151,7 +151,7 @@ def estimate_strong_stability(game: GameModel, xstar, samples: int,
     b_hat = float("inf")
     violations = 0
     everyone = range(game.n_players)
-    for (x,) in sample_batches(game, rng, samples):
+    for (x,) in sample_batches(game, rng, samples, "x"):
         div = profile_kl(game, xstar, x)
         kept = (div > 1e-9) & np.isfinite(div)
         if not kept.any():

@@ -1,9 +1,18 @@
 """Helpers shared by the test modules."""
 
+import json
+
 import numpy as np
 
-from mxl.families import EeGame, MacGame, MetricLearningProblem, mahalanobis_gaps, smooth_hinge
-from mxl.games import BilinearGame, LinearGame, ZeroGame
+from mxl.families import (
+    EeGame,
+    MacGame,
+    MetricLearningProblem,
+    mahalanobis_gaps,
+    smooth_hinge,
+    synth_channels,
+)
+from mxl.games import VIOLATION_TOL, BilinearGame, LinearGame, StabilityReport, ZeroGame
 from mxl.solver import AsyncSchedule, NonFiniteGradientError, inject_noise, relative_sigma
 from mxl.spectral import (
     OFF_BLOCK_TOL,
@@ -11,6 +20,7 @@ from mxl.spectral import (
     _entropy_of,
     block_noise,
     hermitize,
+    nuclear_norm,
 )
 
 
@@ -35,6 +45,41 @@ def concavity_violations(game, i: int, samples: int, seed: int = 0, tol: float =
         if vals[2] < (vals[0] + vals[1]) / 2 - tol:
             bad += 1
     return bad
+
+
+def channel_fixture(users: int = 2, **changes) -> dict:
+    """The JSON payload of a 2x2 antenna, 2-subcarrier channel fixture of seed 7, with
+    `changes` made to its keys; a None value drops the key."""
+    payload = json.loads(synth_channels(users, 2, 2, 2, seed=7).to_json())
+    payload.update(changes)
+    return {k: v for k, v in payload.items() if v is not None}
+
+
+_FIXTURE, _THREE_USERS = channel_fixture(), channel_fixture(3)
+_FIXTURE_SHAPE = ("channel fixture entries must share one (users, users, subcarriers, rx, tx) "
+                  "shape of sizes >= 1 that dims repeats, with gains (users, users)")
+# id: (malformed channel fixture payload, the error message that rejects it)
+BAD_FIXTURES = {
+    "top_level_list": ([_FIXTURE], "not a recognised channel fixture"),
+    "no_seed": (channel_fixture(seed=None), "channel fixture misses ['seed']"),
+    "no_gains": (channel_fixture(gains=None), "channel fixture misses ['gains']"),
+    "no_entries": (channel_fixture(entries_re=None, entries_im=None),
+                   "channel fixture misses ['entries_im', 'entries_re']"),
+    "entries_4d": (channel_fixture(entries_re=_FIXTURE["entries_re"][0],
+                                   entries_im=_FIXTURE["entries_im"][0], dims=[2, 2, 2, 2]),
+                   _FIXTURE_SHAPE),
+    "entries_empty": (channel_fixture(entries_re=[], entries_im=[], gains=[],
+                                      dims=[0, 0, 2, 2, 2]), _FIXTURE_SHAPE),
+    "three_receivers": (channel_fixture(entries_re=_THREE_USERS["entries_re"][:2],
+                                        entries_im=_THREE_USERS["entries_im"][:2],
+                                        gains=_THREE_USERS["gains"][:2], dims=[2, 3, 2, 2, 2]),
+                        _FIXTURE_SHAPE),
+    "no_transmit_antennas": (channel_fixture(entries_re=[[[[[]] * 2] * 2] * 2] * 2,
+                                             entries_im=[[[[[]] * 2] * 2] * 2] * 2,
+                                             dims=[2, 2, 2, 2, 0]), _FIXTURE_SHAPE),
+    "entries_im_shape": (channel_fixture(entries_im=_THREE_USERS["entries_im"]), _FIXTURE_SHAPE),
+    "dims_disagree": (channel_fixture(dims=[2, 2, 2, 2, 3]), _FIXTURE_SHAPE),
+}
 
 
 def block_slices(domain) -> list:
@@ -258,12 +303,17 @@ def ref_utility(game, i: int, actions) -> float:
     raise TypeError(f"no reference utility for {type(game).__name__}")
 
 
+def ref_gradients(game, actions) -> list:
+    """Every player's exact gradient at one profile, one `payoff_gradient` call each."""
+    return [game.payoff_gradient(i, actions) for i in range(game.n_players)]
+
+
 def ref_nash_residual(game, actions) -> float:
     """The per-profile Nash residual: a membership check, one gradient and one eigvalsh per
     player, and Python's max over the players' gaps."""
     game.require_feasible(actions)
     worst = 0.0
-    for i, (spec, v) in enumerate(zip(game.players, game.gradient_profile(actions))):
+    for i, (spec, v) in enumerate(zip(game.players, ref_gradients(game, actions))):
         top = float(np.linalg.eigvalsh(hermitize(v))[-1])
         gap = spec.domain.trace_bound * max(top, 0.0) - ref_trace_inner(actions[i], v)
         worst = max(worst, gap)
@@ -281,6 +331,82 @@ def ref_sample(domain, rng: np.random.Generator) -> np.ndarray:
         u = haar_unitary(sl.stop - sl.start, rng)
         out[sl, sl] = (u * lam[sl]) @ u.conj().T
     return hermitize(out)
+
+
+def ref_direction(domain, rng: np.random.Generator) -> np.ndarray:
+    """One unit direction: Gaussian Hermitian blocks, normalised by np.linalg.norm."""
+    m = domain.dim // domain.blocks
+    out = domain.block_diagonal(block_noise(rng.standard_normal((domain.blocks, 2, m, m))))
+    return out / np.linalg.norm(out)
+
+
+def ref_project_capped_simplex(lam: np.ndarray, bound: float) -> np.ndarray:
+    """Euclidean projection of one real vector onto {λ >= 0, sum λ <= bound}."""
+    clipped = np.maximum(lam, 0.0)
+    if clipped.sum() <= bound:
+        return clipped
+    srt = np.sort(lam)[::-1]
+    theta = (np.cumsum(srt) - bound) / np.arange(1, lam.size + 1)
+    level = theta[np.nonzero(srt - theta > 0)[0][-1]]
+    return np.maximum(lam - level, 0.0)
+
+
+def ref_project(domain, x: np.ndarray) -> np.ndarray:
+    """Frobenius projection of one matrix onto the domain, block by block."""
+    lam, bases = ref_eigh_blocks(domain, hermitize(np.asarray(x, dtype=complex)))
+    return ref_assemble(domain, ref_project_capped_simplex(lam, domain.trace_bound), bases)
+
+
+# The per-sample stability scans that the batched ones replaced, kept as references: each
+# returns the report that the batched scan must equal exactly.
+
+def ref_sample_near(game, xstar, radius: float, rng: np.random.Generator):
+    if radius <= 0:
+        return tuple(np.array(x, dtype=complex) for x in xstar)
+    dirs = [ref_direction(d, rng) for d in game.domains]
+    total = sum(nuclear_norm(d) for d in dirs)
+    t = radius * rng.random() / max(total, 1e-300)
+    return tuple(ref_project(d, x + t * z) for d, x, z in zip(game.domains, xstar, dirs))
+
+
+def ref_check_variational_stability(game, xstar, radius: float, samples: int, seed: int):
+    rng = np.random.default_rng(seed)
+    report = StabilityReport(check="variational_stability", samples=samples, rng_seed=seed,
+                             radius=radius)
+    for _ in range(samples):
+        x = ref_sample_near(game, xstar, radius, rng)
+        v = ref_gradients(game, x)
+        val = sum(ref_trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
+        report.worst_value = max(report.worst_value, val)
+        if val > VIOLATION_TOL:
+            report.violations += 1
+    return report
+
+
+def ref_hessian_quadratic_form(game, actions, direction, eps: float) -> float:
+    for attempt in range(4):
+        up = tuple(x + eps * z for x, z in zip(actions, direction))
+        dn = tuple(x - eps * z for x, z in zip(actions, direction))
+        if all(d.contains(u) and d.contains(w) for d, u, w in zip(game.domains, up, dn)):
+            vu, vd = ref_gradients(game, up), ref_gradients(game, dn)
+            return sum(ref_trace_inner(direction[i], vu[i] - vd[i])
+                       for i in range(game.n_players)) / (2.0 * eps)
+        eps /= 10.0
+    raise DomainError("perturbed profile infeasible even after shrinking eps 3 times")
+
+
+def ref_check_hessian_definiteness(game, samples: int, seed: int, eps: float = 1e-5):
+    rng = np.random.default_rng(seed)
+    report = StabilityReport(check="hessian", samples=samples, rng_seed=seed)
+    for _ in range(samples):
+        raw = tuple(ref_sample(d, rng) for d in game.domains)
+        x = tuple(0.98 * xi + 0.02 * d.center() for xi, d in zip(raw, game.domains))
+        z = tuple(ref_direction(d, rng) for d in game.domains)
+        q = ref_hessian_quadratic_form(game, x, z, eps)
+        report.worst_value = max(report.worst_value, q)
+        if q > VIOLATION_TOL:
+            report.violations += 1
+    return report
 
 
 def ref_dense_perturb(noise, i, v):

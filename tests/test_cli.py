@@ -21,6 +21,8 @@ from mxl.cli import (
 )
 from mxl.families import synth_channels
 
+from helpers import BAD_FIXTURES
+
 MAC_CFG = str(resources.files("mxl") / "configs" / "mac_quadratic.cfg")
 EE_CFG = str(resources.files("mxl") / "configs" / "ee_2user_noise100.cfg")
 
@@ -725,6 +727,16 @@ class TestSweep:
 
 
 EE, METRIC = {"kind": "ee"}, {"kind": "metric"}
+FIXED_GRID_PATH = "is fixed by the base config's game kind or experiment.threshold"
+
+
+class FixtureFile:
+    """A channel fixture payload that the harness writes to a file named by game.fixture."""
+
+    def __init__(self, payload):
+        self.payload = payload
+
+
 # id: (command, sections replacing those of a MAC config, the one error line's ending);
 # an experiment section adds to the command's mode and 2 seeds
 MALFORMED = {
@@ -758,6 +770,14 @@ MALFORMED = {
                            PROBABILITIES_NOT_A_LIST),
     "unknown_metric": ("verify", {"experiment": {"metric": "bogus"}}, "unknown metric 'bogus'"),
     "no_classes": ("run", {"game": {**METRIC, "classes": 0}}, "n_classes must be >= 1"),
+    "grid_sweeps_game_kind": ("sweep", {"experiment": {"grid": {"game.kind": ["ee"]}}},
+                              f"sweep grid path 'game.kind' {FIXED_GRID_PATH}"),
+    "grid_sweeps_stop_residual": (
+        "sweep", {"experiment": {"grid": {"solver.stop_residual": [0.1, 0.2]}}},
+        f"sweep grid path 'solver.stop_residual' {FIXED_GRID_PATH}"),
+    **{f"fixture_{name}": (("run", "verify")[k % 2],
+                           {"game": {**EE, "fixture": FixtureFile(payload)}}, message)
+       for k, (name, (payload, message)) in enumerate(sorted(BAD_FIXTURES.items()))},
 }
 
 
@@ -768,6 +788,10 @@ def test_malformed_config_one_line_error_before_any_work(tmp_path, capsys, monke
     experiment = {"mode": mode, "seeds": 2, **sections.get("experiment", {})}
     payload = {"game": {"kind": "mac", "players": 2}, "solver": {"max_iters": 50}, **sections,
                "experiment": experiment}
+    fixture = payload["game"].get("fixture")
+    if isinstance(fixture, FixtureFile):
+        (tmp_path / "channels.json").write_text(json.dumps(fixture.payload))
+        payload["game"] = {**payload["game"], "fixture": str(tmp_path / "channels.json")}
     cfg = write_cfg(tmp_path, payload)
     out = tmp_path / "out"
     monkeypatch.setenv("MXL_WORKERS", "1")

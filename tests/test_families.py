@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from mxl.spectral import DomainError, Spectrahedron, hermitize, mirror_map
 from mxl.verify import brute_force_ne
 
 from helpers import (
+    BAD_FIXTURES,
     block_slices,
     concavity_violations,
     contention,
@@ -240,6 +242,13 @@ class TestChannels:
         back = ChannelSet.from_json(text)
         assert np.array_equal(back.links, ch.links)
         assert back.to_json() == text
+
+    @pytest.mark.parametrize("name", sorted(BAD_FIXTURES))
+    def test_malformed_fixture_rejected(self, name):
+        payload, message = BAD_FIXTURES[name]
+        with pytest.raises(ValueError) as err:
+            ChannelSet.from_json(json.dumps(payload))
+        assert str(err.value) == message
 
 
 def effective_channels(game, i, actions):

@@ -29,7 +29,16 @@ from mxl.games import (
 from mxl.spectral import DomainError, Spectrahedron, hermitize
 from mxl.verify import brute_force_ne
 
-from helpers import concavity_violations, ref_nash_residual, ref_trace_inner, ref_utility
+from helpers import (
+    concavity_violations,
+    ref_check_hessian_definiteness,
+    ref_check_variational_stability,
+    ref_gradients,
+    ref_hessian_quadratic_form,
+    ref_nash_residual,
+    ref_trace_inner,
+    ref_utility,
+)
 
 
 class OwnQuadraticGame(LinearGame):
@@ -85,8 +94,6 @@ def test_gradient_stacks_rows_equal_gradient_stack(name, n_stack):
         assert len(rows) == len(players)
         for i, v in zip(players, rows):
             assert np.array_equal(v, game.gradient_stack(i, stacks))
-    for i, v in enumerate(game.gradient_profile(profiles[0])):
-        assert np.array_equal(v, game.payoff_gradient(i, profiles[0]))
 
 
 def test_subclass_defining_payoff_gradient_rejected():
@@ -170,7 +177,7 @@ def test_sample_profile_count_equals_per_profile_loop():
                     [Spectrahedron(3, 2.0), Spectrahedron(64, 1.0, blocks=16)]):
         game = ZeroGame(domains)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        batches = list(sample_batches(game, rng, 6, draws=2))
+        batches = list(sample_batches(game, rng, 6, "xx"))
         ref = [(game.sample_profile(ref_rng), game.sample_profile(ref_rng)) for _ in range(6)]
         for k in range(2):
             for i in range(game.n_players):
@@ -340,8 +347,8 @@ def ref_check_monotonicity(game, samples, seed):
     for _ in range(samples):
         xa = game.sample_profile(rng)
         xb = game.sample_profile(rng)
-        va = game.gradient_profile(xa)
-        vb = game.gradient_profile(xb)
+        va = ref_gradients(game, xa)
+        vb = ref_gradients(game, xb)
         val = sum(ref_trace_inner(xb[i] - xa[i], vb[i] - va[i]) for i in range(game.n_players))
         worst = max(worst, val)
         if val > VIOLATION_TOL:
@@ -392,6 +399,73 @@ def test_monotonicity_equals_per_sample_loop(name, batch, monkeypatch):
     assert report.violations == violations
     if name == "bilinear":
         assert violations > 0
+
+
+def _interior(game, rng):
+    """A random profile pulled halfway toward the domain centers."""
+    return tuple(0.5 * x + 0.5 * d.center() for x, d in zip(game.sample_profile(rng), game.domains))
+
+
+# name: game of the batched stability scans' reference comparison
+SCAN_GAMES = {
+    "mac_quadratic": lambda: MacGame(2, "quadratic", b=1.0, c=2.0),
+    "mac3_log": lambda: MacGame(3, "log", a=0.8),
+    "bilinear": lambda: BilinearGame(0.3),
+    "linear_3_2": lambda: LinearGame([np.diag([1.0, -0.5, 0.2]), [[0.3, 0.1j], [-0.1j, -0.2]]]),
+    "ee_2x2x2": lambda: _ee(2, 2, 2),
+    "ee_2x2x1": lambda: _ee(2, 2, 1),
+    "ee_3x2x4": lambda: _ee(3, 2, 4),
+    "metric": lambda: MetricLearningProblem(*make_cluster_dataset(3, 8, seed=2), batch_size=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_GAMES))
+def test_stability_scans_equal_per_sample_loops(name, monkeypatch):
+    # the batched Hessian and variational scans report exactly what the per-sample loops
+    # did; 23 samples span batches of 5 (Hessian) and 10 (variational) samples
+    game = SCAN_GAMES[name]()
+    xstar = _interior(game, np.random.default_rng(1))
+    floats = sum(2 * d.dim ** 2 for d in game.domains)
+    for count, chunk in ((1, None), (7, None), (23, 10 * floats)):
+        if chunk is not None:
+            monkeypatch.setattr(mxl.games, "CHUNK_FLOATS", chunk)
+        report = check_hessian_definiteness(game, count, seed=count)
+        ref = ref_check_hessian_definiteness(game, count, count)
+        assert repr(report.to_dict()) == repr(ref.to_dict())
+        for radius in (0.0, 0.2, 0.5):
+            report = check_variational_stability(game, xstar, radius, count, seed=count + 1)
+            ref = ref_check_variational_stability(game, xstar, radius, count, count + 1)
+            assert repr(report.to_dict()) == repr(ref.to_dict())
+
+
+@pytest.mark.parametrize("make", [SCAN_GAMES["mac3_log"], SCAN_GAMES["ee_3x2x4"]],
+                         ids=["mac3_log", "ee_3x2x4"])
+def test_stacked_hessian_quadratic_form_rows_equal_one_profile_calls(make):
+    game = make()
+    rng = np.random.default_rng(12)
+    rows = [(_interior(game, rng), tuple(d.sample_direction(rng) for d in game.domains))
+            for _ in range(5)]
+    x, z = ([np.stack([r[k][i] for r in rows]) for i in range(game.n_players)] for k in (0, 1))
+    values = hessian_quadratic_form(game, x, z)
+    assert values.shape == (5,)
+    assert [repr(float(q)) for q in values] == [
+        repr(ref_hessian_quadratic_form(game, xr, zr, 1e-5)) for xr, zr in rows]
+    assert [float(q) for q in values] == [hessian_quadratic_form(game, xr, zr) for xr, zr in rows]
+
+
+def test_stacked_hessian_quadratic_form_shrinks_eps_for_the_whole_stack():
+    # row 1 leaves the domain at eps 1e-4 but not at 1e-5, so both rows use 1e-5
+    game = MacGame(2, "log", a=0.8)
+    rows = [(scalar_profile([0.4, 0.5]), scalar_profile([0.7, -0.4])),
+            (scalar_profile([1.0 - 5e-5, 0.5]), scalar_profile([1.0, 1.0]))]
+    x, z = ([np.stack([r[k][i] for r in rows]) for i in range(2)] for k in (0, 1))
+    values = hessian_quadratic_form(game, x, z, eps=1e-4)
+    assert [float(q) for q in values] == [hessian_quadratic_form(game, xr, zr, eps=1e-5)
+                                          for xr, zr in rows]
+    assert float(values[0]) != hessian_quadratic_form(game, *rows[0], eps=1e-4)
+    edge = [np.stack([a, b]) for a, b in zip(scalar_profile([0.4, 1.0]), scalar_profile([1.0, 1.0]))]
+    with pytest.raises(DomainError):
+        hessian_quadratic_form(game, edge, [np.ones((2, 1, 1))] * 2, eps=1e-4)
 
 
 def test_cross_oracle_agreement_monotone_games():

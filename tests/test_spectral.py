@@ -11,6 +11,8 @@ from helpers import (
     ref_assemble,
     ref_eigh_blocks,
     ref_exp_projection,
+    ref_direction,
+    ref_project,
     ref_sample,
     ref_entropy_of,
     ref_log_conjugate_from_eigs,
@@ -615,18 +617,42 @@ def test_stacked_checks_read_the_whole_stack(rng):
 ], ids=["dim1", "dim3", "dim4_2blocks", "dim64_16blocks"])
 def test_sample_count_equals_single_calls_bit_for_bit(dom):
     # sample_batches assembles each batch at once; its samples, in order, and the Generator
-    # state after them equal a loop of per-sample references (dim 64 splits into batches)
+    # state after them equal a loop of per-sample references (dim 64 splits into batches):
+    # profiles, unit directions and uniform numbers, each drawn part after part
     game = ZeroGame([dom])
+    ref_part = {"x": lambda rng: ref_sample(dom, rng), "z": lambda rng: ref_direction(dom, rng),
+                "u": lambda rng: rng.random()}
     for count in (1, 2, 7):
-        for draws in (1, 2):
+        for parts in ("x", "xx", "xz", "zu"):
             rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
-            batches = list(sample_batches(game, rng, count, draws=draws))
-            stacks = [np.concatenate([b[k][0] for b in batches]) for k in range(draws)]
-            ref = [[ref_sample(dom, ref_rng) for _ in range(draws)] for _ in range(count)]
-            for k, stack in enumerate(stacks):
-                assert stack.shape == (count, dom.dim, dom.dim)
-                assert np.array_equal(stack, np.stack([pair[k] for pair in ref]))
+            batches = list(sample_batches(game, rng, count, parts))
+            ref = [[ref_part[c](ref_rng) for c in parts] for _ in range(count)]
+            for k, c in enumerate(parts):
+                stack = np.concatenate([b[k] if c == "u" else b[k][0] for b in batches])
+                shape = (count,) if c == "u" else (count, dom.dim, dom.dim)
+                assert stack.shape == shape
+                assert np.array_equal(stack, np.array([sample[k] for sample in ref]))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
     single = dom.sample(np.random.default_rng(5))
     assert single.shape == (dom.dim, dom.dim)
     assert np.array_equal(single, ref_sample(dom, np.random.default_rng(5)))
+    single = dom.sample_direction(np.random.default_rng(5))
+    assert np.array_equal(single, ref_direction(dom, np.random.default_rng(5)))
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_stacked_project_equals_per_matrix_calls_bit_for_bit(name):
+    # members and random Hermitian points off the set at three scales, alone and mixed
+    dom = LAYOUTS[name]
+    rng = np.random.default_rng(41)
+    members = np.stack([dom.sample(rng) for _ in range(3)])
+    outside = np.stack([random_hermitian(dom.dim, rng, scale=s) for s in (0.1, 2.0, 50.0)])
+    for stack in (members, outside, np.concatenate([members, outside])):
+        projected = dom.project(stack)
+        assert projected.shape == stack.shape
+        for row, x in zip(projected, stack):
+            assert np.array_equal(row, dom.project(x))
+            assert np.array_equal(row, ref_project(dom, x))
+        assert dom.contains(projected)
+    grid = dom.project(np.stack([outside, outside[::-1]]))
+    assert np.array_equal(grid[1, 0], ref_project(dom, outside[2]))

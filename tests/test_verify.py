@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mxl.games
-from helpers import ref_profile_kl, ref_trace_inner, symmetric_equilibrium
+from helpers import ref_gradients, ref_profile_kl, ref_trace_inner, symmetric_equilibrium
 from mxl.families import (
     EeGame,
     MacGame,
@@ -285,7 +285,7 @@ def ref_estimate_strong_stability(game, xstar, samples, seed):
         div = ref_profile_kl(game, xstar, x)
         if not (div > 1e-9) or not np.isfinite(div):
             continue
-        v = game.gradient_profile(x)
+        v = ref_gradients(game, x)
         drift = sum(ref_trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
         ratio = -drift / div
         if ratio < 0:
