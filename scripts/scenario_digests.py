@@ -142,6 +142,10 @@ SCENARIOS = {
     "ee_single_user_relative": (
         "run", {"game": {**EE, "users": 1, "subcarriers": 3},
                 "solver": _solver(200, noise=_relative(0.5)), "experiment": RUN}),
+    "ee_relative_oracle": (
+        "run", {"game": EE, "solver": _solver(300, noise=_relative(0.5), reference="oracle",
+                                              log_every=10),
+                "experiment": RUN}),
     "ee_3x2x4_gaussian": (
         "run", {"game": {**EE, "users": 3, "subcarriers": 4},
                 "solver": _solver(200, noise=_gaussian(0.1)), "experiment": RUN}),

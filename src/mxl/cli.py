@@ -415,6 +415,9 @@ def _set_path(cfg: dict, dotted: str, value) -> None:
     if dotted in ("game.kind", "solver.stop_residual"):
         raise ConfigError(f"sweep grid path {dotted!r} is fixed by the base config's game kind "
                           "or experiment.threshold")
+    if dotted.startswith("experiment."):
+        raise ConfigError(f"sweep grid path {dotted!r} is fixed: every cell runs the base "
+                          "config's experiment section")
     keys = dotted.split(".")
     node = cfg
     for k in keys[:-1]:
@@ -463,7 +466,6 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
             if not isinstance(values, list) or not values:
                 raise ConfigError(f"sweep grid values of {path!r} must be a non-empty list, "
                                   f"got {json.dumps(values)}")
-        base_seed = int(resolved["solver"]["seed"])
         n_seeds = int(exp["seeds"])
         if n_seeds < 1:
             raise ConfigError(f"experiment.seeds must be at least 1, got {json.dumps(exp['seeds'])}")
@@ -474,9 +476,11 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))
         # fail fast: build every cell's run, oracle included, before any cell runs
-        tasks = [(*_build_run(_sweep_cell(resolved, overrides, threshold)),
-                  range(base_seed + 1000 * cell_idx, base_seed + 1000 * cell_idx + n_seeds))
-                 for cell_idx, overrides in enumerate(cells)]
+        tasks = []
+        for k, overrides in enumerate(cells):
+            game, config, schedule = _build_run(_sweep_cell(resolved, overrides, threshold))
+            first = config.seed + 1000 * k  # the cell's own solver.seed: a swept seed counts
+            tasks.append((game, config, schedule, range(first, first + n_seeds)))
         workers = min(int(asked) or min(4, os.cpu_count() or 1), len(tasks))
         if workers > 1:
             try:

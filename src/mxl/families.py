@@ -301,11 +301,11 @@ def transform_x_to_q(x: np.ndarray, pc: float, pmax: float) -> np.ndarray:
     return _x_to_q(x, x.trace(axis1=-2, axis2=-1).real[..., None, None], pc, pmax)
 
 
-def _x_to_q(x: np.ndarray, tau, pc: float, pmax: float) -> np.ndarray:
+def _x_to_q(x: np.ndarray, tau, pc: float, pmax: float, checked: bool = True) -> np.ndarray:
     """transform_x_to_q of Hermitian matrices x, or of their diagonal blocks, where tau holds
     each whole matrix's trace shaped to broadcast against x; DomainError unless every
-    matrix in x is PSD and every trace is at most 1."""
-    if (np.linalg.eigvalsh(x)[..., 0] < -1e-10).any() or (tau > 1.0 + 1e-10).any():
+    matrix in x is PSD and every trace is at most 1 (not checked with `checked=False`)."""
+    if checked and ((np.linalg.eigvalsh(x)[..., 0] < -1e-10).any() or (tau > 1.0 + 1e-10).any()):
         raise DomainError("argument must be PSD with trace <= 1")
     kappa = (pc + pmax) / pmax
     tr_q = tau * pc / (kappa - tau)
@@ -323,7 +323,8 @@ class EeGame(GameModel):
     subcarriers, in a per-subcarrier loop's operation order and so bit for bit its values.
     Every evaluation first maps each player's subcarrier blocks to covariance blocks
     (`_covariance_blocks`, which checks each block, not the whole matrix), once per
-    profile stack: `gradient_stacks` shares them between all receivers it evaluates.
+    profile stack: `evaluate_stacks` shares them between all receivers it evaluates, and
+    takes each receiver's gradient and utility from one `_received`.
     The conjugate-transposed links are taken once per game.
     """
 
@@ -340,15 +341,19 @@ class EeGame(GameModel):
 
     # -- helpers ------------------------------------------------------------
 
-    def _covariance_blocks(self, x) -> np.ndarray:
+    def _covariance_blocks(self, x, checked: bool = True) -> np.ndarray:
         """Subcarrier blocks of transform_x_to_q(X) for an (..., d, d) stack X.
 
         Only the blocks enter the game, so only they are checked (DomainError unless
         every block is PSD and every trace is at most 1), by eigenvalues per block.
+        With `checked=False` X is taken as exactly Hermitian and feasible: its blocks are
+        neither checked nor hermitized, which leaves such blocks' bits as they are.
         """
         x = np.asarray(x, dtype=complex)
         tau = np.trace(x, axis1=-2, axis2=-1).real[..., None, None, None]
-        return _x_to_q(hermitize(self._domain.diagonal_blocks(x)), tau, self.pc, self.pmax)
+        blocks = self._domain.diagonal_blocks(x)
+        return _x_to_q(hermitize(blocks) if checked else blocks, tau, self.pc, self.pmax,
+                       checked)
 
     def _prefactors(self, tau):
         d = self.pc + (1.0 - tau) * self.pmax
@@ -395,12 +400,17 @@ class EeGame(GameModel):
     def gradient_stack(self, i, actions) -> np.ndarray:
         return self.gradient_stacks(actions, (i,))[0]
 
-    def gradient_stacks(self, actions, players) -> list[np.ndarray]:
-        covariances = [self._covariance_blocks(x) for x in actions]
-        return [self._gradient(i, actions[i], covariances) for i in players]
+    def gradient_stacks(self, actions, players, checked: bool = True) -> list[np.ndarray]:
+        return self.evaluate_stacks(actions, players, checked)[0]
 
-    def _gradient(self, i: int, x, covariances) -> np.ndarray:
-        """Receiver i's gradient stack at its action stack x, from all covariance blocks."""
+    def evaluate_stacks(self, actions, players, checked: bool = True):
+        covariances = [self._covariance_blocks(x, checked) for x in actions]
+        evaluated = [self._evaluate(i, actions[i], covariances) for i in players]
+        return [v for v, _ in evaluated], [u for _, u in evaluated]
+
+    def _evaluate(self, i: int, x, covariances):
+        """Receiver i's gradient and utility stacks at its action stack x, from all
+        covariance blocks; the utility is `utility_stack`'s phi * log_sum."""
         tau = np.trace(x, axis1=-2, axis2=-1).real
         phi, psi = self._prefactors(tau)
         d = self.pc + (1.0 - tau) * self.pmax
@@ -414,7 +424,8 @@ class EeGame(GameModel):
                   * (self._links_dagger[i, i] @ np.linalg.solve(a, h[None])))
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
         eye = np.eye(self.channels.n_tx, dtype=complex)
-        return self._domain.block_diagonal(hermitize(blocks + scalar[:, None, None, None] * eye))
+        v = self._domain.block_diagonal(hermitize(blocks + scalar[:, None, None, None] * eye))
+        return v, phi * log_sum
 
     # -- physical-coordinate oracles ------------------------------------------
 

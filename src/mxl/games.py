@@ -43,7 +43,12 @@ class GameModel(ABC):
     stacks of one; a subclass may redefine neither.
     `gradient_stacks(actions, players)` gives the stacks of several players at
     one profile stack, by default one `gradient_stack` each; a game overrides it
-    to share work between players, with each row as `gradient_stack` gives it. Oracles
+    to share work between players, with each row as `gradient_stack` gives it.
+    `evaluate_stacks(actions, players)` gives those gradients and the same players'
+    utilities, by default through `gradient_stacks` and `utility_stack`; a game
+    overrides it to take both from one pass, each row bit for bit as those give it.
+    Both take `checked=False` for actions the solver's projection made (Hermitian,
+    PSD, within the trace bound): a game may then skip its own checks of them. Oracles
     that draw random numbers (an unbiased minibatch estimate, say) override
     `stochastic_gradient`; by default it is the exact gradient.
     Implementations must be reentrant (no mutable state across calls).
@@ -83,9 +88,15 @@ class GameModel(ABC):
         """Player i's exact gradient at one profile: `gradient_stack` on a stack of one."""
         return self.gradient_stack(i, [np.asarray(a)[None] for a in actions])[0]
 
-    def gradient_stacks(self, actions, players) -> list[np.ndarray]:
+    def gradient_stacks(self, actions, players, checked: bool = True) -> list[np.ndarray]:
         """`gradient_stack(i, actions)` for each i in `players`, in that order."""
         return [self.gradient_stack(i, actions) for i in players]
+
+    def evaluate_stacks(self, actions, players, checked: bool = True):
+        """(gradients, utilities): `gradient_stacks(actions, players)` and
+        `utility_stack(i, actions)` for each i in `players`, in that order."""
+        return (self.gradient_stacks(actions, players, checked),
+                [self.utility_stack(i, actions) for i in players])
 
     def stochastic_gradient(self, i: int, actions, rng: np.random.Generator) -> np.ndarray:
         return self.payoff_gradient(i, actions)
@@ -140,7 +151,7 @@ class StabilityReport(Report):
         return {**super().to_dict(), "passed": self.passed()}
 
 
-def nash_residual(game: GameModel, actions, checked: bool = True):
+def nash_residual(game: GameModel, actions, checked: bool = True, gradients=None):
     """Worst unilateral first-order improvement over exact linear maximization.
 
     For each player the best linear response value on the spectrahedron is
@@ -149,13 +160,16 @@ def nash_residual(game: GameModel, actions, checked: bool = True):
     first-order equilibrium conditions. One profile gives a float, (S, d, d) stacks
     one residual per profile. A non-finite gradient raises DomainError naming its player;
     a profile known to be feasible may skip the membership check (`checked=False`).
+    `gradients`, every player's gradient stack at `actions` if already evaluated, spares
+    their evaluation.
     """
     single = np.ndim(actions[0]) == 2
     stacks = [np.asarray(a)[None] if single else np.asarray(a) for a in actions]
     if checked:
         game.require_feasible(stacks)
     worst = np.zeros(len(stacks[0]))
-    gradients = game.gradient_stacks(stacks, range(game.n_players))
+    if gradients is None:
+        gradients = game.gradient_stacks(stacks, range(game.n_players))
     for spec, x, v in zip(game.players, stacks, gradients):
         if not np.isfinite(v).all():
             raise DomainError(f"non-finite gradient for player {spec.pid} in the Nash residual")

@@ -414,7 +414,8 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     components lag by independent uniform delays from {0..delay_max}, and
     their step size is indexed by their own update count. Without delays, and
     when the game's gradient oracle draws nothing, one `gradient_stacks` call
-    gives the epoch's gradients; otherwise each player's is taken in turn,
+    gives the epoch's gradients, unchecked (`checked=False`), as the actions are
+    the projection's; otherwise each player's is taken in turn, checked,
     interleaved with its noise as a drawing oracle's stream needs. Players with
     equal domains form a group: one off-block check of the gradients, whose
     diagonal blocks are then read once, and one perturbation (buffered normals
@@ -488,7 +489,7 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
         else:
             update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
         perturbed = [] if noise.each else None  # noise drawn seed by seed, in update order
-        gradients = game.gradient_stacks(history[0], update_set) if batched else []
+        gradients = game.gradient_stacks(history[0], update_set, checked=False) if batched else []
         for k, i in enumerate(update_set):
             if not batched:
                 if d_max == 0:
@@ -531,9 +532,12 @@ def profile_kl(game: GameModel, reference, actions) -> float:
 
 
 def _log_record(game, config, actions, gamma, n) -> list[TraceRecord]:
-    """Epoch n's records, one per profile of the (S, d, d) stacks `actions`, in Python floats."""
-    residuals = nash_residual(game, actions, checked=False).tolist()
-    utilities = zip(*[game.utility_stack(i, actions).tolist() for i in range(game.n_players)])
+    """Epoch n's records, one per profile of the (S, d, d) stacks `actions`, in Python floats:
+    one evaluation of the solver's own actions gives the residual's gradients and the
+    utilities."""
+    gradients, utilities = game.evaluate_stacks(actions, range(game.n_players), checked=False)
+    residuals = nash_residual(game, actions, checked=False, gradients=gradients).tolist()
+    utilities = zip(*[u.tolist() for u in utilities])
     kls = [None] * len(residuals)
     if config.reference_point is not None:
         kls = profile_kl(game, config.reference_point, actions).tolist()

@@ -62,6 +62,7 @@ def ee_fixture_cfg(tmp_path, entry):
 
 
 PROBABILITIES_NOT_A_LIST = "async.probabilities must be a list of numbers, one per player"
+FIXED_EXPERIMENT_PATH = "is fixed: every cell runs the base config's experiment section"
 
 
 class TestRun:
@@ -558,7 +559,8 @@ class TestSweep:
          "sweep grid values of 'solver.noise.sigma' must be a non-empty list, got 0.2"),
         ({"solver.seed": "1, 2"},
          "sweep grid values of 'solver.seed' must be a non-empty list, got \"1, 2\""),
-        ({"experiment.checkpoints": [[10, 100], 5]}, "experiment.checkpoints must be a list, got 5"),
+        ({"experiment.checkpoints": [[10, 100], 5]},
+         f"sweep grid path 'experiment.checkpoints' {FIXED_EXPERIMENT_PATH}"),
         ({"solver.noise.sigma": [0.1, float("nan")]},
          "solver.noise.sigma must be a finite number, got NaN"),
         ({"solver.max_iters": [100, float("inf")]},
@@ -652,6 +654,29 @@ class TestSweep:
         cfg = write_cfg(tmp_path, self.exponent_sweep(max_iters=500, reference="oracle"))
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_OK
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("grid, seeds", [
+        ({"solver.schedule.exponent": [0.5, 1.0]}, [[2, 3, 4], [1002, 1003, 1004]]),
+        ({"solver.schedule.exponent": [0.5, 1.0], "solver.seed": [5, 40]},
+         [[5, 6, 7], [1040, 1041, 1042], [2005, 2006, 2007], [3040, 3041, 3042]]),
+    ], ids=["seed_not_swept", "seed_swept"])
+    def test_cell_seeds_start_at_the_cells_own_solver_seed(self, tmp_path, monkeypatch, grid,
+                                                           seeds):
+        # cell k (in sweep.csv order) runs its solver.seed + 1000 k onwards
+        received = []
+        real = mxl.cli.run_batch
+
+        def recording(game, config, cell_seeds, schedule):
+            received.append(list(cell_seeds))
+            return real(game, config, cell_seeds, schedule)
+
+        payload = self.exponent_sweep(max_iters=200, seed=2)
+        payload["experiment"]["grid"] = grid
+        cfg = write_cfg(tmp_path, payload)
+        monkeypatch.setattr(mxl.cli, "run_batch", recording)
+        monkeypatch.setenv("MXL_WORKERS", "1")
+        assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_OK
+        assert received == seeds
 
     def test_crashed_worker_one_line_error(self, tmp_path, capsys, monkeypatch):
         cfg = write_cfg(tmp_path, self.exponent_sweep(max_iters=200))
@@ -775,6 +800,12 @@ MALFORMED = {
     "grid_sweeps_stop_residual": (
         "sweep", {"experiment": {"grid": {"solver.stop_residual": [0.1, 0.2]}}},
         f"sweep grid path 'solver.stop_residual' {FIXED_GRID_PATH}"),
+    "grid_sweeps_experiment_threshold": (
+        "sweep", {"experiment": {"grid": {"experiment.threshold": [0.1, 1e-8]}}},
+        f"sweep grid path 'experiment.threshold' {FIXED_EXPERIMENT_PATH}"),
+    "grid_sweeps_experiment_seeds": (
+        "sweep", {"experiment": {"grid": {"experiment.seeds": [2, 3]}}},
+        f"sweep grid path 'experiment.seeds' {FIXED_EXPERIMENT_PATH}"),
     **{f"fixture_{name}": (("run", "verify")[k % 2],
                            {"game": {**EE, "fixture": FixtureFile(payload)}}, message)
        for k, (name, (payload, message)) in enumerate(sorted(BAD_FIXTURES.items()))},

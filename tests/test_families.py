@@ -20,7 +20,7 @@ from mxl.families import (
     transform_x_to_q,
     uniform_baseline,
 )
-from mxl.games import finite_diff_gradient_check
+from mxl.games import finite_diff_gradient_check, nash_residual
 from mxl.solver import NoiseModel, SolverConfig, StepSchedule, run
 from mxl.spectral import DomainError, Spectrahedron, hermitize, mirror_map
 from mxl.verify import brute_force_ne
@@ -422,6 +422,29 @@ class TestEeGame:
                 game.gradient_stacks(stacks, players)
         with pytest.raises(DomainError, match=message):
             game.utility(0, profile)
+
+    @pytest.mark.parametrize("where", ["receiver", "interferer"])
+    @pytest.mark.parametrize("bad", ["non_psd_block", "trace_above_one"])
+    def test_public_entry_points_keep_their_checks(self, game, bad, where):
+        # only the solver's own actions skip the checks; every public entry point keeps them
+        fine = np.eye(4, dtype=complex) / 8
+        x = {"non_psd_block": np.diag([0.3, 0.3, 0.3, -0.05]),
+             "trace_above_one": 0.3 * np.eye(4)}[bad].astype(complex)
+        profile = (x, fine) if where == "receiver" else (fine, x)
+        stacks = [np.stack([fine, a, fine]) for a in profile]
+        message = r"^argument must be PSD with trace <= 1$"
+        for i in range(2):
+            with pytest.raises(DomainError, match=message):
+                game.payoff_gradient(i, profile)
+            with pytest.raises(DomainError, match=message):
+                game.utility(i, profile)
+        with pytest.raises(DomainError, match=message):
+            game.gradient_stacks(stacks, [0, 1])
+        with pytest.raises(DomainError, match=message):
+            game.evaluate_stacks(stacks, [1, 0])
+        for actions in (profile, stacks):
+            with pytest.raises(DomainError, match=r"^action of player \d is not a member"):
+                nash_residual(game, actions, checked=True)
 
     def test_only_the_subcarrier_blocks_enter(self, game, rng):
         # entries outside the blocks are neither checked nor used

@@ -96,6 +96,65 @@ def test_gradient_stacks_rows_equal_gradient_stack(name, n_stack):
             assert np.array_equal(v, game.gradient_stack(i, stacks))
 
 
+EVALUATE_GAMES = {
+    **{name: STACK_GAMES[name] for name in ("bilinear", "ee_2x2x2", "ee_3x2x4", "linear",
+                                            "mac_quadratic", "metric")},
+    "ee_1sub": lambda: EeGame(synth_channels(2, 2, 2, 1, pathloss_spread=1.0, seed=4)),
+    "ee_8x4x16": lambda: EeGame(synth_channels(8, 4, 4, 16, pathloss_spread=1.0, seed=6)),
+}
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n_stack", [1, 5])
+@pytest.mark.parametrize("name", sorted(EVALUATE_GAMES))
+def test_evaluate_stacks_rows_equal_gradient_stacks_and_utility_stack(name, n_stack):
+    game = EVALUATE_GAMES[name]()
+    # only EeGame shares one pass; the others keep the default hook
+    overrides = type(game).evaluate_stacks is not GameModel.evaluate_stacks
+    assert overrides == isinstance(game, EeGame)
+    rng = np.random.default_rng(31)
+    profiles = [game.sample_profile(rng) for _ in range(n_stack)]
+    stacks = [np.stack([p[j] for p in profiles]) for j in range(game.n_players)]
+    everyone = list(range(game.n_players))
+    for players in (everyone, everyone[::-1], everyone[-1:], []):
+        gradients, utilities = game.evaluate_stacks(stacks, players)
+        assert len(gradients) == len(utilities) == len(players)
+        stacked = game.gradient_stacks(stacks, players)
+        for i, v, w, u in zip(players, gradients, stacked, utilities):
+            assert same_bits(v, w) and same_bits(v, game.gradient_stack(i, stacks))
+            assert u.shape == (n_stack,) and same_bits(u, game.utility_stack(i, stacks))
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATE_GAMES))
+def test_unchecked_evaluation_of_solver_actions_equals_checked(name):
+    # the solver's actions (initial projections and every epoch's) are exactly Hermitian and
+    # feasible, so skipping the game's checks of them changes no bit
+    from mxl.solver import NoiseModel, SeedNoise, StepSchedule, advance, initial_state
+
+    game = EVALUATE_GAMES[name]()
+    rng = np.random.default_rng(37)
+    everyone = range(game.n_players)
+    y0 = tuple(3.0 * d.sample(rng) for d in game.domains)
+    for scores in (None, y0):
+        state = initial_state(game, scores, seeds=3)
+        noise = SeedNoise(game, NoiseModel.relative(0.5),
+                          [np.random.default_rng(s) for s in range(3)], 6)
+        profiles = [list(state.actions)]
+        for _ in advance(game, state, StepSchedule.power_law(1.0, 0.5), noise, 6):
+            profiles.append(list(state.actions))
+        for actions in profiles:
+            checked = game.evaluate_stacks(actions, everyone)
+            unchecked = game.evaluate_stacks(actions, everyone, checked=False)
+            for got, want in zip(unchecked, checked):
+                assert all(same_bits(a, b) for a, b in zip(got, want))
+            assert all(same_bits(a, b) for a, b in zip(
+                game.gradient_stacks(actions, everyone, checked=False), checked[0]))
+
+
 def test_subclass_defining_payoff_gradient_rejected():
     with pytest.raises(TypeError, match="gradient_stack"):
         class Scalar(LinearGame):

@@ -892,3 +892,44 @@ def test_off_block_gradient_diverges(level, monkeypatch):
         assert trace.status == "diverged" and (trace.iterations > 0) == (level > 0)
         assert trace.diagnostic == "score must be block-diagonal for a block-structured domain"
         assert_same_trace(trace, ref_trace)
+
+
+class CountingEe(EeGame):
+    """EeGame that logs each covariance mapping (with its `checked` flag), each receiver
+    evaluation and each separate utility call."""
+
+    def __init__(self, channels):
+        super().__init__(channels)
+        self.log = []
+
+    def _covariance_blocks(self, x, checked=True):
+        self.log.append(("covariances", checked))
+        return super()._covariance_blocks(x, checked)
+
+    def _received(self, i, x, covariances, psi):
+        self.log.append(("received", i))
+        return super()._received(i, x, covariances, psi)
+
+    def utility_stack(self, i, actions):
+        self.log.append(("utility", i))
+        return super().utility_stack(i, actions)
+
+
+@pytest.mark.parametrize("seeds", [[4], [4, 5, 6]])
+def test_synchronous_run_evaluates_each_profile_stack_once_unchecked(monkeypatch, seeds):
+    game = CountingEe(synth_channels(3, 2, 2, 4, pathloss_spread=1.0, seed=5))
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(np.shape(a))
+                        or real_eigvalsh(a))
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.relative(0.5),
+                       max_iters=20, log_every=5)
+    traces = run_batch(game, cfg, seeds)
+    assert [t.iterations for t in traces] == [20] * len(seeds)
+    n, dim, evaluations = game.n_players, game.domains[0].dim, 20 + 4  # epochs + log points
+    # per evaluation: each player's covariance blocks once, unchecked, and each receiver once
+    assert game.log.count(("covariances", False)) == n * evaluations
+    assert sorted(set(game.log)) == [("covariances", False)] + [("received", i) for i in range(n)]
+    assert all(game.log.count(("received", i)) == evaluations for i in range(n))
+    # the only eigvalsh left is each log point's lambda_max of the whole gradients
+    assert shapes == [(len(seeds), dim, dim)] * (n * 4)
