@@ -184,6 +184,15 @@ SCENARIOS = {
                                                   schedule={"kind": "optimized", "stability": 0.1}),
                    "experiment": {"mode": "rate", "seeds": 6, "metric": "kl",
                                   "checkpoints": [30, 100, 300, 1000, 3000]}}),
+    "verify_mac3_log_rate_gaussian": (
+        "verify", {"game": {"kind": "mac", "players": 3, "utility": "log", "a": 1.0},
+                   "solver": _solver(3000, noise=_gaussian(0.2)),
+                   "experiment": {"mode": "rate", "seeds": 6,
+                                  "checkpoints": [30, 100, 300, 1000, 3000]}}),
+    "verify_ee_rate": (
+        "verify", {"game": EE, "solver": _solver(1000, noise=_relative(0.5)),
+                   "experiment": {"mode": "rate", "seeds": 4,
+                                  "checkpoints": [10, 30, 100, 300, 1000]}}),
     "verify_mac_stability": ("verify", {"game": MAC, "solver": _solver(),
                                         "experiment": {"mode": "stability", "samples": 300}}),
     "verify_ee_stability": ("verify", {"game": EE, "solver": _solver(),

@@ -67,6 +67,22 @@ class MacGame(GameModel):
         g = self._base_slope(x[i]) - self._contention_of(i, x)
         return g.astype(complex)[:, None, None]
 
+    def gradient_stacks(self, actions, players, checked: bool = True) -> np.ndarray:
+        """The listed players' gradients in one pass, as one (P, S, 1, 1) stack whose rows
+        are `gradient_stack`'s bit for bit: each player's product takes the same factors
+        in the same order (its j != i in player order). A subclass that redefines
+        `gradient_stack` keeps the per-player default."""
+        if type(self).gradient_stack is not MacGame.gradient_stack:
+            return super().gradient_stacks(actions, players, checked)
+        players = list(players)
+        x = np.array([a[:, 0, 0].real for a in actions])
+        factors = 1.0 - x
+        free = 1.0
+        for k in range(len(x) - 1):  # player i's k-th factor is j = k below i, else k + 1
+            free = free * factors[[k + (k >= i) for i in players]]
+        g = self._base_slope(x[players]) - (1.0 - free)
+        return g.astype(complex)[:, :, None, None]
+
 
 def scalar_profile(values) -> tuple:
     """Wrap scalar access levels as 1x1 Hermitian actions."""

@@ -42,8 +42,9 @@ class GameModel(ABC):
     profile s only. `utility` and `payoff_gradient`, at one profile, are their
     stacks of one; a subclass may redefine neither.
     `gradient_stacks(actions, players)` gives the stacks of several players at
-    one profile stack, by default one `gradient_stack` each; a game overrides it
-    to share work between players, with each row as `gradient_stack` gives it.
+    one profile stack, by default a list of one `gradient_stack` each; a game overrides
+    it to share work between players, with each row as `gradient_stack` gives it (a
+    (P, S, d, d) array serves as the list).
     `evaluate_stacks(actions, players)` gives those gradients and the same players'
     utilities, by default through `gradient_stacks` and `utility_stack`; a game
     overrides it to take both from one pass, each row bit for bit as those give it.
@@ -182,13 +183,17 @@ def nash_residual(game: GameModel, actions, checked: bool = True, gradients=None
 def sample_batches(game: GameModel, rng: np.random.Generator, samples: int, parts: str):
     """Yield `samples` samples, each drawn part by part in the order of `parts`, as a per-sample
     loop draws them: "x" a profile (`sample_profile`), "z" one unit direction per player
-    (`sample_direction`), "u" one uniform number (`rng.random()`). A batch of B samples comes
-    with one entry per part: a list of per-player (B, d, d) stacks, or a (B,) array for "u".
-    It holds at most CHUNK_FLOATS floats of matrices, and at least one sample."""
+    (`sample_direction`), "n" per player the raw (blocks, 2, m, m) standard normals that
+    direction (and `inject_noise`'s Gaussian noise) is made of, "u" one uniform number
+    (`rng.random()`). A batch of B samples comes with one entry per part: a list of per-player
+    (B, d, d) stacks, (B, blocks, 2, m, m) for "n", or a (B,) array for "u". It holds at most
+    CHUNK_FLOATS floats of matrices, and at least one sample."""
     floats = sum(c != "u" for c in parts) * sum(2 * d.dim ** 2 for d in game.domains)
     size = max(1, CHUNK_FLOATS // floats)
-    draw = {"x": Spectrahedron._draw, "z": Spectrahedron._draw_direction}
-    assemble = {"x": Spectrahedron._members, "z": Spectrahedron._directions}
+    draw = {"x": Spectrahedron._draw, "z": Spectrahedron._draw_direction,
+            "n": Spectrahedron._draw_direction}
+    assemble = {"x": Spectrahedron._members, "z": Spectrahedron._directions,
+                "n": lambda _, normals: np.array(normals)}
     for start in range(0, samples, size):
         drawn = [[rng.random() if c == "u" else [draw[c](d, rng) for d in game.domains]
                   for c in parts] for _ in range(min(size, samples - start))]

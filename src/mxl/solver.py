@@ -163,6 +163,16 @@ def relative_sigma(v: np.ndarray, level: float):
     return _float_or_stack(level * frobenius_norm(v) / np.sqrt(np.shape(v)[-1]))
 
 
+def gaussian_blocks(v: np.ndarray, model: NoiseModel, normals: np.ndarray) -> np.ndarray:
+    """The diagonal noise blocks of a `gaussian` or `relative` model for the gradient V (one
+    matrix or an (..., d, d) stack), from their (..., blocks, 2, m, m) standard normals; a
+    relative level is taken of V's whole matrices."""
+    sigma = model.sigma
+    if model.kind == "relative":
+        sigma = np.asarray(relative_sigma(v, model.level))[..., None, None, None]
+    return block_noise(normals, sigma, model.hermitian)
+
+
 def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,
                  domain: Spectrahedron | None = None) -> np.ndarray:
     """Return the perturbed gradient estimate V + Z for the given noise model.
@@ -178,10 +188,9 @@ def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,
         # heavy-tailed magnitude on a unit-Frobenius Hermitian direction
         direction = domain.sample_direction(rng)
         return v + model.scale * rng.pareto(model.tail_index) * direction
-    sigma = model.sigma if model.kind == "gaussian" else relative_sigma(v, model.level)
     m = domain.dim // domain.blocks
     normals = rng.standard_normal((domain.blocks, 2, m, m))
-    return v + domain.block_diagonal(block_noise(normals, sigma, model.hermitian))
+    return v + domain.block_diagonal(gaussian_blocks(v, model, normals))
 
 
 @dataclass(frozen=True)
@@ -393,12 +402,8 @@ class SeedNoise:
                 v = np.stack([inject_noise(vs, model, rng, domain)
                               for vs, rng in zip(v, self.rngs)])
             return hermitize(domain.diagonal_blocks(v))
-        sigma = model.sigma
-        if model.kind == "relative":
-            sigma = relative_sigma(v, model.level)[..., None, None, None]
         n, m = domain.blocks, v.shape[-1] // domain.blocks
-        blocks = block_noise(normals.reshape(v.shape[:-2] + (n, 2, m, m)), sigma,
-                             model.hermitian)
+        blocks = gaussian_blocks(v, model, normals.reshape(v.shape[:-2] + (n, 2, m, m)))
         return hermitize(domain.diagonal_blocks(v) + blocks)
 
 
@@ -415,7 +420,8 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     their step size is indexed by their own update count. Without delays, and
     when the game's gradient oracle draws nothing, one `gradient_stacks` call
     gives the epoch's gradients, unchecked (`checked=False`), as the actions are
-    the projection's; otherwise each player's is taken in turn, checked,
+    the projection's (a group that is the whole update set, in order, takes them
+    as its stack); otherwise each player's is taken in turn, checked,
     interleaved with its noise as a drawing oracle's stream needs. Players with
     equal domains form a group: one off-block check of the gradients, whose
     diagonal blocks are then read once, and one perturbation (buffered normals
@@ -442,27 +448,31 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
         """Step sizes of `players`, and (domain, members, new score blocks) per group, once
         valid."""
         key = tuple(players)
-        if key not in plans:  # the groups of this update set, and where each one's normals end
+        if key not in plans:  # per group of this update set: its members and normals columns
             groups = {}
             for k, i in enumerate(players):
                 groups.setdefault(group_of[i], []).append(k)
-            plans[key] = ([(game.players[players[ks[0]]].domain, ks, [players[k] for k in ks])
+            ends = list(accumulate(noise.widths[i] for i in players))
+            plans[key] = ([(game.players[players[ks[0]]].domain, ks, [players[k] for k in ks],
+                            ks == list(range(len(players))),
+                            np.array([np.arange(ends[k] - noise.widths[players[k]], ends[k])
+                                      for k in ks]))
                            for ks in groups.values()],
-                          list(accumulate(noise.widths[i] for i in players)))
-        groups, ends = plans[key]
+                          ends[-1] if ends else 0)
+        groups, width = plans[key]
         gammas, out, valid = [step_schedule.at(state.counts[i] + 1) for i in players], [], True
-        draws = noise._next(ends[-1]) if noise.chunked and ends else None
+        draws = noise._next(width) if noise.chunked and width else None
         # an overflow or NaN here leaves a non-finite score, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
-            for domain, ks, members in groups:
+            for domain, ks, members, whole, columns in groups:
                 g = [gammas[k] for k in ks]
                 g = g[0] if g.count(g[0]) == len(g) else np.array(g)[:, None, None, None, None]
-                v = np.array([gradients[k] for k in ks])
+                # the whole update set, in order, is one stack as it comes
+                v = np.asarray(gradients) if whole else np.array([gradients[k] for k in ks])
                 # noise and projection keep the blocks: only a gradient can leave them
                 valid = valid and domain.off_block_mass(v) <= OFF_BLOCK_TOL
                 if perturbed is None:
-                    normals = None if draws is None else np.array(
-                        [draws[:, ends[k] - noise.widths[members[0]] : ends[k]] for k in ks])
+                    normals = None if draws is None else draws[:, columns].swapaxes(0, 1)
                     w = noise.perturb(members[0], v, normals)
                 else:
                     w = np.array([perturbed[k] for k in ks])

@@ -11,6 +11,7 @@ from .solver import (
     SeedNoise,
     SolverConfig,
     advance,
+    gaussian_blocks,
     initial_state,
     inject_noise,
     profile_kl,
@@ -146,6 +147,8 @@ class StrongStabilityEstimate(Report):
 def estimate_strong_stability(game: GameModel, xstar, samples: int,
                               seed: int = 0) -> StrongStabilityEstimate:
     """Estimate B as the sampled minimum of -tr[(X-X*)V(X)] / D(X*, X), clipped at 0."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     game.require_feasible(xstar)
     rng = np.random.default_rng(seed)
     b_hat = float("inf")
@@ -282,14 +285,33 @@ def max_sampled_gradient_norm(game: GameModel, config: SolverConfig, probes: int
     """Empirical gradient bound: max dual norm of noisy estimates over sampled profiles.
 
     Each estimate is the game's own oracle `stochastic_gradient` (a minibatch draw,
-    say) plus the injected noise, both drawn from the probe's generator.
+    say) plus the injected noise, both drawn from the probe's generator. When the
+    oracle draws nothing and the noise is none, gaussian or relative, a probe draws a
+    profile and then per player the normals `inject_noise` draws, so the probes come
+    in batches (`sample_batches`), each with one `gradient_stacks` and per player one
+    noise stack and one stacked dual norm, every value as the per-probe loop gives it.
     """
+    if probes < 1:
+        raise ValueError("probes must be >= 1")
+    noise = config.noise
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(probes):
-        x = game.sample_profile(rng)
-        for i in range(game.n_players):
-            v = game.stochastic_gradient(i, x, rng)
-            vhat = hermitize(inject_noise(v, config.noise, rng, game.players[i].domain))
-            worst = max(worst, dual_norm(vhat))
+    drawing = type(game).stochastic_gradient is not GameModel.stochastic_gradient
+    if drawing or noise.kind == "pareto":  # their draws interleave with the probe's: one by one
+        for _ in range(probes):
+            x = game.sample_profile(rng)
+            for i in range(game.n_players):
+                v = game.stochastic_gradient(i, x, rng)
+                vhat = hermitize(inject_noise(v, noise, rng, game.players[i].domain))
+                worst = max(worst, dual_norm(vhat))
+        return worst
+    everyone = range(game.n_players)
+    for x, *normals in sample_batches(game, rng, probes, "x" if noise.kind == "none" else "xn"):
+        gradients = game.gradient_stacks(x, everyone)
+        for i, spec in enumerate(game.players):
+            v = gradients[i]
+            if normals:
+                v = v + spec.domain.block_diagonal(gaussian_blocks(v, noise, normals[0][i]))
+            # as a per-probe max: the first of equal values, and never a NaN
+            worst = max([worst, *dual_norm(hermitize(v)).tolist()])
     return worst

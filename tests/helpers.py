@@ -19,6 +19,7 @@ from mxl.spectral import (
     DomainError,
     _entropy_of,
     block_noise,
+    dual_norm,
     hermitize,
     nuclear_norm,
 )
@@ -407,6 +408,41 @@ def ref_check_hessian_definiteness(game, samples: int, seed: int, eps: float = 1
         if q > VIOLATION_TOL:
             report.violations += 1
     return report
+
+
+def ref_estimate_strong_stability(game, xstar, samples, seed):
+    """The per-sample loop that the batched estimate replaced: (b_hat, violation count)."""
+    rng = np.random.default_rng(seed)
+    b_hat = float("inf")
+    violations = 0
+    for _ in range(samples):
+        x = game.sample_profile(rng)
+        div = ref_profile_kl(game, xstar, x)
+        if not (div > 1e-9) or not np.isfinite(div):
+            continue
+        v = ref_gradients(game, x)
+        drift = sum(ref_trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
+        ratio = -drift / div
+        if ratio < 0:
+            violations += 1
+        b_hat = min(b_hat, ratio)
+    if not np.isfinite(b_hat):
+        b_hat = 0.0
+    return float(max(b_hat, 0.0)), violations
+
+
+def ref_max_sampled_gradient_norm(game, config, probes, seed):
+    """The per-probe loop that the batched gradient bound replaced: per probe a profile, then
+    per player the oracle's estimate, its noise and its dual norm, folded by Python's max."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(probes):
+        x = game.sample_profile(rng)
+        for i in range(game.n_players):
+            v = game.stochastic_gradient(i, x, rng)
+            vhat = hermitize(inject_noise(v, config.noise, rng, game.players[i].domain))
+            worst = max(worst, dual_norm(vhat))
+    return worst
 
 
 def ref_dense_perturb(noise, i, v):

@@ -69,6 +69,26 @@ class TestMacGame:
                 slope = 1.0 - 2.5 * xs[i] if kind == "quadratic" else 0.8 / (1.0 + xs[i])
                 assert v[s, 0, 0] == complex(slope - (1.0 - free))
 
+    @pytest.mark.parametrize("n_stack", [1, 20])
+    @pytest.mark.parametrize("kind", ["quadratic", "log"])
+    @pytest.mark.parametrize("n_players", [2, 3, 5])
+    def test_gradient_stacks_is_one_pass_of_gradient_stack_rows(self, n_players, kind,
+                                                                 n_stack):
+        # one (P, S, 1, 1) stack for the listed players, each row gradient_stack's bytes
+        game = MacGame(n_players, kind, b=1.0, c=2.5, a=0.8)
+        x = np.random.default_rng(10 * n_players + n_stack).random((n_stack, n_players))
+        if n_stack > 1:
+            x[0], x[1] = 0.0, 1.0  # the box's corners: zero factors and factors of one
+        stacks = [x[:, j].astype(complex)[:, None, None] for j in range(n_players)]
+        everyone = list(range(n_players))
+        for players in (everyone, everyone[:0:-1], [n_players // 2]):
+            rows = game.gradient_stacks(stacks, players)
+            assert isinstance(rows, np.ndarray)
+            assert rows.shape == (len(players), n_stack, 1, 1)
+            for i, v in zip(players, rows):
+                want = game.gradient_stack(i, stacks)
+                assert v.dtype == want.dtype and v.tobytes() == want.tobytes()
+
     def test_closed_form_equilibrium(self):
         game = MacGame(2, "quadratic", b=1.0, c=2.0)
         # FOC: b - c x - x = 0 at the symmetric point

@@ -470,6 +470,20 @@ class Cliff(MacGame):
         return super().gradient_stack(i, actions)
 
 
+def test_gradient_stacks_keep_a_redefined_gradient_stack():
+    # MacGame's one pass would bypass Cliff's own formula: the per-player default runs it
+    game = Cliff(2, "quadratic", b=1.0, c=2.0)
+    fine = [np.full((3, 1, 1), 0.5, dtype=complex), np.full((3, 1, 1), 0.3, dtype=complex)]
+    rows = game.gradient_stacks(fine, [1, 0])
+    assert isinstance(rows, list)
+    want = MacGame(2, "quadratic", b=1.0, c=2.0).gradient_stacks(fine, [1, 0])
+    assert all(np.array_equal(a, b) for a, b in zip(rows, want))
+    low = [fine[0].copy(), fine[1]]
+    low[0][1] = 0.2
+    with pytest.raises(DomainError, match="^player 1 power 0.2000+1 below 0.25$"):
+        game.gradient_stacks(low, [0, 1])
+
+
 @pytest.mark.parametrize("seeds", [(1, 2, 4, 7, 9, 15), (1, 4)], ids=["four-live", "one-live"])
 def test_run_batch_one_diverging_row(seeds):
     # solo, seed 4 diverges at epoch 166; seeds 1 and 2 converge at 20 and 40, 9 and 15

@@ -618,18 +618,21 @@ def test_stacked_checks_read_the_whole_stack(rng):
 def test_sample_count_equals_single_calls_bit_for_bit(dom):
     # sample_batches assembles each batch at once; its samples, in order, and the Generator
     # state after them equal a loop of per-sample references (dim 64 splits into batches):
-    # profiles, unit directions and uniform numbers, each drawn part after part
+    # profiles, unit directions, raw normals and uniform numbers, each drawn part after part
     game = ZeroGame([dom])
+    m = dom.dim // dom.blocks
     ref_part = {"x": lambda rng: ref_sample(dom, rng), "z": lambda rng: ref_direction(dom, rng),
+                "n": lambda rng: rng.standard_normal((dom.blocks, 2, m, m)),
                 "u": lambda rng: rng.random()}
     for count in (1, 2, 7):
-        for parts in ("x", "xx", "xz", "zu"):
+        for parts in ("x", "xx", "xz", "zu", "xn"):
             rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
             batches = list(sample_batches(game, rng, count, parts))
             ref = [[ref_part[c](ref_rng) for c in parts] for _ in range(count)]
             for k, c in enumerate(parts):
                 stack = np.concatenate([b[k] if c == "u" else b[k][0] for b in batches])
-                shape = (count,) if c == "u" else (count, dom.dim, dom.dim)
+                shape = {"u": (count,), "n": (count, dom.blocks, 2, m, m)}.get(
+                    c, (count, dom.dim, dom.dim))
                 assert stack.shape == shape
                 assert np.array_equal(stack, np.array([sample[k] for sample in ref]))
             assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import mxl.games
-from helpers import ref_gradients, ref_profile_kl, ref_trace_inner, symmetric_equilibrium
+import mxl.verify
+from helpers import (
+    ref_estimate_strong_stability,
+    ref_max_sampled_gradient_norm,
+    symmetric_equilibrium,
+)
 from mxl.families import (
     EeGame,
     MacGame,
@@ -275,27 +280,6 @@ class TestBatchedEqualsSequential:
         assert batched.value.iteration == seq.value.iteration > 1
 
 
-def ref_estimate_strong_stability(game, xstar, samples, seed):
-    """The per-sample loop that the batched estimate replaced: (b_hat, violation count)."""
-    rng = np.random.default_rng(seed)
-    b_hat = float("inf")
-    violations = 0
-    for _ in range(samples):
-        x = game.sample_profile(rng)
-        div = ref_profile_kl(game, xstar, x)
-        if not (div > 1e-9) or not np.isfinite(div):
-            continue
-        v = ref_gradients(game, x)
-        drift = sum(ref_trace_inner(x[i] - xstar[i], v[i]) for i in range(game.n_players))
-        ratio = -drift / div
-        if ratio < 0:
-            violations += 1
-        b_hat = min(b_hat, ratio)
-    if not np.isfinite(b_hat):
-        b_hat = 0.0
-    return float(max(b_hat, 0.0)), violations
-
-
 class NanGradients(GameModel):
     """Gradients 0.3 - x_i (a positive margin at x* = 0.3) that are NaN wherever a
     player's level exceeds 0.7."""
@@ -368,3 +352,74 @@ def test_max_sampled_gradient_norm_uses_the_drawing_oracle():
                          game.players[0].domain)
         expected = max(expected, dual_norm(hermitize(v)))
     assert max_sampled_gradient_norm(game, cfg, 500, seed=0) == expected
+
+
+BOUND_GAMES = {
+    "mac2_quadratic": lambda: MacGame(2, "quadratic", b=1.0, c=2.0),
+    "mac3_log": lambda: MacGame(3, "log", a=1.0),
+    "ee_2x2x2": lambda: _ee()[0],
+    "ee_3x2x4": lambda: EeGame(synth_channels(3, 2, 2, 4, pathloss_spread=1.0, seed=5)),
+}
+BOUND_NOISES = {
+    "gaussian": NoiseModel.gaussian_hermitian(0.3),
+    "relative": NoiseModel.relative(0.5),
+    "raw_gaussian": NoiseModel.gaussian_hermitian(0.3, hermitian=False),
+    "none": NoiseModel.none(),
+    "pareto": NoiseModel.pareto_tail(1.5, 0.2),
+}
+
+
+def _bound_batches(monkeypatch):
+    """The batch sizes `max_sampled_gradient_norm` draws through `sample_batches`."""
+    sizes = []
+
+    def spy(*args):
+        for batch in mxl.games.sample_batches(*args):
+            sizes.append(len(batch[0][0]))
+            yield batch
+
+    monkeypatch.setattr(mxl.verify, "sample_batches", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("noise", ["gaussian", "relative", "raw_gaussian"])
+@pytest.mark.parametrize("name", sorted(BOUND_GAMES))
+def test_gradient_bound_equals_per_probe_loop(name, noise, monkeypatch):
+    game = BOUND_GAMES[name]()
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), BOUND_NOISES[noise], seed=1)
+    sizes = _bound_batches(monkeypatch)
+    bound = max_sampled_gradient_norm(game, cfg, 500, seed=12)
+    assert repr(bound) == repr(ref_max_sampled_gradient_norm(game, cfg, 500, 12))
+    assert sum(sizes) == 500  # the batched path
+
+
+@pytest.mark.parametrize("probes, batch", [(100, 37), (1, None)], ids=["100_by_37", "one"])
+@pytest.mark.parametrize("noise", ["none", "relative", "pareto"])
+@pytest.mark.parametrize("name", ["mac3_log", "ee_2x2x2"])
+def test_gradient_bound_batches_and_fallback_equal_per_probe_loop(name, noise, probes, batch,
+                                                                   monkeypatch):
+    # batches of 37 probes (74 with no noise normals) leave a short last batch; pareto
+    # noise interleaves its draws with the probes', so it keeps the per-probe loop
+    game = BOUND_GAMES[name]()
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), BOUND_NOISES[noise], seed=1)
+    if batch is not None:
+        floats = 2 * sum(2 * p.domain.dim ** 2 for p in game.players)
+        monkeypatch.setattr(mxl.games, "CHUNK_FLOATS", batch * floats)
+    sizes = _bound_batches(monkeypatch)
+    bound = max_sampled_gradient_norm(game, cfg, probes, seed=7)
+    assert repr(bound) == repr(ref_max_sampled_gradient_norm(game, cfg, probes, 7))
+    if noise == "pareto":
+        assert sizes == []
+    elif batch is None:
+        assert sizes == [1]
+    else:
+        assert sum(sizes) == 100 and len(set(sizes)) == 2
+
+
+def test_zero_probes_or_samples_rejected():
+    game = MacGame(2, "quadratic", b=1.0, c=2.0)
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.relative(0.5), seed=1)
+    with pytest.raises(ValueError, match="^probes must be >= 1$"):
+        max_sampled_gradient_norm(game, cfg, 0)
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        estimate_strong_stability(game, scalar_profile([1 / 3, 1 / 3]), 0)
