@@ -335,13 +335,15 @@ class EeGame(GameModel):
     subcarrier). Utilities equal the physical energy efficiency (achievable rate
     over circuit-plus-radiated power) of the inverse-transformed covariances;
     interference enters through the received covariance I + sum_j H Q_j H^dag.
-    Utility and gradient are one array formula each over profile stacks and
-    subcarriers, in a per-subcarrier loop's operation order and so bit for bit its values.
-    Every evaluation first maps each player's subcarrier blocks to covariance blocks
-    (`_covariance_blocks`, which checks each block, not the whole matrix), once per
-    profile stack: `evaluate_stacks` shares them between all receivers it evaluates, and
-    takes each receiver's gradient and utility from one `_received`.
-    The conjugate-transposed links are taken once per game.
+    Every evaluation is one pass over a leading receiver axis: one covariance mapping
+    of all players' subcarrier blocks (`_covariance_blocks`, which checks the blocks,
+    not the whole matrices), then one `_received` for all listed receivers at once,
+    whose interference sums take one product per interferer step, and one log-det,
+    solve and gradient assembly for the whole (P, S, n_sub, ...) stack. Each
+    receiver's values are those of a per-receiver, per-subcarrier loop bit for bit, as
+    each keeps its operation order. `utility_stack`, `gradient_stack` and `throughput`
+    are that pass with one receiver. The conjugate-transposed links are taken once
+    per game.
     """
 
     def __init__(self, channels: ChannelSet, pmax: float = 2.0, pc: float = 0.1):
@@ -357,19 +359,20 @@ class EeGame(GameModel):
 
     # -- helpers ------------------------------------------------------------
 
-    def _covariance_blocks(self, x, checked: bool = True) -> np.ndarray:
-        """Subcarrier blocks of transform_x_to_q(X) for an (..., d, d) stack X.
+    def _covariance_blocks(self, actions, checked: bool = True):
+        """(x, tau, q) for every player's (S, d, d) stack: the (N, S, n_sub, m, m) subcarrier
+        blocks x, the (N, S) traces tau of the whole matrices, and the blocks q of
+        transform_x_to_q(X).
 
         Only the blocks enter the game, so only they are checked (DomainError unless
-        every block is PSD and every trace is at most 1), by eigenvalues per block.
+        every block is PSD and every trace is at most 1), by one eigvalsh over them all.
         With `checked=False` X is taken as exactly Hermitian and feasible: its blocks are
         neither checked nor hermitized, which leaves such blocks' bits as they are.
         """
-        x = np.asarray(x, dtype=complex)
-        tau = np.trace(x, axis1=-2, axis2=-1).real[..., None, None, None]
-        blocks = self._domain.diagonal_blocks(x)
-        return _x_to_q(hermitize(blocks) if checked else blocks, tau, self.pc, self.pmax,
-                       checked)
+        x = np.array([self._domain.diagonal_blocks(a) for a in actions], dtype=complex)
+        tau = np.array([np.trace(a, axis1=-2, axis2=-1).real for a in actions])
+        return x, tau, _x_to_q(hermitize(x) if checked else x, tau[..., None, None, None],
+                               self.pc, self.pmax, checked)
 
     def _prefactors(self, tau):
         d = self.pc + (1.0 - tau) * self.pmax
@@ -377,81 +380,76 @@ class EeGame(GameModel):
         psi = self.pc * self.pmax / d
         return phi, psi
 
-    def _mui(self, i: int, covariances) -> np.ndarray:
-        """(..., n_sub, n_rx, n_rx) stack of I + sum_{j != i} H Q_j H^dag at receiver i, in
-        player order, from each player's (..., n_sub, m, m) covariance blocks."""
-        w = np.eye(self.channels.n_rx, dtype=complex)
-        for j, q in enumerate(covariances):
-            if j != i:
-                w = w + self.channels.links[j, i] @ q @ self._links_dagger[j, i]
-        return w
+    def _received(self, players, x, q, psi):
+        """Per receiver in `players`, profile and subcarrier, with the receivers' own blocks
+        x (P, S, n_sub, m, m), every player's covariance blocks q (N, S, n_sub, m, m) and
+        psi (P, S): H, K = H X_s H^dag, A = W + psi K with W = I + sum_{j != i} H Q_j H^dag,
+        and per receiver and profile the sum of log det A - log det W over subcarriers.
 
-    # -- GameModel interface --------------------------------------------------
-
-    def _received(self, i: int, x, covariances, psi):
-        """Per profile and subcarrier at receiver i, whose action stack is x: H,
-        K = H X_s H^dag, A = W + psi K, and per profile the sum of log det A - log det W
-        over subcarriers.
-
+        Step k of the interference adds, for every receiver i at once, player
+        j = k + (k >= i), so each receiver sums its interferers in player order.
         A channel large enough to overflow leaves W or A non-finite, which fails
         the definiteness check with DomainError; numpy's warnings about that
         overflow are silenced here only.
         """
-        h = self.channels.links[i, i]
+        i = np.asarray(players, dtype=np.intp)
+        links, dagger = self.channels.links, self._links_dagger
+        h = links[i, i][:, None]
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self._mui(i, covariances)
-            k = h @ self._domain.diagonal_blocks(x) @ self._links_dagger[i, i]
-            a = w + psi[:, None, None, None] * k
+            w = np.eye(self.channels.n_rx, dtype=complex)
+            for step in range(len(q) - 1):
+                j = step + (step >= i)
+                w = w + links[j, i][:, None] @ q[j] @ dagger[j, i][:, None]
+            k = h @ x @ dagger[i, i][:, None]
+            a = w + psi[..., None, None, None] * k
             sign_a, logdet_a = np.linalg.slogdet(a)
             sign_w, logdet_w = np.linalg.slogdet(w)
             if not ((sign_a.real > 0).all() and (sign_w.real > 0).all()):
                 raise DomainError("received covariance lost definiteness")
         return h, k, a, ordered_sum(logdet_a.real - logdet_w.real)
 
+    # -- GameModel interface --------------------------------------------------
+
     def utility_stack(self, i, actions) -> np.ndarray:
-        covariances = [self._covariance_blocks(x) for x in actions]
-        phi, psi = self._prefactors(np.trace(actions[i], axis1=-2, axis2=-1).real)
-        return phi * self._received(i, actions[i], covariances, psi)[-1]
+        x, tau, q = self._covariance_blocks(actions)
+        phi, psi = self._prefactors(tau[[i]])
+        return (phi * self._received([i], x[[i]], q, psi)[-1])[0]
 
     def gradient_stack(self, i, actions) -> np.ndarray:
         return self.gradient_stacks(actions, (i,))[0]
 
-    def gradient_stacks(self, actions, players, checked: bool = True) -> list[np.ndarray]:
+    def gradient_stacks(self, actions, players, checked: bool = True) -> np.ndarray:
         return self.evaluate_stacks(actions, players, checked)[0]
 
     def evaluate_stacks(self, actions, players, checked: bool = True):
-        covariances = [self._covariance_blocks(x, checked) for x in actions]
-        evaluated = [self._evaluate(i, actions[i], covariances) for i in players]
-        return [v for v, _ in evaluated], [u for _, u in evaluated]
-
-    def _evaluate(self, i: int, x, covariances):
-        """Receiver i's gradient and utility stacks at its action stack x, from all
-        covariance blocks; the utility is `utility_stack`'s phi * log_sum."""
-        tau = np.trace(x, axis1=-2, axis2=-1).real
+        """The listed receivers' gradients, one (P, S, d, d) array, and utilities, one
+        (P, S) array, from one pass; the utilities are `utility_stack`'s phi * log_sum."""
+        players = list(players)
+        x, tau, q = self._covariance_blocks(actions, checked)
+        tau = tau[players]
         phi, psi = self._prefactors(tau)
         d = self.pc + (1.0 - tau) * self.pmax
         phi_slope = -self.pmax / (self.pc * (self.pc + self.pmax))
         psi_slope = self.pc * self.pmax * self.pmax / (d * d)
 
-        h, k, a, log_sum = self._received(i, x, covariances, psi)
+        h, k, a, log_sum = self._received(players, x[players], q, psi)
         trace_sum = ordered_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
-        # h[None] has a's ndim, so numpy 1.x also solves it as matrices, not as vectors
-        blocks = ((phi * psi)[:, None, None, None]
-                  * (self._links_dagger[i, i] @ np.linalg.solve(a, h[None])))
+        # h has a's ndim, so numpy 1.x also solves it as matrices, not as vectors
+        dagger = self._links_dagger[players, players][:, None]
+        blocks = (phi * psi)[..., None, None, None] * (dagger @ np.linalg.solve(a, h))
         scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
         eye = np.eye(self.channels.n_tx, dtype=complex)
-        v = self._domain.block_diagonal(hermitize(blocks + scalar[:, None, None, None] * eye))
+        v = self._domain.block_diagonal(hermitize(blocks + scalar[..., None, None, None] * eye))
         return v, phi * log_sum
 
     # -- physical-coordinate oracles ------------------------------------------
 
     def throughput(self, i: int, q_profile) -> float:
         """Achievable rate of user i at covariance profile Q (nats); DomainError if Q is infeasible."""
-        blocks = [self._domain.diagonal_blocks(_feasible_covariance(q, self.pmax))
-                  for q in q_profile]
-        w = self._mui(i, blocks)
-        a = w + self.channels.links[i, i] @ blocks[i] @ self._links_dagger[i, i]
-        return float(ordered_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
+        q = np.array([self._domain.diagonal_blocks(_feasible_covariance(c, self.pmax))
+                      for c in q_profile])[:, None]
+        # psi = 1, so A = W + 1.0 * K: the same bits as W + K
+        return float(self._received([i], q[[i]], q, np.ones((1, 1)))[-1][0, 0])
 
     def energy_efficiency(self, i: int, q_profile) -> float:
         """Rate over total consumed power, evaluated directly in covariances."""

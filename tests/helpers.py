@@ -8,6 +8,8 @@ from mxl.families import (
     EeGame,
     MacGame,
     MetricLearningProblem,
+    _feasible_covariance,
+    _x_to_q,
     mahalanobis_gaps,
     smooth_hinge,
     synth_channels,
@@ -22,6 +24,7 @@ from mxl.spectral import (
     dual_norm,
     hermitize,
     nuclear_norm,
+    ordered_sum,
 )
 
 
@@ -278,6 +281,72 @@ def ref_received(game, i, actions, psi):
         total += float(logdet_a.real - logdet_w.real)
         out.append((h, k, a))
     return out, total
+
+
+# The per-receiver EE evaluation that the receivers pass replaced: each player's covariance
+# blocks mapped alone, then per receiver its own interference sum, log-dets, solves and
+# gradient assembly over profile stacks. The pass keeps each receiver's operation order, so
+# it must match bit for bit.
+
+def ref_covariance_blocks(game, x, checked=True):
+    x = np.asarray(x, dtype=complex)
+    tau = np.trace(x, axis1=-2, axis2=-1).real[..., None, None, None]
+    blocks = game.domains[0].diagonal_blocks(x)
+    return _x_to_q(hermitize(blocks) if checked else blocks, tau, game.pc, game.pmax, checked)
+
+
+def ref_receiver_received(game, i, x, covariances, psi):
+    links, dagger = game.channels.links, game._links_dagger
+    h = links[i, i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.eye(game.channels.n_rx, dtype=complex)
+        for j, q in enumerate(covariances):
+            if j != i:
+                w = w + links[j, i] @ q @ dagger[j, i]
+        k = h @ game.domains[i].diagonal_blocks(x) @ dagger[i, i]
+        a = w + psi[:, None, None, None] * k
+        sign_a, logdet_a = np.linalg.slogdet(a)
+        sign_w, logdet_w = np.linalg.slogdet(w)
+        if not ((sign_a.real > 0).all() and (sign_w.real > 0).all()):
+            raise DomainError("received covariance lost definiteness")
+    return h, k, a, ordered_sum(logdet_a.real - logdet_w.real)
+
+
+def ref_receiver_evaluate(game, i, x, covariances):
+    """Receiver i's gradient and utility stacks at its action stack x."""
+    pc, pmax = game.pc, game.pmax
+    tau = np.trace(x, axis1=-2, axis2=-1).real
+    phi, psi = game._prefactors(tau)
+    d = pc + (1.0 - tau) * pmax
+    phi_slope = -pmax / (pc * (pc + pmax))
+    psi_slope = pc * pmax * pmax / (d * d)
+    h, k, a, log_sum = ref_receiver_received(game, i, x, covariances, psi)
+    trace_sum = ordered_sum(np.trace(np.linalg.solve(a, k), axis1=-2, axis2=-1).real)
+    blocks = ((phi * psi)[:, None, None, None]
+              * (game._links_dagger[i, i] @ np.linalg.solve(a, h[None])))
+    scalar = phi_slope * log_sum + phi * psi_slope * trace_sum
+    eye = np.eye(game.channels.n_tx, dtype=complex)
+    v = game.domains[i].block_diagonal(hermitize(blocks + scalar[:, None, None, None] * eye))
+    return v, phi * log_sum
+
+
+def ref_evaluate_stacks(game, actions, players, checked=True):
+    """(gradients, utilities) of the listed receivers, one receiver at a time."""
+    covariances = [ref_covariance_blocks(game, x, checked) for x in actions]
+    evaluated = [ref_receiver_evaluate(game, i, actions[i], covariances) for i in players]
+    return [v for v, _ in evaluated], [u for _, u in evaluated]
+
+
+def ref_throughput(game, i, q_profile) -> float:
+    blocks = [game.domains[j].diagonal_blocks(_feasible_covariance(q, game.pmax))
+              for j, q in enumerate(q_profile)]
+    links, dagger = game.channels.links, game._links_dagger
+    w = np.eye(game.channels.n_rx, dtype=complex)
+    for j, q in enumerate(blocks):
+        if j != i:
+            w = w + links[j, i] @ q @ dagger[j, i]
+    a = w + links[i, i] @ blocks[i] @ dagger[i, i]
+    return float(ordered_sum(np.linalg.slogdet(a)[1].real - np.linalg.slogdet(w)[1].real))
 
 
 # The per-profile utilities and Nash residual that the stacked ones replaced, kept as

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +33,10 @@ from helpers import (
     contention,
     full_objective,
     metric_objective,
+    ref_evaluate_stacks,
+    ref_mui,
     ref_received,
+    ref_throughput,
     ref_utility,
     ref_x_to_q,
     symmetric_equilibrium,
@@ -273,8 +277,7 @@ class TestChannels:
 
 def effective_channels(game, i, actions):
     """Whitened direct channels W^{-1/2} H of player i, stacked over subcarriers."""
-    covariances = [game._covariance_blocks(x) for x in actions]
-    vals, vecs = np.linalg.eigh(hermitize(game._mui(i, covariances)))
+    vals, vecs = np.linalg.eigh(hermitize(np.array(ref_mui(game, i, actions))))
     w_isqrt = (vecs / np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return w_isqrt @ game.channels.links[i, i]
 
@@ -394,6 +397,50 @@ class TestEeGame:
                 assert np.array_equal(v[s], ref)
                 assert np.array_equal(game.payoff_gradient(i, x), ref)
                 assert game.utility(i, x).hex() == ref_utility(game, i, x).hex()
+
+    @pytest.mark.parametrize("users, tx, rx, subcarriers, n_stack, players", [
+        (1, 2, 2, 3, 4, None), (2, 2, 2, 2, 1, None), (2, 2, 2, 2, 8, None),
+        (3, 2, 2, 4, 5, [2]), (3, 2, 2, 4, 5, [1, 0]), (3, 2, 2, 4, 5, []),
+        (8, 4, 4, 16, 2, None),
+    ], ids=["1x2x3_one_user", "2x2x2_stack1", "2x2x2_stack8", "3x2x4_last", "3x2x4_reversed",
+            "3x2x4_none", "8x4x16_stack2"])
+    def test_receivers_pass_equals_per_receiver_formula(self, users, tx, rx, subcarriers,
+                                                        n_stack, players):
+        # one pass over all listed receivers gives each receiver's own formula bit for bit
+        game = EeGame(synth_channels(users, tx, rx, subcarriers, seed=users + subcarriers),
+                      pmax=2.0, pc=0.1)
+        players = list(range(users)) if players is None else players
+        rng = np.random.default_rng(users * subcarriers)
+        stacks = [np.stack([d.sample(rng) for _ in range(n_stack)]) for d in game.domains]
+        dim = game.domains[0].dim
+        for checked in (True, False):
+            gradients, utilities = game.evaluate_stacks(stacks, players, checked)
+            assert gradients.shape == (len(players), n_stack, dim, dim)
+            assert utilities.shape == (len(players), n_stack)
+            ref_gradients, ref_utilities = ref_evaluate_stacks(game, stacks, players, checked)
+            for v, u, ref_v, ref_u in zip(gradients, utilities, ref_gradients, ref_utilities):
+                assert np.array_equal(v, ref_v) and np.array_equal(u, ref_u)
+        q = [transform_x_to_q(x[0], game.pc, game.pmax) for x in stacks]
+        for i in players:
+            assert np.array_equal(game.utility_stack(i, stacks),
+                                  ref_evaluate_stacks(game, stacks, [i])[1][0])
+            assert game.throughput(i, q).hex() == ref_throughput(game, i, q).hex()
+
+    def test_receivers_pass_keeps_its_errors(self, game):
+        fine = [np.stack([np.eye(4, dtype=complex) / 8] * 2)] * 2
+        huge = EeGame(ChannelSet(game.channels.links * 1e200, game.channels.gains, 9))
+        for evaluate in (huge.evaluate_stacks, lambda *a: ref_evaluate_stacks(huge, *a)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the overflow is silenced, not printed
+                with pytest.raises(DomainError, match="^received covariance lost definiteness$"):
+                    evaluate(fine, [1, 0])
+        infeasible = [fine[0], np.stack([np.eye(4, dtype=complex) / 8, 0.3 * np.eye(4)])]
+        message = r"^argument must be PSD with trace <= 1$"
+        for evaluate in (game.evaluate_stacks, lambda *a: ref_evaluate_stacks(game, *a)):
+            with pytest.raises(DomainError, match=message):
+                evaluate(infeasible, [0])
+        with pytest.raises(DomainError, match=message):
+            game.utility_stack(0, infeasible)
 
     @pytest.mark.parametrize("users, tx, rx, subcarriers, n_stack", [
         (2, 2, 2, 2, 1), (2, 2, 2, 2, 5), (3, 2, 2, 4, 5),

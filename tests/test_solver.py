@@ -909,20 +909,20 @@ def test_off_block_gradient_diverges(level, monkeypatch):
 
 
 class CountingEe(EeGame):
-    """EeGame that logs each covariance mapping (with its `checked` flag), each receiver
-    evaluation and each separate utility call."""
+    """EeGame that logs each covariance mapping (with its `checked` flag), each receivers
+    pass (with its receivers) and each separate utility call."""
 
     def __init__(self, channels):
         super().__init__(channels)
         self.log = []
 
-    def _covariance_blocks(self, x, checked=True):
+    def _covariance_blocks(self, actions, checked=True):
         self.log.append(("covariances", checked))
-        return super()._covariance_blocks(x, checked)
+        return super()._covariance_blocks(actions, checked)
 
-    def _received(self, i, x, covariances, psi):
-        self.log.append(("received", i))
-        return super()._received(i, x, covariances, psi)
+    def _received(self, players, x, q, psi):
+        self.log.append(("received", tuple(players)))
+        return super()._received(players, x, q, psi)
 
     def utility_stack(self, i, actions):
         self.log.append(("utility", i))
@@ -941,9 +941,10 @@ def test_synchronous_run_evaluates_each_profile_stack_once_unchecked(monkeypatch
     traces = run_batch(game, cfg, seeds)
     assert [t.iterations for t in traces] == [20] * len(seeds)
     n, dim, evaluations = game.n_players, game.domains[0].dim, 20 + 4  # epochs + log points
-    # per evaluation: each player's covariance blocks once, unchecked, and each receiver once
-    assert game.log.count(("covariances", False)) == n * evaluations
-    assert sorted(set(game.log)) == [("covariances", False)] + [("received", i) for i in range(n)]
-    assert all(game.log.count(("received", i)) == evaluations for i in range(n))
+    # per evaluation: one unchecked covariance mapping of every player's blocks and one
+    # receivers pass over every player
+    everyone = ("received", tuple(range(n)))
+    assert game.log.count(("covariances", False)) == game.log.count(everyone) == evaluations
+    assert sorted(set(game.log)) == [("covariances", False), everyone]
     # the only eigvalsh left is each log point's lambda_max of the whole gradients
     assert shapes == [(len(seeds), dim, dim)] * (n * 4)
