@@ -1,19 +1,22 @@
 """Run alternating parent/change pairs of `benchmarks/run.py` and write a BENCH_<n>.json.
 
-    python scripts/bench_pairs.py --parent HEAD~1 --out BENCH_23.json \\
-        --claim ee_scaled:wall_s:0.15 [--workloads ee_scaled,mac_rate] [--pairs 10] \\
-        [--first-seed 501] [--label "what the change does"]
+    python scripts/bench_pairs.py --parent HEAD~1 --out BENCH_23.json --first-seed 601 \\
+        [--claim ee_scaled:wall_s:0.15] [--label "what the change does"]
 
 Each side runs from its own copy of its tree (src/, benchmarks/, BENCHMARK.json): the
 parent's from `git archive` of the given revision, the change's from the working tree.
-Pair k runs seed first_seed + k on both sides, one run each of BENCHMARK.json's
-run_seconds, and the side that runs first alternates. The file is rewritten after every
-pair, so an interrupted series keeps the pairs it finished. Per end-to-end metric it
-records the median and quartiles of each side (linear interpolation), the pairs the change
-won, the parent's interquartile distance over its median (`parent_spread`) and a verdict:
-"better" when the change won at least 9 of 10 pairs and its median beats the parent's by
-more than the parent's interquartile distance, "worse than bound" when the median is worse
-by more than the metric's bound, else "within bound". Temporary trees go to $TMPDIR.
+Every BENCHMARK.json workload runs as one series of 10 pairs; pair k runs seed
+first_seed + k on both sides, one run each of BENCHMARK.json's run_seconds, and the side
+that runs first alternates. Pick a first seed no earlier record used. The file is
+rewritten after every pair, so an interrupted series keeps the pairs it finished. Per
+end-to-end metric it records the median and quartiles of each side (linear
+interpolation), the pairs the change won, the parent's interquartile distance over its
+median (`parent_spread`) and a verdict, the first that holds of:
+"better" when all 10 pairs ran, the change failed no more ops than the parent, won at
+least 9 pairs and its median beats the parent's by more than the parent's interquartile
+distance; "unresolved" when `parent_spread` exceeds the metric's bound and not every run
+of the change beats every run of the parent; "worse than bound" when the median is worse by more than the bound;
+else "within bound". Temporary trees go to $TMPDIR.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TREE = ("src", "benchmarks", "BENCHMARK.json")
+PAIRS = 10
 WHAT = ("Alternating parent/change pairs of the repository benchmark, one run per side and "
         "pair, seeds first_seed upward, the side that runs first alternating; each side runs "
         "from its own copy of its tree (src/, benchmarks/, BENCHMARK.json). Quartiles are "
@@ -75,6 +79,7 @@ def quartiles(values) -> dict:
 
 
 def summarise(pairs: list, metrics: list) -> dict:
+    failed = {s: sum(p[s]["failed"] or 0 for p in pairs) for s in ("parent", "change")}
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -87,8 +92,14 @@ def summarise(pairs: list, metrics: list) -> dict:
         diff = change["median"] - parent["median"]
         spread = parent["q3"] - parent["q1"]
         relative = diff / parent["median"] if parent["median"] else 0.0
-        if wins >= 0.9 * len(pairs) and (-diff if lower else diff) > spread:
+        parent_spread = spread / parent["median"] if parent["median"] else 0.0
+        if (len(pairs) >= PAIRS and failed["change"] <= failed["parent"]
+                and wins >= 0.9 * PAIRS and (-diff if lower else diff) > spread):
             verdict = "better"
+        elif parent_spread > spec["bound"] and not (
+                max(sides["change"]) < min(sides["parent"]) if lower
+                else min(sides["change"]) > max(sides["parent"])):
+            verdict = "unresolved"
         elif (relative if lower else -relative) > spec["bound"]:
             verdict = "worse than bound"
         else:
@@ -96,10 +107,9 @@ def summarise(pairs: list, metrics: list) -> dict:
         out[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
                      "parent": parent, "change": change, "change_better_pairs": wins,
                      "pairs": len(pairs), "relative_change_of_median": relative,
-                     "parent_spread": spread / parent["median"] if parent["median"] else 0.0,
-                     "verdict": verdict}
-    out["ops"] = {key: {s: sum(p[s][key] or 0 for p in pairs) for s in ("parent", "change")}
-                  for key in ("attempted", "failed")}
+                     "parent_spread": parent_spread, "verdict": verdict}
+    out["ops"] = {"attempted": {s: sum(p[s]["attempted"] or 0 for p in pairs)
+                                for s in ("parent", "change")}, "failed": failed}
     out["ops"]["nonzero_exits"] = {s: [p["seed"] for p in pairs if p[s]["exit"]]
                                    for s in ("parent", "change")}
     return out
@@ -110,13 +120,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent tree")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--claim", help="workload:metric:fraction the median improves by")
-    parser.add_argument("--workloads", help="comma-separated; default all of BENCHMARK.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=501)
+    parser.add_argument("--first-seed", required=True, type=int,
+                        help="seed of the first pair; pick one no earlier record used")
     parser.add_argument("--label", default="the working tree")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"]
     sha = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -128,13 +136,14 @@ def main(argv=None) -> int:
         workload, metric, target = args.claim.split(":")
         report["claim"] = {"workload": workload, "metric": metric,
                            "target": f"median at least {float(target):.0%} better",
-                           "rule": "change better in at least 9 of 10 pairs and the median "
-                                   "difference larger than the parent's interquartile distance"}
+                           "rule": "all 10 pairs ran, the change failed no more ops and was "
+                                   "better in at least 9 of 10 pairs, and the median difference "
+                                   "is larger than the parent's interquartile distance"}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = make_trees(sha, Path(tmp))
-        for name in names:
+        for name in (w["name"] for w in spec["workloads"]):
             pairs = []
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                 pair = {"pair": k, "seed": args.first_seed + k, "first": order[0]}
                 for side in order:

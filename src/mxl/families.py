@@ -445,7 +445,8 @@ class EeGame(GameModel):
     # -- physical-coordinate oracles ------------------------------------------
 
     def throughput(self, i: int, q_profile) -> float:
-        """Achievable rate of user i at covariance profile Q (nats); DomainError if Q is infeasible."""
+        """Achievable rate of user i at covariance profile Q (nats); DomainError if Q is
+        infeasible or a channel large enough to overflow makes W or A lose definiteness."""
         q = np.array([self._domain.diagonal_blocks(_feasible_covariance(c, self.pmax))
                       for c in q_profile])[:, None]
         # psi = 1, so A = W + 1.0 * K: the same bits as W + K

@@ -434,6 +434,12 @@ class TestEeGame:
                 warnings.simplefilter("error")  # the overflow is silenced, not printed
                 with pytest.raises(DomainError, match="^received covariance lost definiteness$"):
                     evaluate(fine, [1, 0])
+        q_fine = [np.eye(4, dtype=complex) / 8] * 2
+        for oracle in (huge.throughput, huge.energy_efficiency):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError, match="^received covariance lost definiteness$"):
+                    oracle(0, q_fine)
         infeasible = [fine[0], np.stack([np.eye(4, dtype=complex) / 8, 0.3 * np.eye(4)])]
         message = r"^argument must be PSD with trace <= 1$"
         for evaluate in (game.evaluate_stacks, lambda *a: ref_evaluate_stacks(game, *a)):
