@@ -139,6 +139,10 @@ SCENARIOS = {
                 "solver": _solver(300, schedule={"kind": "constant", "gamma0": 0.05},
                                   noise={"kind": "pareto", "tail_index": 1.5, "scale": 0.1}),
                 "experiment": RUN}),
+    "metric_oracle_relative": (
+        "run", {"game": {"kind": "metric", "features": 4, "points": 16},
+                "solver": _solver(300, noise=_relative(0.5), reference="oracle", log_every=10),
+                "experiment": RUN}),
     "ee_single_user_relative": (
         "run", {"game": {**EE, "users": 1, "subcarriers": 3},
                 "solver": _solver(200, noise=_relative(0.5)), "experiment": RUN}),
@@ -191,6 +195,11 @@ SCENARIOS = {
                                   "checkpoints": [30, 100, 300, 1000, 3000]}}),
     "verify_ee_rate": (
         "verify", {"game": EE, "solver": _solver(1000, noise=_relative(0.5)),
+                   "experiment": {"mode": "rate", "seeds": 4,
+                                  "checkpoints": [10, 30, 100, 300, 1000]}}),
+    "verify_metric_rate": (
+        "verify", {"game": {"kind": "metric", "features": 4, "points": 16},
+                   "solver": _solver(1000, noise=_relative(0.5)),
                    "experiment": {"mode": "rate", "seeds": 4,
                                   "checkpoints": [10, 30, 100, 300, 1000]}}),
     "verify_mac_stability": ("verify", {"game": MAC, "solver": _solver(),

@@ -67,22 +67,6 @@ class MacGame(GameModel):
         g = self._base_slope(x[i]) - self._contention_of(i, x)
         return g.astype(complex)[:, None, None]
 
-    def gradient_stacks(self, actions, players, checked: bool = True) -> np.ndarray:
-        """The listed players' gradients in one pass, as one (P, S, 1, 1) stack whose rows
-        are `gradient_stack`'s bit for bit: each player's product takes the same factors
-        in the same order (its j != i in player order). A subclass that redefines
-        `gradient_stack` keeps the per-player default."""
-        if type(self).gradient_stack is not MacGame.gradient_stack:
-            return super().gradient_stacks(actions, players, checked)
-        players = list(players)
-        x = np.array([a[:, 0, 0].real for a in actions])
-        factors = 1.0 - x
-        free = 1.0
-        for k in range(len(x) - 1):  # player i's k-th factor is j = k below i, else k + 1
-            free = free * factors[[k + (k >= i) for i in players]]
-        g = self._base_slope(x[players]) - (1.0 - free)
-        return g.astype(complex)[:, :, None, None]
-
 
 def scalar_profile(values) -> tuple:
     """Wrap scalar access levels as 1x1 Hermitian actions."""
@@ -341,9 +325,10 @@ class EeGame(GameModel):
     whose interference sums take one product per interferer step, and one log-det,
     solve and gradient assembly for the whole (P, S, n_sub, ...) stack. Each
     receiver's values are those of a per-receiver, per-subcarrier loop bit for bit, as
-    each keeps its operation order. `utility_stack`, `gradient_stack` and `throughput`
-    are that pass with one receiver. The conjugate-transposed links are taken once
-    per game.
+    each keeps its operation order. That pass is `evaluate_stacks`, and
+    `gradient_stacks`, `utility_stack` and `gradient_stack` read their parts of it;
+    `throughput` is `_received` with one receiver. The conjugate-transposed links are
+    taken once per game.
     """
 
     def __init__(self, channels: ChannelSet, pmax: float = 2.0, pc: float = 0.1):
@@ -411,9 +396,7 @@ class EeGame(GameModel):
     # -- GameModel interface --------------------------------------------------
 
     def utility_stack(self, i, actions) -> np.ndarray:
-        x, tau, q = self._covariance_blocks(actions)
-        phi, psi = self._prefactors(tau[[i]])
-        return (phi * self._received([i], x[[i]], q, psi)[-1])[0]
+        return self.evaluate_stacks(actions, (i,))[1][0]
 
     def gradient_stack(self, i, actions) -> np.ndarray:
         return self.gradient_stacks(actions, (i,))[0]
@@ -422,8 +405,8 @@ class EeGame(GameModel):
         return self.evaluate_stacks(actions, players, checked)[0]
 
     def evaluate_stacks(self, actions, players, checked: bool = True):
-        """The listed receivers' gradients, one (P, S, d, d) array, and utilities, one
-        (P, S) array, from one pass; the utilities are `utility_stack`'s phi * log_sum."""
+        """The listed receivers' gradients, one (P, S, d, d) array, and utilities
+        phi * log_sum, one (P, S) array, from one pass."""
         players = list(players)
         x, tau, q = self._covariance_blocks(actions, checked)
         tau = tau[players]

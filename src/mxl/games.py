@@ -49,7 +49,8 @@ class GameModel(ABC):
     utilities, by default through `gradient_stacks` and `utility_stack`; a game
     overrides it to take both from one pass, each row bit for bit as those give it.
     Both take `checked=False` for actions the solver's projection made (Hermitian,
-    PSD, within the trace bound): a game may then skip its own checks of them. Oracles
+    PSD, within the trace bound): a game may then skip its own checks of them. The
+    solver asks for all its exact gradients this way, fresh or delayed. Oracles
     that draw random numbers (an unbiased minibatch estimate, say) override
     `stochastic_gradient`; by default it is the exact gradient.
     Implementations must be reentrant (no mutable state across calls).
@@ -219,6 +220,10 @@ def check_variational_stability(
     game: GameModel, xstar, radius: float, samples: int, seed: int = 0
 ) -> StabilityReport:
     """Test tr[(X - X*) V(X)] <= 0 on samples within nuclear distance `radius` of X*."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     game.require_feasible(xstar)
     rng = np.random.default_rng(seed)
     report = StabilityReport(
@@ -266,6 +271,8 @@ def check_hessian_definiteness(
     Sample points are pulled 2% toward the domain centers so the +/- eps
     perturbations stay feasible.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     report = StabilityReport(check="hessian", samples=samples, rng_seed=seed)
     for raw, z in sample_batches(game, rng, samples, "xz"):

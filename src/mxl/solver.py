@@ -419,10 +419,11 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     components lag by independent uniform delays from {0..delay_max}, and
     their step size is indexed by their own update count. Without delays, and
     when the game's gradient oracle draws nothing, one `gradient_stacks` call
-    gives the epoch's gradients, unchecked (`checked=False`), as the actions are
-    the projection's (a group that is the whole update set, in order, takes them
-    as its stack); otherwise each player's is taken in turn, checked,
-    interleaved with its noise as a drawing oracle's stream needs. Players with
+    gives the epoch's gradients (a group that is the whole update set, in order,
+    takes them as its stack); otherwise each player's is taken in turn, interleaved
+    with its noise as a drawing oracle's stream needs. Exact gradients are taken
+    unchecked (`checked=False`), delayed or not, as every action is the
+    projection's. Players with
     equal domains form a group: one off-block check of the gradients, whose
     diagonal blocks are then read once, and one perturbation (buffered normals
     from one draw per epoch, in update order), score update, finiteness check and
@@ -513,7 +514,7 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
                         v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
                                       for s, rng in enumerate(noise.rngs)])
                     else:
-                        v = game.gradient_stack(i, delayed)
+                        v = game.gradient_stacks(delayed, [i], checked=False)[0]
                 except (DomainError, np.linalg.LinAlgError):  # an earlier invalid score first
                     scores(update_set[:k], gradients, perturbed, n)
                     raise

@@ -318,6 +318,15 @@ class TestVerify:
         assert report["variational_stability"]["violations"] == 0
         assert report["hessian"]["worst_value"] < 0
 
+    def test_stability_mode_negative_radius_one_line_error(self, tmp_path, capsys):
+        payload = {"game": {"kind": "mac", "players": 2, "b": 1.0, "c": 2.0},
+                   "experiment": {"mode": "stability", "samples": 20, "vs_radius": -0.3}}
+        cfg = write_cfg(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["verify", cfg, "--out", str(out), "--quiet"]) == EXIT_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: radius must be >= 0\n"
+
     def test_rate_mode_interior_instance(self, tmp_path):
         payload = {
             "game": {"kind": "mac", "players": 2, "b": 1.0, "c": 2.0},

@@ -78,7 +78,7 @@ class TestMacGame:
     @pytest.mark.parametrize("n_players", [2, 3, 5])
     def test_gradient_stacks_is_one_pass_of_gradient_stack_rows(self, n_players, kind,
                                                                  n_stack):
-        # one (P, S, 1, 1) stack for the listed players, each row gradient_stack's bytes
+        # each listed player's row is U'(x_i) - contention, the scalar formula bit for bit
         game = MacGame(n_players, kind, b=1.0, c=2.5, a=0.8)
         x = np.random.default_rng(10 * n_players + n_stack).random((n_stack, n_players))
         if n_stack > 1:
@@ -87,11 +87,12 @@ class TestMacGame:
         everyone = list(range(n_players))
         for players in (everyone, everyone[:0:-1], [n_players // 2]):
             rows = game.gradient_stacks(stacks, players)
-            assert isinstance(rows, np.ndarray)
-            assert rows.shape == (len(players), n_stack, 1, 1)
+            assert len(rows) == len(players)
             for i, v in zip(players, rows):
-                want = game.gradient_stack(i, stacks)
-                assert v.dtype == want.dtype and v.tobytes() == want.tobytes()
+                for s in range(n_stack):
+                    profile = [a[s] for a in stacks]
+                    slope = game._base_slope(float(x[s, i]))
+                    assert v[s, 0, 0] == complex(slope - contention(game, i, profile))
 
     def test_closed_form_equilibrium(self):
         game = MacGame(2, "quadratic", b=1.0, c=2.0)

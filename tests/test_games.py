@@ -322,6 +322,16 @@ def test_variational_stability_zero_radius_vacuous():
     assert report.violations == 0
 
 
+def test_variational_stability_negative_radius_rejected():
+    # (0.9, 0.9) is no equilibrium: radius 0.3 finds violations, radius -0.3 would sample
+    # only X* and pass
+    game = MacGame(2, "quadratic", b=1.0, c=2.0)
+    off = scalar_profile([0.9, 0.9])
+    assert check_variational_stability(game, off, 0.3, 500, seed=5).violations > 0
+    with pytest.raises(ValueError, match="^radius must be >= 0$"):
+        check_variational_stability(game, off, -0.3, 500, seed=5)
+
+
 def test_hessian_quadratic_form_mac_constant():
     game = MacGame(2, "quadratic", b=1.0, c=2.0)
     val = hessian_quadratic_form(game, scalar_profile([0.4, 0.5]), scalar_profile([1.0, 1.0]), eps=1e-5)

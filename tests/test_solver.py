@@ -471,7 +471,7 @@ class Cliff(MacGame):
 
 
 def test_gradient_stacks_keep_a_redefined_gradient_stack():
-    # MacGame's one pass would bypass Cliff's own formula: the per-player default runs it
+    # a subclass's own gradient_stack serves every player through the per-player default
     game = Cliff(2, "quadratic", b=1.0, c=2.0)
     fine = [np.full((3, 1, 1), 0.5, dtype=complex), np.full((3, 1, 1), 0.3, dtype=complex)]
     rows = game.gradient_stacks(fine, [1, 0])
@@ -948,3 +948,17 @@ def test_synchronous_run_evaluates_each_profile_stack_once_unchecked(monkeypatch
     assert sorted(set(game.log)) == [("covariances", False), everyone]
     # the only eigvalsh left is each log point's lambda_max of the whole gradients
     assert shapes == [(len(seeds), dim, dim)] * (n * 4)
+
+
+def test_delayed_run_evaluates_the_solver_actions_unchecked():
+    # with delays each updating player's gradient is its own pass over a delayed profile;
+    # every snapshot in it is a projection's, so no pass checks the covariance blocks
+    game = CountingEe(synth_channels(3, 2, 2, 4, pathloss_spread=1.0, seed=5))
+    cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.relative(0.5),
+                       max_iters=300, stop_residual=0.0, log_every=25, seed=3)
+    trace = run_async(game, cfg, AsyncSchedule((0.5, 0.7, 0.9), delay_max=4))
+    assert trace.iterations == 300 and len(trace.records) == 12
+    assert trace.updates_per_player == (158, 209, 267)
+    assert [game.log.count(("received", (i,))) for i in range(3)] == [158, 209, 267]
+    assert game.log.count(("covariances", True)) == 0
+    assert game.log.count(("covariances", False)) == 634 + 12  # and one per log point

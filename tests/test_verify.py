@@ -19,7 +19,15 @@ from mxl.families import (
     synth_channels,
     uniform_baseline,
 )
-from mxl.games import BilinearGame, GameModel, LinearGame, ZeroGame, nash_residual
+from mxl.games import (
+    BilinearGame,
+    GameModel,
+    LinearGame,
+    ZeroGame,
+    check_hessian_definiteness,
+    check_variational_stability,
+    nash_residual,
+)
 from mxl.solver import (
     NoiseModel,
     NonFiniteGradientError,
@@ -421,5 +429,10 @@ def test_zero_probes_or_samples_rejected():
     cfg = SolverConfig(StepSchedule.power_law(1.0, 0.5), NoiseModel.relative(0.5), seed=1)
     with pytest.raises(ValueError, match="^probes must be >= 1$"):
         max_sampled_gradient_norm(game, cfg, 0)
+    xstar = scalar_profile([1 / 3, 1 / 3])
     with pytest.raises(ValueError, match="^samples must be >= 1$"):
-        estimate_strong_stability(game, scalar_profile([1 / 3, 1 / 3]), 0)
+        estimate_strong_stability(game, xstar, 0)
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        check_variational_stability(game, xstar, 0.2, 0)
+    with pytest.raises(ValueError, match="^samples must be >= 1$"):
+        check_hessian_definiteness(game, 0)
