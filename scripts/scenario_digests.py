@@ -179,6 +179,10 @@ SCENARIOS = {
         "sweep", {"game": {"kind": "mac", "players": 3, "utility": "log", "a": 1.0},
                   "solver": _solver(500, noise=_relative(0.0)),
                   "experiment": _sweep(4, {"solver.noise.level": [0.75, 1.0]}, threshold=1e-3)}),
+    "sweep_ee_3x2x4_gaussian": (
+        "sweep", {"game": {**EE, "users": 3, "subcarriers": 4},
+                  "solver": _solver(300, noise=_gaussian(0.0), stop_residual=1e-2, log_every=10),
+                  "experiment": _sweep(8, {"solver.noise.sigma": [0.05, 0.1]})}),
     "verify_mac_rate": (
         "verify", {"game": MAC, "solver": _solver(3000, noise=_relative(0.5)),
                    "experiment": {"mode": "rate", "seeds": 6,

@@ -38,6 +38,8 @@ from .spectral import (
     frobenius_norm,
     hermitize,
     mirror_map,
+    noise_scale,
+    noise_units,
     quantum_kl,
 )
 
@@ -163,14 +165,18 @@ def relative_sigma(v: np.ndarray, level: float):
     return _float_or_stack(level * frobenius_norm(v) / np.sqrt(np.shape(v)[-1]))
 
 
+def noise_sigma(v: np.ndarray, model: NoiseModel):
+    """The scale of a `gaussian` or `relative` model's noise blocks for the gradient V (one
+    matrix or an (..., d, d) stack); a relative level is taken of V's whole matrices."""
+    if model.kind == "relative":
+        return np.asarray(relative_sigma(v, model.level))[..., None, None, None]
+    return model.sigma
+
+
 def gaussian_blocks(v: np.ndarray, model: NoiseModel, normals: np.ndarray) -> np.ndarray:
     """The diagonal noise blocks of a `gaussian` or `relative` model for the gradient V (one
-    matrix or an (..., d, d) stack), from their (..., blocks, 2, m, m) standard normals; a
-    relative level is taken of V's whole matrices."""
-    sigma = model.sigma
-    if model.kind == "relative":
-        sigma = np.asarray(relative_sigma(v, model.level))[..., None, None, None]
-    return block_noise(normals, sigma, model.hermitian)
+    matrix or an (..., d, d) stack), from their (..., blocks, 2, m, m) standard normals."""
+    return block_noise(normals, noise_sigma(v, model), model.hermitian)
 
 
 def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,
@@ -345,54 +351,68 @@ class SeedNoise:
     oracle seed by seed on each seed's Generator, and otherwise takes the exact
     gradient stacks. When every update of a player draws the same number of
     standard normals (noise `gaussian` or `relative`, and a gradient that draws
-    nothing), each seed's normals are drawn ahead, up to CHUNK_STEPS steps'
-    worth at a time, and handed out from a flat cursor in the order the players
-    update (one draw per epoch, sliced per player). A Generator yields the same
-    stream however its draws are grouped, so every perturbation equals the one
-    `inject_noise` would draw, bit for bit, whichever players update. The noise blocks
-    are added to the gradient's diagonal blocks. Otherwise (`each`) `inject_noise` runs
-    seed by seed, player by player in update order, a drawing oracle's right after its
+    nothing) and every player's diagonal blocks have one size m, each seed's
+    stream is a plain sequence of (2, m, m) units of normals whatever the update
+    order (`chunked`). Each seed's units are then drawn ahead, up to CHUNK_STEPS
+    steps' worth at a time, and made into unscaled noise blocks once per chunk
+    (`noise_units`: A + A^dag, or A for raw noise); a flat cursor hands them out in
+    the order the players update, and each epoch only scales them
+    (`noise_scale`). A Generator yields the same stream however its draws are
+    grouped, so every perturbation equals the one `inject_noise` would draw, bit
+    for bit, whichever players update. The noise blocks are added to the
+    gradient's diagonal blocks. Otherwise (`each`) `inject_noise` runs seed by
+    seed, player by player in update order, a drawing oracle's right after its
     gradient.
     """
 
     def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
         self.game, self.model, self.rngs = game, model, list(rngs)
         self.drawing = type(game).stochastic_gradient is not GameModel.stochastic_gradient
-        self.chunked = model.kind in ("gaussian", "relative") and not self.drawing
+        sizes = {d.dim // d.blocks for d in game.domains}
+        self.chunked = (model.kind in ("gaussian", "relative") and not self.drawing
+                        and len(sizes) == 1)
         self.each = model.kind != "none" and not self.chunked  # drawn seed by seed, per player
-        self.widths = [2 * p.domain.dim ** 2 // p.domain.blocks for p in game.players]
-        width = sum(self.widths)
-        chunk = max(1, min(CHUNK_STEPS, steps, CHUNK_FLOATS // max(len(self.rngs) * width, 1)))
-        self.buffer = np.empty((len(self.rngs), chunk * width if self.chunked else 0))
-        self.draws = self.buffer[:, :0]
+        self.units = [d.blocks for d in game.domains]  # noise blocks per update
+        self.m = m = max(sizes)
+        width = sum(self.units)
+        chunk = max(1, min(CHUNK_STEPS, steps,
+                           CHUNK_FLOATS // max(len(self.rngs) * width * 2 * m * m, 1)))
+        self.buffer = np.empty((len(self.rngs), chunk * width if self.chunked else 0, m, m),
+                               dtype=complex)
+        self.blocks = self.buffer[:, :0]
         self.pos = 0
         self.remaining = steps * width  # no run of `steps` epochs uses more
+        self.scale = noise_scale(model.sigma, m, model.hermitian)  # of gaussian noise
 
     def _next(self, count: int) -> np.ndarray:
-        """Every seed's next `count` normals, drawing ahead when the buffer runs short."""
-        if self.pos + count > self.draws.shape[1]:
-            left = self.draws.shape[1] - self.pos
-            self.buffer[:, :left] = self.draws[:, self.pos:]
+        """Every seed's next `count` unscaled noise blocks, (S, count, m, m), making blocks
+        ahead when the buffer runs short."""
+        if self.pos + count > self.blocks.shape[1]:
+            left = self.blocks.shape[1] - self.pos
+            self.buffer[:, :left] = self.blocks[:, self.pos:]
             fresh = min(self.buffer.shape[1] - left, self.remaining)
             self.remaining -= fresh
-            self.draws = self.buffer[:, : left + fresh]
-            for rng, out in zip(self.rngs, self.draws[:, left:]):
+            normals = np.empty((len(self.rngs), fresh, 2, self.m, self.m))
+            for rng, out in zip(self.rngs, normals):
                 rng.standard_normal(out=out)
+            self.buffer[:, left : left + fresh] = noise_units(normals, self.model.hermitian)
+            self.blocks = self.buffer[:, : left + fresh]
             self.pos = 0
         self.pos += count
-        return self.draws[:, self.pos - count : self.pos]
+        return self.blocks[:, self.pos - count : self.pos]
 
     def keep(self, rows) -> None:
-        """Keep only the given seeds (row indices), each with its Generator and drawn normals."""
+        """Keep only the given seeds (row indices), each with its Generator and made blocks."""
         self.rngs = [self.rngs[r] for r in rows]
         self.buffer = self.buffer[rows]
-        self.draws = self.buffer[:, : self.draws.shape[1]]
+        self.blocks = self.buffer[:, : self.blocks.shape[1]]
 
-    def perturb(self, i: int, v: np.ndarray, normals: np.ndarray | None = None) -> np.ndarray:
+    def perturb(self, i: int, v: np.ndarray, units: np.ndarray | None = None) -> np.ndarray:
         """Hermitian part of V + Z, as its (..., blocks, m, m) diagonal blocks on player i's
         domain, for player i's block-diagonal gradient stack V, one Z per seed, or for a
-        (G, S, d, d) stack V of G players on i's domain. Buffered noise takes its normals,
-        (..., S, width), from the caller. A relative level is taken of V's whole matrices."""
+        (G, S, d, d) stack V of G players on i's domain. Buffered noise takes its unscaled
+        blocks, (..., S, blocks, m, m), from the caller. A relative level is taken of V's
+        whole matrices."""
         model = self.model
         domain = self.game.players[i].domain
         if model.kind == "none":
@@ -402,9 +422,9 @@ class SeedNoise:
                 v = np.stack([inject_noise(vs, model, rng, domain)
                               for vs, rng in zip(v, self.rngs)])
             return hermitize(domain.diagonal_blocks(v))
-        n, m = domain.blocks, v.shape[-1] // domain.blocks
-        blocks = gaussian_blocks(v, model, normals.reshape(v.shape[:-2] + (n, 2, m, m)))
-        return hermitize(domain.diagonal_blocks(v) + blocks)
+        scale = self.scale if model.kind == "gaussian" else noise_scale(
+            noise_sigma(v, model), self.m, model.hermitian)
+        return hermitize(domain.diagonal_blocks(v) + scale * units)
 
 
 def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
@@ -425,11 +445,15 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     unchecked (`checked=False`), delayed or not, as every action is the
     projection's. Players with
     equal domains form a group: one off-block check of the gradients, whose
-    diagonal blocks are then read once, and one perturbation (buffered normals
-    from one draw per epoch, in update order), score update, finiteness check and
-    exponential projection on a (G, S, blocks, m, m) block stack. Each member keeps
-    its score blocks and its action, assembled once as (S, d, d) matrices; the delay
-    history holds snapshots of the actions. All trajectories share the update set,
+    diagonal blocks are then read once, and one perturbation (buffered noise blocks,
+    a slice of the epoch's units in update order), score update, finiteness check and
+    exponential projection on a (G, S, blocks, m, m) block stack. A group whose
+    members are those of the last epoch that updated it (every synchronous epoch)
+    updates that epoch's score stack as it is; otherwise the members' score blocks
+    are stacked. Each member keeps its score blocks, rows of the stack, and its
+    action, assembled once as (S, d, d) matrices; the delay history holds snapshots
+    of the actions. With delays, one draw gives the lags of every updating player
+    before the first gradient. All trajectories share the update set,
     the delays and the counts; trajectory s draws only from `noise.rngs[s]`. An
     epoch is committed only once every updated score is finite and every gradient
     block-diagonal: otherwise it raises NonFiniteGradientError (for a non-finite
@@ -443,29 +467,33 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
     batched = d_max == 0 and not noise.drawing
     group_of = [game.domains.index(p.domain) for p in game.players]  # equal domains, one group
     plans = {}
+    resident = {}  # group -> (members, score stack) of the last epoch that updated it
     history = [tuple(state.actions)]  # history[k]: the profile k epochs ago
 
     def scores(players, gradients, perturbed, n):
-        """Step sizes of `players`, and (domain, members, new score blocks) per group, once
-        valid."""
+        """Step sizes of `players`, and (group, domain, members, new score blocks) per group,
+        once valid."""
         key = tuple(players)
-        if key not in plans:  # per group of this update set: its members and normals columns
+        if key not in plans:  # per group of this update set: its members and noise units
             groups = {}
             for k, i in enumerate(players):
                 groups.setdefault(group_of[i], []).append(k)
-            ends = list(accumulate(noise.widths[i] for i in players))
-            plans[key] = ([(game.players[players[ks[0]]].domain, ks, [players[k] for k in ks],
-                            ks == list(range(len(players))),
-                            np.array([np.arange(ends[k] - noise.widths[players[k]], ends[k])
-                                      for k in ks]))
-                           for ks in groups.values()],
-                          ends[-1] if ends else 0)
+            ends = list(accumulate(noise.units[i] for i in players))
+            plan = []
+            for group, ks in groups.items():
+                units = np.concatenate([np.arange(ends[k] - noise.units[players[k]], ends[k])
+                                        for k in ks])
+                if units[-1] - units[0] == len(units) - 1:  # consecutive units: a view
+                    units = slice(units[0], units[-1] + 1)
+                plan.append((group, game.domains[group], ks, [players[k] for k in ks],
+                             ks == list(range(len(players))), units))
+            plans[key] = (plan, ends[-1] if ends else 0)
         groups, width = plans[key]
         gammas, out, valid = [step_schedule.at(state.counts[i] + 1) for i in players], [], True
-        draws = noise._next(width) if noise.chunked and width else None
+        blocks = noise._next(width) if noise.chunked and width else None
         # an overflow or NaN here leaves a non-finite score, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
-            for domain, ks, members, whole, columns in groups:
+            for group, domain, ks, members, whole, units in groups:
                 g = [gammas[k] for k in ks]
                 g = g[0] if g.count(g[0]) == len(g) else np.array(g)[:, None, None, None, None]
                 # the whole update set, in order, is one stack as it comes
@@ -473,15 +501,19 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
                 # noise and projection keep the blocks: only a gradient can leave them
                 valid = valid and domain.off_block_mass(v) <= OFF_BLOCK_TOL
                 if perturbed is None:
-                    normals = None if draws is None else draws[:, columns].swapaxes(0, 1)
-                    w = noise.perturb(members[0], v, normals)
+                    z = None if blocks is None else blocks[:, units].reshape(
+                        (len(blocks), len(ks), domain.blocks) + blocks.shape[2:]).swapaxes(0, 1)
+                    w = noise.perturb(members[0], v, z)
                 else:
                     w = np.array([perturbed[k] for k in ks])
-                y = np.array([state.scores[i] for i in members]) + g * w
+                held = resident.get(group)
+                if held is None or held[0] != members:  # not the group's last stack
+                    held = members, np.array([state.scores[i] for i in members])
+                y = held[1] + g * w
                 valid = valid and np.isfinite(y).all()
-                out.append((domain, members, y))
+                out.append((group, domain, members, y))
         if not valid:
-            rows = {i: y[j] for _, members, y in out for j, i in enumerate(members)}
+            rows = {i: y[j] for *_, members, y in out for j, i in enumerate(members)}
             for k, i in enumerate(players):  # each player's own check, in update order
                 finite = np.isfinite(gradients[k]).all()
                 if not (finite and np.isfinite(rows[i]).all()):
@@ -501,14 +533,13 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
             update_set = [i for i, p in enumerate(probs) if sched_rng.random() < p]
         perturbed = [] if noise.each else None  # noise drawn seed by seed, in update order
         gradients = game.gradient_stacks(history[0], update_set, checked=False) if batched else []
+        if d_max and update_set:  # every updating player's lags, in one draw
+            lags = sched_rng.integers(0, d_max + 1, size=(len(update_set), game.n_players))
+            lags, last = lags.tolist(), len(history) - 1
         for k, i in enumerate(update_set):
             if not batched:
-                if d_max == 0:
-                    delayed = history[0]
-                else:
-                    lags = sched_rng.integers(0, d_max + 1, size=game.n_players).tolist()
-                    last = len(history) - 1
-                    delayed = tuple([history[min(lag, last)][j] for j, lag in enumerate(lags)])
+                delayed = history[0] if d_max == 0 else tuple(
+                    [history[min(lag, last)][j] for j, lag in enumerate(lags[k])])
                 try:
                     if noise.drawing:
                         v = np.stack([game.stochastic_gradient(i, [a[s] for a in delayed], rng)
@@ -522,8 +553,9 @@ def advance(game: GameModel, state: SolverState, step_schedule: StepSchedule,
             if perturbed is not None:
                 perturbed.append(noise.perturb(i, gradients[k]))
         gammas, groups = scores(update_set, gradients, perturbed, n) if update_set else ([], [])
-        for domain, members, y in groups:
+        for group, domain, members, y in groups:
             x = domain.block_diagonal(exp_projection_blocks(y, domain))
+            resident[group] = members, y
             for j, i in enumerate(members):
                 state.scores[i], state.actions[i] = y[j], x[j]
                 state.counts[i] += 1

@@ -96,13 +96,22 @@ def block_noise(normals: np.ndarray, sigma=1.0, hermitian: bool = True) -> np.nd
     imaginary parts) at scale sigma, a float or an array broadcasting against the blocks.
 
     Hermitian blocks have E||.||_F^2 = sigma^2 * b; raw complex blocks have the same
-    expected mass without the symmetry.
+    expected mass without the symmetry. They are `noise_scale(sigma, b, hermitian)` times
+    `noise_units(normals, hermitian)`.
     """
+    return noise_scale(sigma, normals.shape[-1], hermitian) * noise_units(normals, hermitian)
+
+
+def noise_units(normals: np.ndarray, hermitian: bool = True) -> np.ndarray:
+    """The unscaled blocks of :func:`block_noise`: A + A^dag (Hermitian) or A itself (raw),
+    A = re + i im from (..., 2, b, b) standard normals."""
     a = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
-    b = a.shape[-1]
-    if hermitian:
-        return (a + _dagger(a)) * (sigma / (2.0 * np.sqrt(b)))
-    return (sigma / np.sqrt(2.0 * b)) * a
+    return a + _dagger(a) if hermitian else a
+
+
+def noise_scale(sigma, b: int, hermitian: bool = True):
+    """The factor that turns :func:`noise_units` on b x b blocks into noise at scale sigma."""
+    return sigma / (2.0 * np.sqrt(b)) if hermitian else sigma / np.sqrt(2.0 * b)
 
 
 def _project_capped_simplex(lam: np.ndarray, bound: float) -> np.ndarray:

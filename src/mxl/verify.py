@@ -61,29 +61,29 @@ def _best_response_pg(game: GameModel, i: int, actions, max_iters: int = 600,
     """Projected gradient ascent on player i's own concave objective.
 
     Uses spectral (Barzilai-Borwein) step lengths with a halving fallback
-    whenever a step would decrease the objective.
+    whenever a step would decrease the objective. Each candidate's value and
+    gradient come from one `evaluate_stacks` call on a stack of one.
     """
     domain = game.players[i].domain
-    work = list(actions)
+    work = [np.asarray(a)[None] for a in actions]
+
+    def evaluate(x):
+        work[i] = x[None]
+        gradients, utilities = game.evaluate_stacks(work, (i,))
+        return float(utilities[0][0]), gradients[0][0]
+
     x = np.array(actions[i], dtype=complex)
-    work[i] = x
-    value = game.utility(i, tuple(work))
-    grad = game.payoff_gradient(i, tuple(work))
+    value, grad = evaluate(x)
     step = 1.0
     for _ in range(max_iters):
-        moved = False
         for _ in range(50):
             cand = domain.project(x + step * grad)
-            work[i] = cand
-            cand_value = game.utility(i, tuple(work))
+            cand_value, cand_grad = evaluate(cand)
             if cand_value >= value - 1e-14:
-                moved = True
                 break
             step *= 0.5
-        if not moved:
-            work[i] = x
+        else:
             break
-        cand_grad = game.payoff_gradient(i, tuple(work))
         dx = cand - x
         dg = cand_grad - grad
         shift = float(np.linalg.norm(dx))
@@ -95,7 +95,6 @@ def _best_response_pg(game: GameModel, i: int, actions, max_iters: int = 600,
             step *= 1.6
         if shift < tol:
             break
-    work[i] = x
     return x
 
 

@@ -516,7 +516,8 @@ def ref_max_sampled_gradient_norm(game, config, probes, seed):
 
 def ref_dense_perturb(noise, i, v):
     """`SeedNoise.perturb` on whole matrices: the Hermitian part of V + Z for player i's
-    gradient stack V, drawn as the solver draws it."""
+    gradient stack V, each seed's normals drawn straight from its Generator, never through
+    the noise's buffer."""
     model = noise.model
     if model.kind == "none":
         return hermitize(v)
@@ -529,7 +530,7 @@ def ref_dense_perturb(noise, i, v):
     if model.kind == "relative":
         sigma = relative_sigma(v, model.level)[..., None, None, None]
     n, m = domain.blocks, v.shape[-1] // domain.blocks
-    normals = noise._next(noise.widths[i]).reshape(v.shape[:-2] + (n, 2, m, m))
+    normals = np.stack([rng.standard_normal((n, 2, m, m)) for rng in noise.rngs])
     return hermitize(v + domain.block_diagonal(block_noise(normals, sigma, model.hermitian)))
 
 
@@ -590,3 +591,39 @@ def ref_advance(game, state, step_schedule, noise, steps, async_schedule=None, s
         history.insert(0, tuple(dense[1]))
         del history[d_max + 1 :]
         yield n, gamma
+
+
+def ref_best_response_pg(game, i, actions, max_iters=600, tol=1e-11):
+    """`verify._best_response_pg` with a `utility` call per line-search candidate and a
+    `payoff_gradient` call per accepted step."""
+    domain = game.players[i].domain
+    work = list(actions)
+    x = np.array(actions[i], dtype=complex)
+    work[i] = x
+    value = game.utility(i, tuple(work))
+    grad = game.payoff_gradient(i, tuple(work))
+    step = 1.0
+    for _ in range(max_iters):
+        moved = False
+        for _ in range(50):
+            cand = domain.project(x + step * grad)
+            work[i] = cand
+            cand_value = game.utility(i, tuple(work))
+            if cand_value >= value - 1e-14:
+                moved = True
+                break
+            step *= 0.5
+        if not moved:
+            break
+        cand_grad = game.payoff_gradient(i, tuple(work))
+        dx, dg = cand - x, cand_grad - grad
+        shift = float(np.linalg.norm(dx))
+        x, value, grad = cand, cand_value, cand_grad
+        denom = abs(float(np.vdot(dx, dg).real))
+        if denom > 1e-300:
+            step = min(max(float(np.vdot(dx, dx).real) / denom, 1e-8), 1e8)
+        else:
+            step *= 1.6
+        if shift < tol:
+            break
+    return x

@@ -12,7 +12,7 @@ from mxl.families import (
     scalar_profile,
     synth_channels,
 )
-from mxl.games import LinearGame, ZeroGame, nash_residual
+from mxl.games import GameModel, LinearGame, ZeroGame, nash_residual
 from mxl.solver import (
     AsyncSchedule,
     ConfigurationError,
@@ -535,7 +535,8 @@ def test_non_finite_gradient_at_a_log_point_ends_only_its_row():
 
 
 def ref_perturb(noise, i, v):
-    """SeedNoise.perturb's per-block loop for buffered noise, drawing through noise._next."""
+    """SeedNoise.perturb's per-block loop for `gaussian` and `relative` noise, each seed's
+    normals drawn straight from the Generators of `noise`, never through a buffer."""
     model, domain = noise.model, noise.game.players[i].domain
     dim = v.shape[-1]
     sigma = model.sigma
@@ -546,7 +547,7 @@ def ref_perturb(noise, i, v):
         else:
             norms = np.array([np.linalg.norm(vs) for vs in v])
         sigma = (model.level * norms / np.sqrt(dim))[:, None, None]
-    draws = noise._next(noise.widths[i])
+    draws = np.stack([rng.standard_normal(2 * dim * dim // domain.blocks) for rng in noise.rngs])
     z = np.zeros_like(v) if domain.blocks > 1 else None
     pos = 0
     for sl in block_slices(domain):
@@ -578,9 +579,10 @@ NOISE_LAYOUT_GAME = ZeroGame([
     NoiseModel.relative(0.5), NoiseModel.relative(0.5, hermitian=False),
 ], ids=["gaussian", "gaussian_raw", "relative", "relative_raw"])
 def test_perturb_equals_per_block_loop_bit_for_bit(model, n_seeds):
-    game = NOISE_LAYOUT_GAME
+    game = NOISE_LAYOUT_GAME  # blocks of four sizes: drawn seed by seed, not buffered
     noise, ref = (SeedNoise(game, model, [np.random.default_rng(s) for s in range(n_seeds)], 4)
                   for _ in range(2))
+    assert noise.chunked is False and noise.each
     rng = np.random.default_rng(53)
     everyone = list(range(game.n_players))
     for players in (everyone, everyone[::-1], [3], [3, 0]):
@@ -588,7 +590,7 @@ def test_perturb_equals_per_block_loop_bit_for_bit(model, n_seeds):
             dim = game.players[i].domain.dim
             v = np.stack([random_hermitian(dim, rng) for _ in range(n_seeds)])
             blocks = game.players[i].domain.diagonal_blocks(ref_perturb(ref, i, v))
-            assert np.array_equal(noise.perturb(i, v, noise._next(noise.widths[i])), blocks)
+            assert np.array_equal(noise.perturb(i, v), blocks)
 
 
 def ref_inject_noise(v, model, rng, domain):
@@ -878,6 +880,99 @@ def test_actions_are_the_projection_of_the_scores(make_game, delay_max):
             assert y.shape == (2, domain.blocks, m, m)
             assert x.shape == (2, domain.dim, domain.dim)
             assert np.array_equal(x, domain.block_diagonal(exp_projection_blocks(y, domain)))
+
+
+class UniformBlocks(Coupled):
+    """Coupled on four domains of one block size m = 2 and different dims and block counts,
+    Spectrahedron(2), Spectrahedron(4, A = 2, blocks=2), Spectrahedron(2) and
+    Spectrahedron(8, blocks=4), so the groups are {1, 3}, {2} and {4}."""
+
+    def __init__(self):
+        self._c = tuple(np.diag(np.linspace(1.0, 0.2, d)).astype(complex) for d in (2, 4, 2, 8))
+        GameModel.__init__(self, [Spectrahedron(2), Spectrahedron(4, 2.0, blocks=2),
+                                  Spectrahedron(2), Spectrahedron(8, blocks=4)])
+        self.nan, self.failing, self.level = (), None, np.inf
+
+
+BUFFER_SCHEDULES = {
+    "trivial": None,
+    "bernoulli": AsyncSchedule((0.6, 0.7, 0.5, 0.8), delay_max=2),
+    "single": AsyncSchedule((0.6, 0.7, 0.5, 0.8), mode="single"),
+}
+BUFFER_NOISES = {
+    "gaussian": NoiseModel.gaussian_hermitian(0.4),
+    "gaussian_raw": NoiseModel.gaussian_hermitian(0.4, hermitian=False),
+    "relative": NoiseModel.relative(0.5),
+    "relative_raw": NoiseModel.relative(0.5, hermitian=False),
+}
+
+
+# 3 seeds draw 3 x 8 units of 8 normals per epoch of all four players: a chunk of one epoch
+# (refilled every epoch) or of three, which partial epochs leave part used at a refill
+@pytest.mark.parametrize("chunk_floats", [1, 3 * 3 * 64], ids=["one_epoch", "three_epochs"])
+@pytest.mark.parametrize("noise_name", list(BUFFER_NOISES))
+@pytest.mark.parametrize("schedule_name", list(BUFFER_SCHEDULES))
+def test_blocks_buffer_equals_per_player_loop(schedule_name, noise_name, chunk_floats,
+                                              monkeypatch):
+    monkeypatch.setattr(mxl.solver, "CHUNK_FLOATS", chunk_floats)
+    game, model = UniformBlocks(), BUFFER_NOISES[noise_name]
+    assert SeedNoise(game, model, [np.random.default_rng(0)], 1).chunked
+    runs = [_advance_pair(game, model, BUFFER_SCHEDULES[schedule_name], 3, 60, engine)
+            for engine in (mxl.solver.advance, ref_advance)]
+    (steps, state, _), (ref_steps, ref_state, _) = runs
+    assert [(n, g) for n, g, _ in steps] == [(n, g) for n, g, _ in ref_steps]
+    for (_, _, xs), (_, _, ref_xs) in zip(steps, ref_steps):
+        assert all(np.array_equal(x, r) for x, r in zip(xs, ref_xs))
+    assert all(np.array_equal(y, r) for y, r in zip(state.scores, ref_state.scores))
+    assert (state.counts, state.n) == (ref_state.counts, ref_state.n)
+
+
+@pytest.mark.parametrize("noise_name", ["gaussian", "relative_raw"])
+def test_blocks_buffer_rows_leaving_mid_chunk_equal_solo_runs(noise_name, monkeypatch):
+    # a chunk of 7 epochs for the 6 seeds: rows leave the stack at log points inside a chunk
+    monkeypatch.setattr(mxl.solver, "CHUNK_FLOATS", 7 * 6 * 64)
+    game = UniformBlocks()
+    cfg = SolverConfig(POWER, BUFFER_NOISES[noise_name], max_iters=400, stop_residual=2e-2,
+                       log_every=5)
+    traces = run_batch(game, cfg, range(6))
+    for seed, trace in zip(range(6), traces):
+        assert_same_trace(trace, run(game, SolverConfig(**{**vars(cfg), "seed": seed})))
+    left = [t.iterations for t in traces if t.status == "converged"]
+    assert len(set(left)) > 2 and any(n % 7 for n in left)
+
+
+@pytest.mark.parametrize("noise_name", list(BUFFER_NOISES))
+@pytest.mark.parametrize("make_game", [lambda: NOISE_LAYOUT_GAME, Coupled],
+                         ids=["noise_layout", "coupled"])
+def test_mixed_block_sizes_draw_seed_by_seed(make_game, noise_name):
+    # blocks of several sizes are no plain sequence of units: inject_noise per seed and player
+    game, model = make_game(), BUFFER_NOISES[noise_name]
+    noise = SeedNoise(game, model, [np.random.default_rng(0)], 1)
+    assert noise.chunked is False and noise.each
+    schedule = AsyncSchedule((0.6, 0.7, 0.5, 0.8)[: game.n_players], delay_max=2)
+    runs = [_advance_pair(game, model, schedule, 2, 30, engine)
+            for engine in (mxl.solver.advance, ref_advance)]
+    (steps, state, rngs), (ref_steps, ref_state, ref_rngs) = runs
+    for (_, _, xs), (_, _, ref_xs) in zip(steps, ref_steps):
+        assert all(np.array_equal(x, r) for x, r in zip(xs, ref_xs))
+    assert all(np.array_equal(y, r) for y, r in zip(state.scores, ref_state.scores))
+    assert rngs == ref_rngs
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_gradient_failing_mid_epoch_with_lags_in_one_draw(failing, monkeypatch):
+    # an epoch's lags come from one draw before its first gradient; an oracle that fails
+    # after some players of the epoch took theirs ends the run as the per-player draws do
+    schedule = AsyncSchedule((1.0, 0.8, 1.0), delay_max=3)
+    cfg = SolverConfig(POWER, NoiseModel.gaussian_hermitian(0.3), max_iters=200,
+                       stop_residual=0.0, log_every=5)
+    trace = run_async(Coupled(failing=failing, level=1.6), cfg, schedule)
+    monkeypatch.setattr(mxl.solver, "advance", ref_advance)
+    ref = run_async(Coupled(failing=failing, level=1.6), cfg, schedule)
+    assert (trace.status, trace.diagnostic) == ("diverged", "gradient oracle failed")
+    # failing = 1 or 2 raises after the epoch's first player took its gradient
+    assert trace.iterations == (3, 2, 1)[failing]
+    assert_same_trace(trace, ref)
 
 
 class Leaky(ZeroGame):

@@ -6,6 +6,7 @@ import pytest
 import mxl.games
 import mxl.verify
 from helpers import (
+    ref_best_response_pg,
     ref_estimate_strong_stability,
     ref_max_sampled_gradient_norm,
     symmetric_equilibrium,
@@ -53,6 +54,21 @@ def test_brute_force_mac_matches_closed_form():
     oracle = brute_force_ne(game, tol=1e-8)
     for a in oracle:
         assert float(a[0, 0].real) == pytest.approx(1 / 3, abs=1e-6)
+
+
+@pytest.mark.parametrize("make_game", [
+    lambda: MacGame(2, "quadratic", b=1.0, c=2.0),
+    lambda: EeGame(synth_channels(2, 2, 2, 2, seed=8), pmax=2.0, pc=1.0),
+    lambda: EeGame(synth_channels(3, 2, 2, 4, pathloss_spread=1.0, seed=8), pmax=2.0, pc=1.0),
+], ids=["mac", "ee_2x2x2", "ee_3x2x4"])
+def test_brute_force_ne_one_evaluation_per_candidate(make_game, monkeypatch):
+    # each line-search candidate's value and gradient from one evaluate_stacks call give the
+    # oracle of a utility call per candidate and a payoff_gradient call per accepted step
+    game = make_game()
+    oracle = brute_force_ne(game, tol=1e-6)
+    monkeypatch.setattr(mxl.verify, "_best_response_pg", ref_best_response_pg)
+    ref = brute_force_ne(game, tol=1e-6)
+    assert all(a.dtype == r.dtype and np.array_equal(a, r) for a, r in zip(oracle, ref))
 
 
 def test_brute_force_linear_top_eigenvector():
