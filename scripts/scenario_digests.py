@@ -183,6 +183,13 @@ SCENARIOS = {
         "sweep", {"game": {**EE, "users": 3, "subcarriers": 4},
                   "solver": _solver(300, noise=_gaussian(0.0), stop_residual=1e-2, log_every=10),
                   "experiment": _sweep(8, {"solver.noise.sigma": [0.05, 0.1]})}),
+    "sweep_ee_relative_5_levels": (  # on 2 workers, cells {0, 1, 2} and {3, 4}: one family
+        "sweep", {"game": EE, "solver": _solver(1000, noise=_relative(0.0)),
+                  "experiment": _sweep(3, {"solver.noise.level": [0.0, 0.25, 0.5, 0.75, 1.0]})}),
+    "sweep_mac_raw_sigma_seed": (
+        "sweep", {"game": MAC, "solver": _solver(noise=_gaussian(0.0, hermitian=False)),
+                  "experiment": _sweep(3, {"solver.noise.sigma": [0.0, 0.2, 0.4],
+                                           "solver.seed": [3, 7]})}),
     "verify_mac_rate": (
         "verify", {"game": MAC, "solver": _solver(3000, noise=_relative(0.5)),
                    "experiment": {"mode": "rate", "seeds": 6,

@@ -1,23 +1,23 @@
 """Experiment runner: JSON scenario configs in, traces/reports/plot data out.
 
 Subcommands: `mxl run|verify|sweep <config> --out <dir>`. Exit codes: 0 success,
-1 usage/config error, 2 non-convergence, 3 verification failure. A sweep cell
-runs its seeds as one `run_batch`, and the cells run in a process pool of at
-most one worker per cell, capped by the MXL_WORKERS environment variable.
+1 usage/config error, 2 non-convergence, 3 verification failure. A sweep deals
+its cells, in `sweep.csv` order, into one contiguous group per worker of a
+process pool of at most one worker per cell, capped by the MXL_WORKERS
+environment variable. In a group, the cells of one family (configs that differ
+only in solver.seed, solver.noise.level and solver.noise.sigma) run their seeds
+as one `run_batch` stack, each row with its own seed and noise scale.
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
-from itertools import product
+from itertools import accumulate, islice, product
 from pathlib import Path
 
 import numpy as np
@@ -444,19 +444,50 @@ def _sweep_cell(resolved: dict, overrides, threshold: float) -> dict:
     return cell
 
 
-def _run_sweep_cell(args):
-    """One cell's seeds as one `run_batch`: the fraction that converged, their median
-    iterations, and under "iterations" the cell's total solver steps."""
-    game, config, schedule, seeds = args
-    traces = run_batch(game, config, seeds, schedule)
-    converged = [t.iterations for t in traces if t.status == "converged"]
-    return {"fraction": len(converged) / len(traces),
-            "median": float(np.median(converged)) if converged else float("nan"),
-            "iterations": sum(t.iterations for t in traces)}
+def _family(cell: dict) -> str:
+    """A sweep cell's family: its resolved config less solver.seed and the noise scale
+    (solver.noise.level and sigma), as JSON. One stack runs the cells of a family."""
+    solver = {**cell["solver"], "seed": None,
+              "noise": {**cell["solver"]["noise"], "level": None, "sigma": None}}
+    return json.dumps({**cell, "solver": solver}, sort_keys=True)
+
+
+def _family_stacks(group) -> dict:
+    """Family -> (game, config, schedule, seeds, noises) of one stack per family of a group of
+    sweep cells, built on the family's first cell; the rows are the cells' seeds, in order,
+    each with its cell's noise model."""
+    stacks = {}
+    for family, game, config, schedule, seeds in group:
+        *_, rows, noises = stacks.setdefault(family, (game, config, schedule, [], []))
+        rows.extend(seeds)
+        noises.extend([config.noise] * len(seeds))
+    return stacks
+
+
+def _run_sweep_cell(stacks):
+    """One group of sweep cells: each family's rows as one `run_batch` stack. Per stack, each
+    row's iterations if it converged, else None; under "iterations" the group's total solver
+    steps."""
+    rows, steps = [], 0
+    for game, config, schedule, seeds, noises in stacks:
+        traces = run_batch(game, config, seeds, schedule, noises)
+        rows.append([t.iterations if t.status == "converged" else None for t in traces])
+        steps += sum(t.iterations for t in traces)
+    return {"rows": rows, "iterations": steps}
 
 
 def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
               quiet: bool = False) -> int:
+    """Run every cell of experiment.grid and write `sweep.csv`, one line per cell.
+
+    Cell k (in `sweep.csv` order) runs `experiment.seeds` seeds from its own
+    solver.seed + 1000 k. The cells are dealt, in order, into W = min(workers,
+    cells) contiguous groups, the first ones a cell larger when W does not divide
+    the cells; each group is one `_run_sweep_cell` call, in a pool of W worker
+    processes when W > 1. Within a group the cells of one family share one
+    stack, and their rows fold back into each cell's converged fraction and median
+    iterations, every trace being its seed's solo run.
+    """
     def body(resolved: dict, out: Path) -> int:
         exp = resolved["experiment"]
         grid = exp["grid"]
@@ -476,13 +507,21 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
         paths = sorted(grid)
         cells = list(product(*[[(p, v) for v in grid[p]] for p in paths]))
         # fail fast: build every cell's run, oracle included, before any cell runs
-        tasks = []
+        runs = []
         for k, overrides in enumerate(cells):
-            game, config, schedule = _build_run(_sweep_cell(resolved, overrides, threshold))
+            cell = _sweep_cell(resolved, overrides, threshold)
+            game, config, schedule = _build_run(cell)
             first = config.seed + 1000 * k  # the cell's own solver.seed: a swept seed counts
-            tasks.append((game, config, schedule, range(first, first + n_seeds)))
-        workers = min(int(asked) or min(4, os.cpu_count() or 1), len(tasks))
+            runs.append((_family(cell), game, config, schedule, range(first, first + n_seeds)))
+        workers = min(int(asked) or min(4, os.cpu_count() or 1), len(cells))
+        size, extra = divmod(len(cells), workers)
+        bounds = [0, *accumulate(size + (g < extra) for g in range(workers))]
+        groups = [runs[a:b] for a, b in zip(bounds, bounds[1:])]
+        stacks = [_family_stacks(group) for group in groups]
+        tasks = [list(families.values()) for families in stacks]
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(_run_sweep_cell, tasks))
@@ -491,7 +530,13 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
                 return EXIT_ERROR
         else:
             results = [_run_sweep_cell(t) for t in tasks]
-        rows = [(overrides, r["fraction"], r["median"]) for overrides, r in zip(cells, results)]
+        rows = []  # per cell, in order: its seeds' rows, taken in turn from its family's stack
+        for group, families, result in zip(groups, stacks, results):
+            stacked = dict(zip(families, map(iter, result["rows"])))
+            for family, *_ in group:
+                converged = [n for n in islice(stacked[family], n_seeds) if n is not None]
+                rows.append((cells[len(rows)], len(converged) / n_seeds,
+                             float(np.median(converged)) if converged else float("nan")))
 
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -510,6 +555,8 @@ def cmd_sweep(config_path: str, out_dir: str, seed: int | None = None,
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="mxl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("run", "verify", "sweep"):

@@ -21,7 +21,7 @@ scheduling stream]).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -159,24 +159,21 @@ class NoiseModel:
         return cls("pareto", tail_index=tail_index, scale=scale)
 
 
-def relative_sigma(v: np.ndarray, level: float):
+def relative_sigma(v: np.ndarray, level):
     """Sigma giving a Gaussian Hermitian draw Frobenius magnitude level*||V||_F, per matrix
-    of an (..., d, d) stack (a float for one matrix)."""
+    of an (..., d, d) stack (a float for one matrix); `level` is a float or an array
+    broadcasting against the stack's (...) matrices."""
     return _float_or_stack(level * frobenius_norm(v) / np.sqrt(np.shape(v)[-1]))
-
-
-def noise_sigma(v: np.ndarray, model: NoiseModel):
-    """The scale of a `gaussian` or `relative` model's noise blocks for the gradient V (one
-    matrix or an (..., d, d) stack); a relative level is taken of V's whole matrices."""
-    if model.kind == "relative":
-        return np.asarray(relative_sigma(v, model.level))[..., None, None, None]
-    return model.sigma
 
 
 def gaussian_blocks(v: np.ndarray, model: NoiseModel, normals: np.ndarray) -> np.ndarray:
     """The diagonal noise blocks of a `gaussian` or `relative` model for the gradient V (one
-    matrix or an (..., d, d) stack), from their (..., blocks, 2, m, m) standard normals."""
-    return block_noise(normals, noise_sigma(v, model), model.hermitian)
+    matrix or an (..., d, d) stack), from their (..., blocks, 2, m, m) standard normals; a
+    relative level is taken of V's whole matrices."""
+    sigma = model.sigma
+    if model.kind == "relative":
+        sigma = np.asarray(relative_sigma(v, model.level))[..., None, None, None]
+    return block_noise(normals, sigma, model.hermitian)
 
 
 def inject_noise(v: np.ndarray, model: NoiseModel, rng: np.random.Generator,
@@ -346,6 +343,10 @@ def initial_state(game: GameModel, y0=None, seeds: int = 1) -> SolverState:
 class SeedNoise:
     """Gradient noise for a stack of trajectories, each drawn from its own Generator.
 
+    `models` is one NoiseModel per row, or one model for every row; the rows'
+    models may differ only in their scale, `sigma` and `level`, which are held
+    as (S,) arrays broadcasting over the (G, S, blocks, m, m) block stack, so
+    each row's noise is its own model's.
     `drawing` tells whether the game's gradient oracle draws random numbers
     (the game redefines `stochastic_gradient`): `advance` then calls that
     oracle seed by seed on each seed's Generator, and otherwise takes the exact
@@ -361,12 +362,20 @@ class SeedNoise:
     grouped, so every perturbation equals the one `inject_noise` would draw, bit
     for bit, whichever players update. The noise blocks are added to the
     gradient's diagonal blocks. Otherwise (`each`) `inject_noise` runs seed by
-    seed, player by player in update order, a drawing oracle's right after its
-    gradient.
+    seed with the seed's own model, player by player in update order, a drawing
+    oracle's right after its gradient.
     """
 
-    def __init__(self, game: GameModel, model: NoiseModel, rngs, steps: int):
-        self.game, self.model, self.rngs = game, model, list(rngs)
+    def __init__(self, game: GameModel, models, rngs, steps: int):
+        self.game, self.rngs = game, list(rngs)
+        self.models = ([models] * len(self.rngs) if isinstance(models, NoiseModel)
+                       else list(models))
+        self.model = model = self.models[0]  # the kind and form of every row's noise
+        if len(self.models) != len(self.rngs) or any(
+                replace(row, sigma=model.sigma, level=model.level) != model
+                for row in self.models):
+            raise ConfigurationError("a noise stack takes one model per seed, differing "
+                                     "only in sigma and level")
         self.drawing = type(game).stochastic_gradient is not GameModel.stochastic_gradient
         sizes = {d.dim // d.blocks for d in game.domains}
         self.chunked = (model.kind in ("gaussian", "relative") and not self.drawing
@@ -382,7 +391,10 @@ class SeedNoise:
         self.blocks = self.buffer[:, :0]
         self.pos = 0
         self.remaining = steps * width  # no run of `steps` epochs uses more
-        self.scale = noise_scale(model.sigma, m, model.hermitian)  # of gaussian noise
+        # per row: the scale of gaussian noise, and the relative level
+        sigmas = np.array([row.sigma for row in self.models], dtype=float)
+        self.scale = noise_scale(sigmas[:, None, None, None], m, model.hermitian)
+        self.level = np.array([row.level for row in self.models], dtype=float)
 
     def _next(self, count: int) -> np.ndarray:
         """Every seed's next `count` unscaled noise blocks, (S, count, m, m), making blocks
@@ -402,8 +414,11 @@ class SeedNoise:
         return self.blocks[:, self.pos - count : self.pos]
 
     def keep(self, rows) -> None:
-        """Keep only the given seeds (row indices), each with its Generator and made blocks."""
+        """Keep only the given seeds (row indices), each with its Generator, model and made
+        blocks."""
         self.rngs = [self.rngs[r] for r in rows]
+        self.models = [self.models[r] for r in rows]
+        self.scale, self.level = self.scale[rows], self.level[rows]
         self.buffer = self.buffer[rows]
         self.blocks = self.buffer[:, : self.blocks.shape[1]]
 
@@ -419,11 +434,11 @@ class SeedNoise:
             return hermitize(domain.diagonal_blocks(v))
         if not self.chunked:  # an overflow leaves a non-finite score, which `advance` reports
             with np.errstate(over="ignore", invalid="ignore"):
-                v = np.stack([inject_noise(vs, model, rng, domain)
-                              for vs, rng in zip(v, self.rngs)])
+                v = np.stack([inject_noise(vs, row, rng, domain)
+                              for vs, row, rng in zip(v, self.models, self.rngs)])
             return hermitize(domain.diagonal_blocks(v))
         scale = self.scale if model.kind == "gaussian" else noise_scale(
-            noise_sigma(v, model), self.m, model.hermitian)
+            relative_sigma(v, self.level)[..., None, None, None], self.m, model.hermitian)
         return hermitize(domain.diagonal_blocks(v) + scale * units)
 
 
@@ -599,9 +614,12 @@ def run_async(game: GameModel, config: SolverConfig, async_schedule: AsyncSchedu
 
 
 def run_batch(game: GameModel, config: SolverConfig, seeds,
-              async_schedule: AsyncSchedule | None = None) -> list[RunTrace]:
+              async_schedule: AsyncSchedule | None = None, noises=None) -> list[RunTrace]:
     """One trace per seed of a non-empty sequence, each bit-identical to the seed's solo run.
 
+    `noises` gives each seed its own NoiseModel (config.noise for every seed by
+    default); they may differ only in sigma and level (`SeedNoise`), and seed k's
+    trace is then that of its solo run under config.noise = noises[k].
     A run stops at max_iters, or at a logging checkpoint whose residual, on
     noiseless gradients, reaches stop_residual. A non-finite gradient or score,
     a game or domain error, or an eigensolver failure ends it as "diverged",
@@ -610,12 +628,14 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
     seeds as one stack, which finished rows leave; `advance` then restarts from
     state.n, exact without delays. Any other schedule runs each seed alone.
     """
+    noises = [config.noise] * len(seeds) if noises is None else list(noises)
     trivial = AsyncSchedule((1.0,) * game.n_players)
     schedule = (async_schedule or trivial).check(game.n_players, config.max_iters)
     if len(seeds) > 1 and schedule != trivial:
-        return [run_batch(game, config, [seed], schedule)[0] for seed in seeds]
+        return [run_batch(game, config, [seed], schedule, [model])[0]
+                for seed, model in zip(seeds, noises, strict=True)]
     streams = [np.random.SeedSequence(seed).spawn(2) for seed in seeds]
-    noise = SeedNoise(game, config.noise, [np.random.default_rng(s[0]) for s in streams],
+    noise = SeedNoise(game, noises, [np.random.default_rng(s[0]) for s in streams],
                       config.max_iters)
     sched_rng = np.random.default_rng(streams[0][1])  # drawn only by a stack of one
     state = initial_state(game, config.y0, len(seeds))
@@ -650,7 +670,7 @@ def run_batch(game: GameModel, config: SolverConfig, seeds,
                     break
     except (NonFiniteGradientError, DomainError, np.linalg.LinAlgError) as err:
         if len(live) > 1:  # the error ends the stack: each unfinished seed reruns alone
-            return [t or run_batch(game, config, [seed], schedule)[0]
-                    for seed, t in zip(seeds, traces)]
+            return [t or run_batch(game, config, [seed], schedule, [model])[0]
+                    for seed, model, t in zip(seeds, noises, traces)]
         finish(live[0], 0, "diverged", str(err))
     return traces

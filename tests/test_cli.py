@@ -1,10 +1,13 @@
+import concurrent.futures
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mxl
@@ -20,6 +23,7 @@ from mxl.cli import (
     main,
 )
 from mxl.families import synth_channels
+from mxl.solver import _fmt, run_batch
 
 from helpers import BAD_FIXTURES
 
@@ -666,8 +670,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid, seeds", [
         ({"solver.schedule.exponent": [0.5, 1.0]}, [[2, 3, 4], [1002, 1003, 1004]]),
+        # cells 0 and 1 (exponent 0.5), then cells 2 and 3, are one family: one stack each
         ({"solver.schedule.exponent": [0.5, 1.0], "solver.seed": [5, 40]},
-         [[5, 6, 7], [1040, 1041, 1042], [2005, 2006, 2007], [3040, 3041, 3042]]),
+         [[5, 6, 7, 1040, 1041, 1042], [2005, 2006, 2007, 3040, 3041, 3042]]),
     ], ids=["seed_not_swept", "seed_swept"])
     def test_cell_seeds_start_at_the_cells_own_solver_seed(self, tmp_path, monkeypatch, grid,
                                                            seeds):
@@ -675,9 +680,9 @@ class TestSweep:
         received = []
         real = mxl.cli.run_batch
 
-        def recording(game, config, cell_seeds, schedule):
+        def recording(game, config, cell_seeds, schedule, noises):
             received.append(list(cell_seeds))
-            return real(game, config, cell_seeds, schedule)
+            return real(game, config, cell_seeds, schedule, noises)
 
         payload = self.exponent_sweep(max_iters=200, seed=2)
         payload["experiment"]["grid"] = grid
@@ -744,7 +749,7 @@ class TestSweep:
         payload = self.exponent_sweep(max_iters=200)
         payload["experiment"]["grid"]["solver.schedule.exponent"] = exponents
         cfg = write_cfg(tmp_path, payload)
-        monkeypatch.setattr(mxl.cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(mxl.cli.os, "cpu_count", lambda: 16)
         monkeypatch.setenv("MXL_WORKERS", workers)
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_OK
@@ -758,6 +763,85 @@ class TestSweep:
                                  "grid": {"solver.nope.level": [0.1]}}
         cfg = write_cfg(tmp_path, payload)
         assert cmd_sweep(cfg, str(tmp_path / "out"), quiet=True) == EXIT_ERROR
+
+    # one family (cells differing in noise level and seed), and one family per exponent
+    GRIDS = {"level_seed": {"solver.noise.level": [0.0, 0.5, 1.0], "solver.seed": [3, 9]},
+             "level_exponent": {"solver.noise.level": [0.0, 0.5, 1.0],
+                                "solver.schedule.exponent": [0.5, 1.0]}}
+
+    def grid_sweep(self, tmp_path, grid):
+        payload = mac_payload(noise={"kind": "relative", "level": 0.0}, max_iters=150, seed=2)
+        payload["experiment"] = {"mode": "sweep", "seeds": 3, "threshold": 1e-4,
+                                 "grid": self.GRIDS[grid]}
+        return write_cfg(tmp_path, payload)
+
+    @staticmethod
+    def per_cell_runs(cfg):
+        """sweep.csv and the traces of each cell's seeds run as their own `run_batch`."""
+        resolved = load_config(cfg)
+        exp = resolved["experiment"]
+        paths = sorted(exp["grid"])
+        lines, traces = [",".join(paths) + ",seeds,converged_fraction,median_iterations"], []
+        for k, overrides in enumerate(product(*[[(p, v) for v in exp["grid"][p]]
+                                                for p in paths])):
+            game, config, schedule = mxl.cli._build_run(
+                mxl.cli._sweep_cell(resolved, overrides, exp["threshold"]))
+            first = config.seed + 1000 * k
+            cell = run_batch(game, config, range(first, first + exp["seeds"]), schedule)
+            converged = [t.iterations for t in cell if t.status == "converged"]
+            median = float(np.median(converged)) if converged else float("nan")
+            lines.append(",".join([*(_fmt(float(v)) for _, v in overrides), str(exp["seeds"]),
+                                   _fmt(len(converged) / len(cell)), _fmt(median)]))
+            traces += cell
+        return "".join(line + "\n" for line in lines), traces
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_sweep_csv_same_for_any_worker_count(self, tmp_path, monkeypatch, grid):
+        cfg = self.grid_sweep(tmp_path, grid)
+        csv = set()
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("MXL_WORKERS", workers)
+            assert cmd_sweep(cfg, str(tmp_path / workers), quiet=True) == EXIT_OK
+            csv.add((tmp_path / workers / "sweep.csv").read_text())
+        expected, traces = self.per_cell_runs(cfg)
+        assert csv == {expected}
+        assert {t.status for t in traces} == {"converged", "max_iters"}
+
+    @pytest.mark.parametrize("grid, rows", [
+        ("level_seed", {"1": [18], "2": [9, 9], "3": [6, 6, 6]}),
+        ("level_exponent", {"1": [9, 9], "2": [3, 3, 6, 6], "3": [3, 3, 3, 3, 3, 3]}),
+    ])
+    def test_one_stack_per_family_and_cell_group(self, tmp_path, monkeypatch, grid, rows):
+        # six cells, dealt in order into W contiguous groups: {0..5}; {0, 1, 2}, {3, 4, 5};
+        # {0, 1}, {2, 3}, {4, 5}; a family's cells in one group share a stack
+        stacks, returned = [], []
+        run_group, real_run_batch = mxl.cli._run_sweep_cell, mxl.cli.run_batch
+
+        def recording_group(task):
+            out = run_group(task)
+            returned.append(out["iterations"])
+            return out
+
+        def recording_run_batch(game, config, seeds, schedule, noises):
+            stacks.append(len(seeds))
+            return real_run_batch(game, config, seeds, schedule, noises)
+
+        cfg = self.grid_sweep(tmp_path, grid)
+        # the pool's workers as threads of this process, which see the recorders
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            concurrent.futures.ThreadPoolExecutor)
+        monkeypatch.setattr(mxl.cli, "_run_sweep_cell", recording_group)
+        monkeypatch.setattr(mxl.cli, "run_batch", recording_run_batch)
+        _, traces = self.per_cell_runs(cfg)
+        for workers, want in rows.items():
+            stacks.clear()
+            returned.clear()
+            monkeypatch.setenv("MXL_WORKERS", workers)
+            assert cmd_sweep(cfg, str(tmp_path / workers), quiet=True) == EXIT_OK
+            assert sorted(stacks) == want
+            # each group returns its solver steps, which add up to the sweep's
+            assert len(returned) == int(workers)
+            assert sum(returned) == sum(t.iterations for t in traces)
 
 
 EE, METRIC = {"kind": "ee"}, {"kind": "metric"}

@@ -500,6 +500,71 @@ def test_run_batch_one_diverging_row(seeds):
     assert diverged[0].diagnostic.startswith("player 1 power 0.24")
 
 
+# per-row noise models of one kind and form, each model on two seeds
+ROW_NOISES = {
+    "relative": [NoiseModel.relative(level) for level in (0.0, 0.5, 1.0)] * 2,
+    "relative_raw": [NoiseModel.relative(level, hermitian=False) for level in (0.5, 0.0, 1.0)] * 2,
+    "gaussian": [NoiseModel.gaussian_hermitian(sigma) for sigma in (0.2, 0.0, 0.5)] * 2,
+    "gaussian_raw": [NoiseModel.gaussian_hermitian(sigma, hermitian=False)
+                     for sigma in (0.0, 0.3, 0.6)] * 2,
+}
+# name: (game, solver config, async schedule or None, row noises)
+ROW_NOISE_CASES = {
+    **{f"ee_stack_{rows}": (
+        lambda: EeGame(synth_channels(2, 2, 2, 2, seed=8), pmax=2.0, pc=1.0),
+        SolverConfig(StepSchedule.power_law(1.0, 0.6), max_iters=500, stop_residual=1e-2,
+                     log_every=25), None, rows) for rows in ROW_NOISES},
+    **{f"mac_bernoulli_delay_{rows}": (
+        mac_game, SolverConfig(POWER, max_iters=300, stop_residual=1e-2, log_every=25),
+        AsyncSchedule((0.5, 0.7), delay_max=3), rows) for rows in ROW_NOISES},
+    # seed 6 diverges while rows of other scales are live: they rerun alone
+    **{f"mac_diverging_row_{rows}": (
+        lambda: Cliff(2, "quadratic", b=1.0, c=2.0),
+        SolverConfig(StepSchedule.constant(0.1), max_iters=300, stop_residual=1e-2,
+                     log_every=10), None, rows) for rows in ("gaussian", "gaussian_raw")},
+    # a drawing oracle: noise drawn seed by seed, each with its own model
+    "metric_drawing_oracle_gaussian": (_metric_small, SolverConfig(
+        StepSchedule.constant(0.05), max_iters=110, stop_residual=0.0, log_every=25), None,
+        [NoiseModel.gaussian_hermitian(sigma) for sigma in (0.0, 0.1, 0.3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_NOISE_CASES))
+def test_run_batch_per_row_noise_equals_solo_runs(name, monkeypatch):
+    make, cfg, schedule, rows = ROW_NOISE_CASES[name]
+    noises = ROW_NOISES[rows] if isinstance(rows, str) else rows
+    seeds = range(1, len(noises) + 1)
+    game = make()
+    stacks = []
+    real_initial_state = mxl.solver.initial_state
+
+    def recording(game, y0=None, seeds=1):
+        stacks.append(seeds)
+        return real_initial_state(game, y0, seeds)
+
+    monkeypatch.setattr(mxl.solver, "initial_state", recording)
+    traces = run_batch(game, cfg, seeds, schedule, noises)
+    assert stacks[0] == (1 if schedule else len(seeds))
+    monkeypatch.undo()
+    solo_schedule = schedule or AsyncSchedule((1.0,) * game.n_players)
+    for seed, model, trace in zip(seeds, noises, traces):
+        solo = run_async(game, SolverConfig(**{**vars(cfg), "seed": seed, "noise": model}),
+                         solo_schedule)
+        assert_same_trace(trace, solo)
+    if name.startswith("mac_diverging_row"):  # the stack failed with other rows live
+        (failed,) = [t for t in traces if t.status == "diverged" and t.seed == 6]
+        assert len(stacks) > 1 and max(t.iterations for t in traces) > failed.iterations
+
+
+def test_seed_noise_rows_differ_only_in_scale():
+    game, rngs = mac_game(), [np.random.default_rng(s) for s in range(2)]
+    with pytest.raises(ConfigurationError, match="differing only in sigma and level"):
+        SeedNoise(game, [NoiseModel.relative(0.5), NoiseModel.relative(0.5, hermitian=False)],
+                  rngs, 10)
+    with pytest.raises(ConfigurationError, match="one model per seed"):
+        SeedNoise(game, [NoiseModel.relative(0.5)], rngs, 10)
+
+
 class NanAbove(LinearGame):
     """u = x on [0, 1], whose gradient is NaN wherever x > 0.9."""
 
